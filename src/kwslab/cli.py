@@ -196,7 +196,18 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip() != ""]
 
 
-def _finish_sweep(args, config, root, payload) -> int:
+def _parse_keywords(text: str) -> list[str] | None:
+    return None if text == "auto" else [k.strip() for k in text.split(",") if k.strip()]
+
+
+def cmd_sweep(args) -> int:
+    """Run the sweep its subcommand bound as ``args.sweep``, then write
+    ``sweep_report.json`` and ``sweep.csv``."""
+    config = load_run_config(args.config, args.set, require_corpus=True)
+    os.makedirs(args.workdir, exist_ok=True)
+    root = config.resolved_root()
+    sessions, default = load_corpus(root)
+    payload = args.sweep(args, config, sessions, default)
     payload["provenance"] = provenance_block(config, root)
     csv_rows = payload.pop("csv_rows")
     csv_fields = payload.pop("csv_fields")
@@ -204,42 +215,6 @@ def _finish_sweep(args, config, root, payload) -> int:
     write_json_report(os.path.join(args.workdir, "sweep_report.json"), payload)
     print(render_sweep_summary(payload))
     return 0
-
-
-def cmd_sweep_scaling(args) -> int:
-    config = load_run_config(args.config, args.set, require_corpus=True)
-    os.makedirs(args.workdir, exist_ok=True)
-    root = config.resolved_root()
-    sessions, default = load_corpus(root)
-    payload = run_scaling_sweep(
-        config, sessions, default, _parse_float_list(args.fractions), args.workdir
-    )
-    return _finish_sweep(args, config, root, payload)
-
-
-def cmd_sweep_offsets(args) -> int:
-    config = load_run_config(args.config, args.set, require_corpus=True)
-    os.makedirs(args.workdir, exist_ok=True)
-    root = config.resolved_root()
-    sessions, default = load_corpus(root)
-    payload = run_offsets_sweep(
-        config, sessions, default,
-        _parse_float_list(args.neg_grid), _parse_float_list(args.pos_grid),
-        args.workdir,
-    )
-    return _finish_sweep(args, config, root, payload)
-
-
-def cmd_sweep_keywords(args) -> int:
-    config = load_run_config(args.config, args.set, require_corpus=True)
-    os.makedirs(args.workdir, exist_ok=True)
-    root = config.resolved_root()
-    sessions, default = load_corpus(root)
-    keywords = None if args.keywords == "auto" else [
-        k.strip() for k in args.keywords.split(",") if k.strip()
-    ]
-    payload = run_keywords_sweep(config, sessions, default, keywords, args.workdir)
-    return _finish_sweep(args, config, root, payload)
 
 
 def _operating_rows_for_scenario(scenario, curves, fp_rates, target_recall, budgets):
@@ -408,20 +383,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-scaling", help="training-fraction sweep")
     common(p)
     p.add_argument("--fractions", default="0.1,0.25,0.5,1.0")
-    p.set_defaults(fn=cmd_sweep_scaling)
+    p.set_defaults(fn=cmd_sweep, sweep=lambda args, *run: run_scaling_sweep(
+        *run, _parse_float_list(args.fractions), args.workdir))
 
     p = sub.add_parser("sweep-offsets", help="pre/post-onset buffer sweep")
     common(p)
     p.add_argument("--neg-grid", default="0,0.05,0.1,0.15,0.2", dest="neg_grid")
     p.add_argument("--pos-grid", default="0,0.05,0.1,0.15,0.2,0.25,0.3", dest="pos_grid")
-    p.set_defaults(fn=cmd_sweep_offsets)
+    p.set_defaults(fn=cmd_sweep, sweep=lambda args, *run: run_offsets_sweep(
+        *run, _parse_float_list(args.neg_grid), _parse_float_list(args.pos_grid),
+        args.workdir))
 
     p = sub.add_parser("sweep-keywords", help="per-keyword detectability sweep")
     common(p)
     p.add_argument("--keywords", default="auto",
                    help="comma-separated keywords, or 'auto' for the most "
                    "frequent word per length bucket")
-    p.set_defaults(fn=cmd_sweep_keywords)
+    p.set_defaults(fn=cmd_sweep, sweep=lambda args, *run: run_keywords_sweep(
+        *run, _parse_keywords(args.keywords), args.workdir))
 
     p = sub.add_parser("operating-points", help="threshold selection and hourly rates")
     common(p)

@@ -1,6 +1,6 @@
-"""Data model, serialized formats, windowing, labeling, and split selection
-for session-structured multichannel recordings with word-level event
-annotations.
+"""Data model, serialized formats, window indexing, labeling, and split
+selection for session-structured multichannel recordings with word-level
+event annotations.
 
 A corpus on disk is a directory containing, per session,
 
@@ -148,14 +148,14 @@ class KeywordTaskSpec:
         return round_half_up(self.window_s * sample_rate_hz)
 
 
-@dataclass
-class WindowExample:
-    """Fixed-shape C x N window anchored to one word token."""
+@dataclass(frozen=True)
+class WindowRef:
+    """Where one word token's window starts, and its label."""
 
-    signal: np.ndarray
-    label: int
     session_id: str
     token_index: int
+    start: int
+    label: int
     word: str
 
 
@@ -288,51 +288,29 @@ def build_task_spec(sessions, keywords, beta_neg_s: float, beta_pos_s: float) ->
     )
 
 
-def extract_windows(session, spec, normalizer=None):
-    """Cut one fixed-length window per word token.
+def index_windows(session, spec) -> tuple[list[WindowRef], DropTally]:
+    """Index one fixed-length window per word token, in token order.
 
-    Returns ``(examples, drop_tally)``. Windows start at
+    Returns ``(refs, drop_tally)``. Windows start at
     ``round((onset - beta_neg) * fs)`` and span ``round(window_s * fs)``
     samples; tokens whose window would cross the session bounds are dropped
     and tallied instead of padded.
     """
     fs = session.channel_config.sample_rate_hz
     n = spec.n_window_samples(fs)
-    total = session.n_samples
-    signal = session.signal
-    examples = []
+    refs = []
     tally = DropTally()
     for token_index, ev in enumerate(session.word_events()):
         label = 1 if ev.word in spec.keywords else 0
         start = round_half_up((ev.onset_s - spec.beta_neg_s) * fs)
-        if start < 0 or start + n > total:
+        if start < 0 or start + n > session.n_samples:
             if label:
                 tally.positives += 1
             else:
                 tally.negatives += 1
             continue
-        window = signal[:, start : start + n]
-        if normalizer is not None:
-            window = normalizer.apply(window)
-        else:
-            window = np.array(window, dtype=np.float32)
-        examples.append(
-            WindowExample(
-                signal=window,
-                label=label,
-                session_id=session.session_id,
-                token_index=token_index,
-                word=ev.word,
-            )
-        )
-    return examples, tally
-
-
-def window_start_sample(session, spec, token_index: int) -> int:
-    """Start sample of a token's window (same arithmetic as extract_windows)."""
-    ev = session.word_events()[token_index]
-    fs = session.channel_config.sample_rate_hz
-    return round_half_up((ev.onset_s - spec.beta_neg_s) * fs)
+        refs.append(WindowRef(session.session_id, token_index, start, label, ev.word))
+    return refs, tally
 
 
 def count_positives(session, keywords) -> int:

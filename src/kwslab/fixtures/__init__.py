@@ -38,7 +38,3 @@ def reference_operating_curves() -> list[list[PRPoint]]:
 
 def reference_offset_grid() -> dict:
     return load_reference_tables()["offset_grid"]
-
-
-def reference_headline_metrics() -> dict:
-    return load_reference_tables()["headline_metrics"]

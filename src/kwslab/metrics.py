@@ -33,6 +33,8 @@ class ScoredSet:
             raise ValidationError("scores and labels must be equal-length vectors")
         if scores.size < 1:
             raise ValidationError("scored set must be non-empty")
+        if not np.isfinite(scores).all():
+            raise ValidationError("scores must be finite (a NaN or inf score cannot be ranked)")
         if not np.isin(labels, (0, 1)).all():
             raise ValidationError("labels must be binary")
         object.__setattr__(self, "scores", scores)

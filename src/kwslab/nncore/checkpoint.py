@@ -10,6 +10,7 @@ sorted by name so identical contents always produce identical files.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -50,17 +51,43 @@ def save_arrays(path: str, arrays: dict[str, np.ndarray], meta: dict | None = No
 
 
 def load_arrays(path: str):
-    """Returns (arrays dict, meta dict)."""
+    """Returns (arrays dict, meta dict); any malformed file raises
+    CheckpointError."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        data = fh.read()
+        raw = fh.read()
+    if raw[: len(_MAGIC)] != _MAGIC:
+        raise CheckpointError(f"{path}: not a checkpoint file")
+    start = len(_MAGIC) + 8
+    if len(raw) < start:
+        raise CheckpointError(f"{path}: truncated header length")
+    (header_len,) = struct.unpack_from("<Q", raw, len(_MAGIC))
+    if header_len > len(raw) - start:
+        raise CheckpointError(f"{path}: header runs past the end of the file")
+    try:  # a bad UTF-8 or JSON byte raises a ValueError subclass
+        header = json.loads(raw[start : start + header_len].decode("utf-8"))
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: malformed header: {exc}") from None
+    if not isinstance(header, dict) or not isinstance(header.get("arrays"), list):
+        raise CheckpointError(f"{path}: header lists no arrays")
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: header meta is not an object")
+    data = memoryview(raw)[start + header_len :]
     arrays = {}
     for entry in header["arrays"]:
-        blob = data[entry["offset"] : entry["offset"] + entry["nbytes"]]
-        arr = np.frombuffer(blob, dtype=np.dtype(entry["dtype"]))
-        arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
-    return arrays, header.get("meta", {})
+        try:
+            name = entry["name"]
+            dtype = np.dtype(str(entry["dtype"]))
+            shape = tuple(int(d) for d in entry["shape"])
+            offset, nbytes = int(entry["offset"]), int(entry["nbytes"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: malformed array entry {entry!r}: {exc}") from None
+        if dtype.hasobject or dtype.itemsize == 0 or min(shape, default=0) < 0 or offset < 0:
+            raise CheckpointError(f"{path}: invalid array entry {entry!r}")
+        if nbytes != math.prod(shape) * dtype.itemsize:
+            raise CheckpointError(f"{path}: array {name!r} nbytes does not match its shape")
+        if offset + nbytes > len(data):
+            raise CheckpointError(f"{path}: array {name!r} runs past the end of the file")
+        blob = data[offset : offset + nbytes]
+        arrays[name] = np.frombuffer(blob, dtype=dtype).reshape(shape).copy()
+    return arrays, meta

@@ -82,10 +82,6 @@ class BalancedBatchSampler:
             yield self.next_batch()
 
 
-def make_balanced_batches(labels, config: SamplerConfig, seed: int) -> BalancedBatchSampler:
-    return BalancedBatchSampler(labels, config, seed)
-
-
 def augment_window(
     signal: np.ndarray,
     start: int,

@@ -17,6 +17,11 @@ from .errors import InfeasibleSamplerError, InfeasibleTaskError, MissingKeywordE
 from .training import evaluate, prepare_task, scored_set_from_rows, train
 
 
+# metrics every sweep cell aggregates over seeds; the keyword sweep adds more
+_METRICS = ("auprc", "auroc")
+_KEYWORD_METRICS = (*_METRICS, "accuracy", "best_f1", "pct_delta_over_base")
+
+
 def seed_mean_se(values) -> tuple[float, float]:
     """Seed aggregate: mean and sample-SD / sqrt(n) standard error."""
     arr = np.asarray(values, dtype=np.float64)
@@ -39,7 +44,39 @@ def train_and_score_test(config, task, seed: int, workdir: str, tag: str):
         "best_val_auprc": report.best_val_auprc,
         "checkpoint": checkpoint,
     }
-    return record, scored, report
+    return record, scored
+
+
+def run_cell(config, task, axis: dict, workdir: str, tag: str, metrics, per_seed=None):
+    """Train and score one sweep cell for every seed, then aggregate.
+
+    ``per_seed(record, scored)`` may return extra per-seed values that are
+    merged into the seed's record. Every name in ``metrics`` gets a seed
+    ``{name}_mean``/``{name}_se`` aggregate. Returns ``(cell, csv_rows,
+    scoreds)``: the report cell, one CSV row per seed plus the ``mean`` and
+    ``se`` rows, and the test-partition scored sets in seed order.
+    """
+    records, scoreds = [], []
+    for seed in config.seeds:
+        record, scored = train_and_score_test(config, task, seed, workdir, tag)
+        if per_seed is not None:
+            record.update(per_seed(record, scored))
+        records.append(record)
+        scoreds.append(scored)
+    aggregate = {}
+    mean_row = {**axis, "seed": "mean"}
+    se_row = {**axis, "seed": "se"}
+    for name in metrics:
+        mean, se = seed_mean_se([r[name] for r in records])
+        aggregate[f"{name}_mean"] = mean_row[name] = mean
+        aggregate[f"{name}_se"] = se_row[name] = se
+    cell = {"axis": axis, "infeasible": False, "per_seed": records, "aggregate": aggregate}
+    csv_rows = [{**axis, **r} for r in records] + [mean_row, se_row]
+    return cell, csv_rows, scoreds
+
+
+def _infeasible(axis: dict, note: str) -> dict:
+    return {"axis": axis, "infeasible": True, "note": note}
 
 
 def _sessions_for_split(sessions, split: SplitAssignment):
@@ -94,21 +131,15 @@ def run_scaling_sweep(config, sessions, default_split, fractions, workdir: str) 
             count_positives(by_id[sid], spec.keywords) for sid in train_ids
         )
         if n_train_positives == 0:
-            cells.append(
-                {"axis": axis, "infeasible": True, "note": "no positive training examples"}
-            )
+            cells.append(_infeasible(axis, "no positive training examples"))
             continue
         task = prepare_task(_sessions_for_split(sessions, sub_split), sub_split, spec)
-        records, scoreds = [], []
         try:
-            for seed in config.seeds:
-                record, scored, _ = train_and_score_test(
-                    config, task, seed, workdir, f"scaling_f{fraction:g}"
-                )
-                records.append(record)
-                scoreds.append(scored)
+            cell, rows, scoreds = run_cell(
+                config, task, axis, workdir, f"scaling_f{fraction:g}", _METRICS
+            )
         except InfeasibleSamplerError as exc:
-            cells.append({"axis": axis, "infeasible": True, "note": str(exc)})
+            cells.append(_infeasible(axis, str(exc)))
             continue
         perm = mx.seed_mean_permutation_pvalue(
             scoreds,
@@ -116,28 +147,15 @@ def run_scaling_sweep(config, sessions, default_split, fractions, workdir: str) 
             n_draws=config.evaluation.permutation_draws,
             seed=config.evaluation.stat_seed,
         )
-        auprc_mean, auprc_se = seed_mean_se([r["auprc"] for r in records])
-        auroc_mean, auroc_se = seed_mean_se([r["auroc"] for r in records])
-        aggregate = {
-            "auprc_mean": auprc_mean,
-            "auprc_se": auprc_se,
-            "auroc_mean": auroc_mean,
-            "auroc_se": auroc_se,
-            "p_value": perm.p_value,
-            "unique_hours": sum(hours[sid] for sid in train_ids),
-            "n_train_sessions": len(train_ids),
-            "n_train_windows": len(task.partitions["train"]),
-        }
-        cells.append({"axis": axis, "infeasible": False, "per_seed": records,
-                      "aggregate": aggregate})
-        feasible_points.append((fraction, auprc_mean))
-        for r in records:
-            csv_rows.append({"fraction": fraction, "seed": r["seed"],
-                             "auprc": r["auprc"], "auroc": r["auroc"]})
-        csv_rows.append({"fraction": fraction, "seed": "mean",
-                         "auprc": auprc_mean, "auroc": auroc_mean})
-        csv_rows.append({"fraction": fraction, "seed": "se",
-                         "auprc": auprc_se, "auroc": auroc_se})
+        cell["aggregate"].update(
+            p_value=perm.p_value,
+            unique_hours=sum(hours[sid] for sid in train_ids),
+            n_train_sessions=len(train_ids),
+            n_train_windows=len(task.partitions["train"]),
+        )
+        cells.append(cell)
+        csv_rows.extend(rows)
+        feasible_points.append((fraction, cell["aggregate"]["auprc_mean"]))
 
     slope = None
     if len(feasible_points) >= 2:
@@ -149,7 +167,7 @@ def run_scaling_sweep(config, sessions, default_split, fractions, workdir: str) 
         "cells": cells,
         "slope_auprc_vs_log_fraction": slope,
         "csv_rows": csv_rows,
-        "csv_fields": ["fraction", "seed", "auprc", "auroc"],
+        "csv_fields": ["fraction", "seed", *_METRICS],
     }
 
 
@@ -232,42 +250,16 @@ def run_offsets_sweep(config, sessions, default_split, neg_grid, pos_grid, workd
         for pos in pos_grid:
             spec = build_task_spec(sessions, config.task.keywords, neg, pos)
             task = prepare_task(sessions, split, spec)
-            records, scoreds = [], []
-            for seed in config.seeds:
-                record, scored, _ = train_and_score_test(
-                    config, task, seed, workdir, f"offsets_n{neg:g}_p{pos:g}"
-                )
-                records.append(record)
-                scoreds.append(scored)
-            cell_seed_auprc[(neg, pos)] = {r["seed"]: r["auprc"] for r in records}
-            auprc_mean, auprc_se = seed_mean_se([r["auprc"] for r in records])
-            auroc_mean, auroc_se = seed_mean_se([r["auroc"] for r in records])
-            cells.append(
-                {
-                    "axis": {"beta_neg_s": neg, "beta_pos_s": pos},
-                    "infeasible": False,
-                    "per_seed": records,
-                    "aggregate": {
-                        "auprc_mean": auprc_mean,
-                        "auprc_se": auprc_se,
-                        "auroc_mean": auroc_mean,
-                        "auroc_se": auroc_se,
-                        "window_s": spec.window_s,
-                    },
-                }
+            cell, rows, _ = run_cell(
+                config, task, {"beta_neg_s": neg, "beta_pos_s": pos}, workdir,
+                f"offsets_n{neg:g}_p{pos:g}", _METRICS,
             )
-            for r in records:
-                csv_rows.append({"beta_neg_s": neg, "beta_pos_s": pos, "seed": r["seed"],
-                                 "auprc": r["auprc"], "auroc": r["auroc"]})
-            csv_rows.append({"beta_neg_s": neg, "beta_pos_s": pos, "seed": "mean",
-                             "auprc": auprc_mean, "auroc": auroc_mean})
-            csv_rows.append({"beta_neg_s": neg, "beta_pos_s": pos, "seed": "se",
-                             "auprc": auprc_se, "auroc": auroc_se})
+            cell["aggregate"]["window_s"] = spec.window_s
+            cell_seed_auprc[(neg, pos)] = {r["seed"]: r["auprc"] for r in cell["per_seed"]}
+            cells.append(cell)
+            csv_rows.extend(rows)
 
-    best = max(
-        (c for c in cells if not c["infeasible"]),
-        key=lambda c: c["aggregate"]["auprc_mean"],
-    )
+    best = max(cells, key=lambda c: c["aggregate"]["auprc_mean"])
     paired = paired_offset_improvement(
         cell_seed_auprc,
         baseline_cell=(0.0, 0.0),
@@ -281,7 +273,7 @@ def run_offsets_sweep(config, sessions, default_split, neg_grid, pos_grid, workd
         "argmax_cell": best["axis"],
         "paired_improvement": paired,
         "csv_rows": csv_rows,
-        "csv_fields": ["beta_neg_s", "beta_pos_s", "seed", "auprc", "auroc"],
+        "csv_fields": ["beta_neg_s", "beta_pos_s", "seed", *_METRICS],
     }
 
 
@@ -331,6 +323,11 @@ def best_f1_over_thresholds(scored) -> float:
     return best
 
 
+def _skipped_keyword(axis: dict, exc: Exception) -> dict:
+    warnings.warn(f"keyword {axis['keyword']!r} skipped: {exc}")
+    return _infeasible(axis, str(exc))
+
+
 def run_keywords_sweep(config, sessions, default_split, keywords, workdir: str) -> dict:
     """Per-keyword training/evaluation roster: base rate, AUPRC, AUROC,
     accuracy at tau, best F1 across thresholds, and %dAUPRC over the base
@@ -338,9 +335,18 @@ def run_keywords_sweep(config, sessions, default_split, keywords, workdir: str) 
     os.makedirs(workdir, exist_ok=True)
     if keywords is None:
         keywords = auto_keywords_by_length(sessions)
+    tau = config.evaluation.tau
+
+    def keyword_metrics(record, scored):
+        return {
+            "accuracy": mx.thresholded_metrics(scored, tau).accuracy,
+            "best_f1": best_f1_over_thresholds(scored),
+            "pct_delta_over_base": mx.pct_delta_over_base(record["auprc"], scored.base_rate),
+            "base_rate": scored.base_rate,
+        }
+
     cells = []
     csv_rows = []
-    tau = config.evaluation.tau
     for keyword in keywords:
         axis = {"keyword": keyword}
         try:
@@ -349,49 +355,20 @@ def run_keywords_sweep(config, sessions, default_split, keywords, workdir: str) 
             )
             split = select_splits(sessions, spec, default_split)
         except (MissingKeywordError, InfeasibleTaskError) as exc:
-            warnings.warn(f"keyword {keyword!r} skipped: {exc}")
-            cells.append({"axis": axis, "infeasible": True, "note": str(exc)})
+            cells.append(_skipped_keyword(axis, exc))
             continue
         task = prepare_task(sessions, split, spec)
-        records = []
         try:
-            for seed in config.seeds:
-                record, scored, _ = train_and_score_test(
-                    config, task, seed, workdir, f"keyword_{keyword}"
-                )
-                record["accuracy"] = mx.thresholded_metrics(scored, tau).accuracy
-                record["best_f1"] = best_f1_over_thresholds(scored)
-                record["pct_delta_over_base"] = mx.pct_delta_over_base(
-                    record["auprc"], scored.base_rate
-                )
-                record["base_rate"] = scored.base_rate
-                records.append(record)
+            cell, rows, _ = run_cell(
+                config, task, axis, workdir, f"keyword_{keyword}", _KEYWORD_METRICS,
+                per_seed=keyword_metrics,
+            )
         except InfeasibleSamplerError as exc:
-            warnings.warn(f"keyword {keyword!r} skipped: {exc}")
-            cells.append({"axis": axis, "infeasible": True, "note": str(exc)})
+            cells.append(_skipped_keyword(axis, exc))
             continue
-        aggregate = {"base_rate": records[0]["base_rate"]}
-        for name in ("auprc", "auroc", "accuracy", "best_f1", "pct_delta_over_base"):
-            mean, se = seed_mean_se([r[name] for r in records])
-            aggregate[f"{name}_mean"] = mean
-            aggregate[f"{name}_se"] = se
-        cells.append({"axis": axis, "infeasible": False, "per_seed": records,
-                      "aggregate": aggregate})
-        for r in records:
-            csv_rows.append({"keyword": keyword, "seed": r["seed"], "auprc": r["auprc"],
-                             "auroc": r["auroc"], "accuracy": r["accuracy"],
-                             "best_f1": r["best_f1"],
-                             "pct_delta_over_base": r["pct_delta_over_base"]})
-        csv_rows.append({"keyword": keyword, "seed": "mean",
-                         "auprc": aggregate["auprc_mean"], "auroc": aggregate["auroc_mean"],
-                         "accuracy": aggregate["accuracy_mean"],
-                         "best_f1": aggregate["best_f1_mean"],
-                         "pct_delta_over_base": aggregate["pct_delta_over_base_mean"]})
-        csv_rows.append({"keyword": keyword, "seed": "se",
-                         "auprc": aggregate["auprc_se"], "auroc": aggregate["auroc_se"],
-                         "accuracy": aggregate["accuracy_se"],
-                         "best_f1": aggregate["best_f1_se"],
-                         "pct_delta_over_base": aggregate["pct_delta_over_base_se"]})
+        cell["aggregate"]["base_rate"] = cell["per_seed"][0]["base_rate"]
+        cells.append(cell)
+        csv_rows.extend(rows)
 
     spearman_r, spearman_p = lexicon_length_frequency_spearman(sessions)
     return {
@@ -399,6 +376,5 @@ def run_keywords_sweep(config, sessions, default_split, keywords, workdir: str) 
         "cells": cells,
         "length_log_frequency_spearman": {"r": spearman_r, "p": spearman_p},
         "csv_rows": csv_rows,
-        "csv_fields": ["keyword", "seed", "auprc", "auroc", "accuracy", "best_f1",
-                       "pct_delta_over_base"],
+        "csv_fields": ["keyword", "seed", *_KEYWORD_METRICS],
     }

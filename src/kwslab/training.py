@@ -12,7 +12,7 @@ import numpy as np
 
 from . import metrics as mx
 from . import nncore as nc
-from .corpus import DropTally, fit_normalizer, round_half_up
+from .corpus import DropTally, WindowRef, fit_normalizer, index_windows
 from .errors import (
     CheckpointError,
     InfeasibleTaskError,
@@ -92,15 +92,6 @@ class TrainReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WindowRef:
-    session_id: str
-    token_index: int
-    start: int
-    label: int
-    word: str
-
-
 @dataclass
 class TaskData:
     spec: object
@@ -130,15 +121,14 @@ class TaskData:
 def prepare_task(sessions, split, spec) -> TaskData:
     """Fit the train-partition normalizer, z-score every session, and index
     the in-bounds windows of each partition (ordered by session, then token).
-
-    The windows sliced through TaskData are bit-identical to
-    corpus.extract_windows with the same normalizer.
     """
     by_id = {s.session_id: s for s in sessions}
     split.validate(by_id.keys())
     train_sessions = [by_id[sid] for sid in split.train]
     normalizer = fit_normalizer(train_sessions)
     fs = sessions[0].channel_config.sample_rate_hz
+    if any(s.channel_config.sample_rate_hz != fs for s in sessions):
+        raise ValidationError("all sessions of a task must share one sample rate")
     n_channels = sessions[0].channel_config.n_channels
     n = spec.n_window_samples(fs)
 
@@ -150,21 +140,8 @@ def prepare_task(sessions, split, spec) -> TaskData:
     partitions = {"train": [], "validation": [], "test": []}
     tallies = {}
     for sid in sorted(by_id):
-        session = by_id[sid]
-        tally = DropTally()
-        refs = []
-        for token_index, ev in enumerate(session.word_events()):
-            label = 1 if ev.word in spec.keywords else 0
-            start = round_half_up((ev.onset_s - spec.beta_neg_s) * fs)
-            if start < 0 or start + n > session.n_samples:
-                if label:
-                    tally.positives += 1
-                else:
-                    tally.negatives += 1
-                continue
-            refs.append(WindowRef(sid, token_index, start, label, ev.word))
+        refs, tallies[sid] = index_windows(by_id[sid], spec)
         partitions[partition_of[sid]].extend(refs)
-        tallies[sid] = tally
 
     total = 0
     acc = np.zeros(n_channels, dtype=np.float64)
@@ -365,27 +342,46 @@ def evaluate(checkpoint_path: str, task: TaskData, partition: str,
     ]
 
 
+SCORES_HEADER = ["session_id", "token_index", "label", "score"]
+
+
 def write_scores_csv(rows, path: str):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["session_id", "token_index", "label", "score"])
+        writer.writerow(SCORES_HEADER)
         for row in rows:
             writer.writerow([row.session_id, row.token_index, row.label, repr(row.score)])
 
 
 def read_scores_csv(path: str) -> list[ScoreRow]:
+    """Parse a scores file written by write_scores_csv; a bad header, a
+    missing or malformed field, or a label outside {0, 1} raises
+    ValidationError naming the line."""
     rows = []
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            rows.append(
-                ScoreRow(
-                    session_id=rec["session_id"],
-                    token_index=int(rec["token_index"]),
-                    label=int(rec["label"]),
-                    score=float(rec["score"]),
-                )
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != SCORES_HEADER:
+            raise ValidationError(
+                f"{path}: line 1: header must be {','.join(SCORES_HEADER)}, got {header}"
             )
+        for rec in reader:
+            if not rec:
+                continue
+            try:
+                session_id, token_index, label, score = rec
+                row = ScoreRow(session_id, int(token_index), int(label), float(score))
+            except ValueError:
+                raise ValidationError(
+                    f"{path}: line {reader.line_num}: expected "
+                    f"{','.join(SCORES_HEADER)} fields, got {rec}"
+                ) from None
+            if not session_id or row.label not in (0, 1):
+                raise ValidationError(
+                    f"{path}: line {reader.line_num}: needs a session id and a "
+                    f"0/1 label, got {rec}"
+                )
+            rows.append(row)
     return rows
 
 

@@ -39,7 +39,7 @@ from kwslab.operate import (
     translate,
 )
 from kwslab.reports import read_json_report
-from kwslab.sampling import SamplerConfig, make_balanced_batches
+from kwslab.sampling import BalancedBatchSampler, SamplerConfig
 from kwslab.sweeps import run_scaling_sweep
 from kwslab.synthgen import SynthConfig, default_split, generate_corpus
 from kwslab.training import TrainConfig, prepare_task, score_partition, train
@@ -432,7 +432,7 @@ class TestCriterion9Invariants:
         # sampler composition exactness across a full epoch
         labels = np.zeros(497, dtype=int)
         labels[rng.choice(497, 13, replace=False)] = 1
-        sampler = make_balanced_batches(
+        sampler = BalancedBatchSampler(
             labels, SamplerConfig(batch_size=32, positive_fraction=0.5), seed=0
         )
         sampler_ok = all(

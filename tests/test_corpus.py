@@ -10,9 +10,9 @@ from kwslab.corpus import (
     build_task_spec,
     compute_d_max,
     count_positives,
-    extract_windows,
     fit_normalizer,
     format_events_tsv,
+    index_windows,
     load_corpus,
     load_session,
     parse_events_tsv,
@@ -27,6 +27,7 @@ from kwslab.errors import (
     MissingKeywordError,
     ValidationError,
 )
+from kwslab.training import TaskData
 
 
 def make_session(session_id="s0", n_channels=3, fs=100.0, duration_s=30.0,
@@ -137,6 +138,21 @@ class TestDmaxAndTaskSpec:
         assert spec.keywords == frozenset({"watson"})
 
 
+def cut_windows(session, spec, normalizer=None):
+    """Index a session's windows and cut each through TaskData.window, on the
+    raw signal or, given a normalizer, on the z-scored one."""
+    refs, tally = index_windows(session, spec)
+    fs = session.channel_config.sample_rate_hz
+    signal = session.signal if normalizer is None else normalizer.apply(session.signal)
+    task = TaskData(
+        spec=spec, split=None, normalizer=normalizer,
+        n_channels=session.channel_config.n_channels, sample_rate_hz=fs,
+        n_window_samples=spec.n_window_samples(fs),
+        signals={session.session_id: signal}, partitions={"all": refs},
+    )
+    return refs, [task.window(ref) for ref in refs], tally
+
+
 class TestExtractWindows:
     def test_start_sample_arithmetic(self):
         # oracle: round((10.0 - 0.1) * 250) = 2475, N = round(1.2 * 250) = 300
@@ -145,10 +161,11 @@ class TestExtractWindows:
         session = make_session(fs=fs, duration_s=20.0, events=events)
         spec = build_task_spec([session], {"watson"}, 0.1, 0.3)
         assert spec.n_window_samples(fs) == 300
-        examples, tally = extract_windows(session, spec)
+        refs, windows, tally = cut_windows(session, spec)
         assert tally.total == 0
+        assert refs[0].start == 2475
         np.testing.assert_array_equal(
-            examples[0].signal, session.signal[:, 2475:2775].astype(np.float32)
+            windows[0], session.signal[:, 2475:2775].astype(np.float32)
         )
 
     def test_out_of_bounds_dropped(self):
@@ -156,26 +173,28 @@ class TestExtractWindows:
         events = [WordEvent(0.0, 0.5, "watson"), WordEvent(5.0, 0.5, "watson")]
         session = make_session(fs=fs, duration_s=10.0, events=events)
         spec = build_task_spec([session], {"watson"}, 0.1, 0.1)
-        examples, tally = extract_windows(session, spec)
-        assert len(examples) == 1 and tally.positives == 1 and tally.negatives == 0
+        refs, tally = index_windows(session, spec)
+        assert len(refs) == 1 and tally.positives == 1 and tally.negatives == 0
+        assert refs[0].token_index == 1
 
     def test_label_indicator(self):
         events = [WordEvent(2.0, 0.4, "watson"), WordEvent(4.0, 0.3, "the")]
         session = make_session(duration_s=10.0, events=events)
         spec = build_task_spec([session], {"watson"}, 0.0, 0.0)
-        examples, _ = extract_windows(session, spec)
-        assert [ex.label for ex in examples] == [1, 0]
-        assert [ex.word for ex in examples] == ["watson", "the"]
+        refs, _ = index_windows(session, spec)
+        assert [ref.label for ref in refs] == [1, 0]
+        assert [ref.word for ref in refs] == ["watson", "the"]
 
     def test_uniform_n_and_label_sum(self, micro_corpus):
         sessions, _ = micro_corpus
         spec = build_task_spec(sessions, {"ri"}, 0.15, 0.25)
         for session in sessions:
-            examples, tally = extract_windows(session, spec)
-            sizes = {ex.signal.shape for ex in examples}
-            assert len(sizes) == 1
+            refs, windows, tally = cut_windows(session, spec)
+            sizes = {w.shape for w in windows}
+            assert sizes == {(session.channel_config.n_channels, spec.n_window_samples(
+                session.channel_config.sample_rate_hz))}
             c_s = count_positives(session, spec.keywords)
-            assert sum(ex.label for ex in examples) == c_s - tally.positives
+            assert sum(ref.label for ref in refs) == c_s - tally.positives
 
     def test_impulse_at_beta_neg_offset(self):
         fs = 100.0
@@ -187,19 +206,19 @@ class TestExtractWindows:
             n_channels=2, fs=fs, duration_s=10.0, events=events, signal=signal
         )
         spec = build_task_spec([session], {"watson"}, 0.2, 0.1)
-        examples, _ = extract_windows(session, spec)
+        _, windows, _ = cut_windows(session, spec)
         offset = round_half_up(spec.beta_neg_s * fs)
-        assert examples[0].signal[0, offset] == 7.0
+        assert windows[0][0, offset] == 7.0
 
     def test_normalizer_applied(self):
         events = [WordEvent(2.0, 0.4, "watson")]
         session = make_session(duration_s=10.0, events=events)
         spec = build_task_spec([session], {"watson"}, 0.0, 0.0)
         norm = Normalizer(mean=np.full(3, 2.0), std=np.full(3, 4.0))
-        raw, _ = extract_windows(session, spec)
-        normed, _ = extract_windows(session, spec, normalizer=norm)
+        _, raw, _ = cut_windows(session, spec)
+        _, normed, _ = cut_windows(session, spec, normalizer=norm)
         np.testing.assert_array_equal(
-            normed[0].signal, ((raw[0].signal - 2.0) / 4.0).astype(np.float32)
+            normed[0], ((raw[0] - 2.0) / 4.0).astype(np.float32)
         )
 
 

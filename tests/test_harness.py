@@ -158,6 +158,17 @@ class TestTrainEvaluateCommands:
                      "--workdir", str(tmp_path)]) == 1
         assert "checkpoint" in capsys.readouterr().err
 
+    def test_truncated_checkpoint_is_invalid_input(self, corpus_dir, trained_workdir,
+                                                   micro_config_dict, tmp_path, capsys):
+        config_path, _ = corpus_dir
+        for seed in micro_config_dict["seeds"]:
+            name = f"checkpoint_seed{seed}.ckpt"
+            data = open(os.path.join(trained_workdir, name), "rb").read()
+            (tmp_path / name).write_bytes(data[: len(data) // 2])
+        assert main(["evaluate", "--config", config_path,
+                     "--workdir", str(tmp_path)]) == 1
+        assert "checkpoint_seed0.ckpt" in capsys.readouterr().err
+
 
 class TestScalingSweep:
     @pytest.fixture(scope="class")
@@ -376,6 +387,16 @@ class TestOperatingPointsCommand:
             s for s in payload["scenarios"] if s["scenario"]["name"] == "assistive"
         )
         assert "fp_per_hour" in assistive["rows"]
+
+    def test_malformed_scores_is_invalid_input(self, corpus_dir, tmp_path, capsys):
+        config_path, _ = corpus_dir
+        bad = tmp_path / "bad.csv"
+        bad.write_text("session_id,token_index,score\ns000,0,0.5\n")
+        assert main([
+            "operating-points", "--config", config_path,
+            "--workdir", str(tmp_path), "--scores", str(bad),
+        ]) == 1
+        assert "line 1" in capsys.readouterr().err
 
     def test_empty_scores_error(self, corpus_dir, tmp_path, capsys):
         config_path, _ = corpus_dir

@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 import kwslab.nncore as nc
 from kwslab.errors import InfeasibleSamplerError, ValidationError
 from kwslab.losses import LossConfig, focal_loss, pairwise_rank_loss, total_loss
-from kwslab.sampling import (
-    BalancedBatchSampler,
-    SamplerConfig,
-    augment_window,
-    make_balanced_batches,
-)
+from kwslab.sampling import BalancedBatchSampler, SamplerConfig, augment_window
 
 RNG = np.random.default_rng(31)
 
@@ -121,7 +116,7 @@ class TestBalancedSampler:
         labels = np.zeros(200, dtype=int)
         labels[:7] = 1
         config = SamplerConfig(batch_size=32, positive_fraction=0.5)
-        sampler = make_balanced_batches(labels, config, seed=0)
+        sampler = BalancedBatchSampler(labels, config, seed=0)
         for batch in sampler.epoch():
             assert len(batch) == 32
             assert labels[batch].sum() == 16
@@ -130,7 +125,7 @@ class TestBalancedSampler:
         labels = np.zeros(4660, dtype=int)
         labels[:24] = 1
         config = SamplerConfig(batch_size=32, positive_fraction=0.5)
-        sampler = make_balanced_batches(labels, config, seed=1)
+        sampler = BalancedBatchSampler(labels, config, seed=1)
         seen_negatives = []
         seen_positives = []
         for batch in sampler.epoch():
@@ -147,17 +142,17 @@ class TestBalancedSampler:
         labels = np.zeros(100, dtype=int)
         labels[:9] = 1
         config = SamplerConfig(batch_size=16)
-        a = [b.tolist() for b in make_balanced_batches(labels, config, 3).epoch()]
-        b = [b.tolist() for b in make_balanced_batches(labels, config, 3).epoch()]
+        a = [b.tolist() for b in BalancedBatchSampler(labels, config, 3).epoch()]
+        b = [b.tolist() for b in BalancedBatchSampler(labels, config, 3).epoch()]
         assert a == b
-        c = [b.tolist() for b in make_balanced_batches(labels, config, 4).epoch()]
+        c = [b.tolist() for b in BalancedBatchSampler(labels, config, 4).epoch()]
         assert a != c
 
     def test_empty_class_rejected(self):
         with pytest.raises(InfeasibleSamplerError):
-            make_balanced_batches(np.zeros(10, dtype=int), SamplerConfig(batch_size=4), 0)
+            BalancedBatchSampler(np.zeros(10, dtype=int), SamplerConfig(batch_size=4), 0)
         with pytest.raises(InfeasibleSamplerError):
-            make_balanced_batches(np.ones(10, dtype=int), SamplerConfig(batch_size=4), 0)
+            BalancedBatchSampler(np.ones(10, dtype=int), SamplerConfig(batch_size=4), 0)
 
     def test_batches_per_epoch(self):
         labels = np.zeros(50, dtype=int)

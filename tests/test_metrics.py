@@ -31,6 +31,13 @@ class TestScoredSet:
         with pytest.raises(ValidationError):
             scored([0.1, 0.2], [1])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        # a diverged model's NaN would otherwise rank as a plausible score:
+        # [0.9, nan, 0.1, 0.5] vs [1, 1, 0, 0] gave AUPRC 0.75, AUROC 1.0
+        with pytest.raises(ValidationError, match="finite"):
+            scored([0.9, bad, 0.1, 0.5], [1, 1, 0, 0])
+
 
 class TestPrCurve:
     def test_hand_enumeration(self):

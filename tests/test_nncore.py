@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -327,6 +330,54 @@ class TestCheckpointFormat:
         nc.save_arrays(p1, arrays, meta={"k": 1})
         nc.save_arrays(p2, dict(reversed(arrays.items())), meta={"k": 1})
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    @staticmethod
+    def _saved(tmp_path):
+        path = tmp_path / "ck.bin"
+        nc.save_arrays(str(path), {"w": np.arange(12, dtype=np.float32).reshape(3, 4),
+                                   "b": np.ones(5)}, meta={"note": "x"})
+        return path
+
+    def test_truncated_file_raises_checkpoint_error(self, tmp_path):
+        path = self._saved(tmp_path)
+        data = path.read_bytes()
+        cut = tmp_path / "cut.bin"
+        # inside the magic, the header length, the header JSON, the arrays
+        for size in (4, 12, 20, 128, len(data) // 2, len(data) - 1):
+            cut.write_bytes(data[:size])
+            with pytest.raises(CheckpointError):
+                nc.load_arrays(str(cut))
+
+    @pytest.mark.parametrize("field, value", [
+        ("offset", 10**6),
+        ("nbytes", 4),
+        ("dtype", "not-a-dtype"),
+        ("dtype", "|O"),
+        ("shape", [-1, 4]),
+        ("name", None),
+    ])
+    def test_bad_array_entry_raises_checkpoint_error(self, tmp_path, field, value):
+        data = self._saved(tmp_path).read_bytes()
+        (n,) = struct.unpack("<Q", data[8:16])
+        header = json.loads(data[16 : 16 + n])
+        entry = header["arrays"][-1]
+        if value is None:
+            del entry[field]
+        else:
+            entry[field] = value
+        new = json.dumps(header).encode()
+        path = tmp_path / "bad.bin"
+        path.write_bytes(data[:8] + struct.pack("<Q", len(new)) + new + data[16 + n :])
+        with pytest.raises(CheckpointError):
+            nc.load_arrays(str(path))
+
+    def test_undecodable_header_raises_checkpoint_error(self, tmp_path):
+        data = self._saved(tmp_path).read_bytes()
+        for header in (b"{not json", b"\xff\xfe", b"[1, 2]", b'{"arrays": 3}'):
+            path = tmp_path / "bad.bin"
+            path.write_bytes(data[:8] + struct.pack("<Q", len(header)) + header)
+            with pytest.raises(CheckpointError):
+                nc.load_arrays(str(path))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"

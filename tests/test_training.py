@@ -5,7 +5,7 @@ import pytest
 
 import kwslab.metrics as mx
 from conftest import MICRO_MODEL, MICRO_SAMPLER, MICRO_TRAIN
-from kwslab.corpus import extract_windows
+from kwslab.corpus import index_windows, round_half_up
 from kwslab.errors import (
     CheckpointError,
     InfeasibleTaskError,
@@ -36,25 +36,43 @@ def trained(micro_task, tmp_path_factory):
 
 
 class TestPrepareTask:
-    def test_windows_match_extract_windows(self, micro_corpus, micro_task):
+    def test_windows_match_index_windows(self, micro_corpus, micro_task):
         sessions, _ = micro_corpus
         task = micro_task
         by_id = {s.session_id: s for s in sessions}
+        fs = task.sample_rate_hz
+        n = task.n_window_samples
         for partition in ("train", "validation", "test"):
             refs = task.partitions[partition]
             by_session = {}
             for ref in refs:
                 by_session.setdefault(ref.session_id, []).append(ref)
             for sid, session_refs in by_session.items():
-                examples, tally = extract_windows(
-                    by_id[sid], task.spec, normalizer=task.normalizer
-                )
-                assert len(examples) == len(session_refs)
-                assert tally.positives == task.drop_tallies[sid].positives
-                for ref, ex in zip(session_refs, examples):
-                    assert ref.token_index == ex.token_index
-                    assert ref.label == ex.label
-                    np.testing.assert_array_equal(task.window(ref), ex.signal)
+                session = by_id[sid]
+                indexed, tally = index_windows(session, task.spec)
+                assert session_refs == indexed
+                assert tally == task.drop_tallies[sid]
+                normed = task.normalizer.apply(session.signal)
+                events = session.word_events()
+                for ref in session_refs:
+                    start = round_half_up(
+                        (events[ref.token_index].onset_s - task.spec.beta_neg_s) * fs
+                    )
+                    assert ref.start == start
+                    np.testing.assert_array_equal(
+                        task.window(ref), normed[:, start : start + n]
+                    )
+
+    def test_mixed_sample_rates_rejected(self, micro_corpus, micro_task):
+        sessions, _ = micro_corpus
+        odd = dataclasses.replace(
+            sessions[-1],
+            channel_config=dataclasses.replace(
+                sessions[-1].channel_config, sample_rate_hz=50.0
+            ),
+        )
+        with pytest.raises(ValidationError, match="sample rate"):
+            prepare_task(sessions[:-1] + [odd], micro_task.split, micro_task.spec)
 
     def test_partitions_cover_and_order(self, micro_task):
         for refs in micro_task.partitions.values():
@@ -209,6 +227,24 @@ class TestScoresCsv:
         path = str(tmp_path / "scores.csv")
         write_scores_csv(rows, path)
         assert read_scores_csv(path) == rows
+
+    @pytest.mark.parametrize("text, line", [
+        ("session_id,token_index,score\ns0,1,0.5\n", 1),
+        ("session_id,token_index,score,label\ns0,1,0.5,1\n", 1),
+        ("", 1),
+        ("session_id,token_index,label,score\ns0,0,1,0.5\ns0,1,0\n", 3),
+        ("session_id,token_index,label,score\ns0,0,1,0.5\ns0,x,0,0.2\n", 3),
+        ("session_id,token_index,label,score\ns0,0,1,\n", 2),
+        ("session_id,token_index,label,score\ns0,0,1,0.5,9\n", 2),
+        ("session_id,token_index,label,score\n,0,1,0.5\n", 2),
+        ("session_id,token_index,label,score\ns0,0,2,0.5\n", 2),
+        ("session_id,token_index,label,score\ns0,0,-1,0.5\n", 2),
+    ])
+    def test_malformed_file_names_the_line(self, tmp_path, text, line):
+        path = tmp_path / "scores.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=f"line {line}:"):
+            read_scores_csv(str(path))
 
     def test_scored_set_from_rows(self):
         rows = [ScoreRow("a", 0, 1, 0.9), ScoreRow("a", 1, 0, 0.2)]
