@@ -192,8 +192,15 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip() != ""]
+def _parse_float_list(text: str, flag: str) -> list[float]:
+    values = []
+    for token in (v.strip() for v in text.split(",")):
+        if token:
+            try:
+                values.append(float(token))
+            except ValueError:
+                raise ValidationError(f"{flag}: {token!r} is not a number") from None
+    return values
 
 
 def _parse_keywords(text: str) -> list[str] | None:
@@ -384,15 +391,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--fractions", default="0.1,0.25,0.5,1.0")
     p.set_defaults(fn=cmd_sweep, sweep=lambda args, *run: run_scaling_sweep(
-        *run, _parse_float_list(args.fractions), args.workdir))
+        *run, _parse_float_list(args.fractions, "--fractions"), args.workdir))
 
     p = sub.add_parser("sweep-offsets", help="pre/post-onset buffer sweep")
     common(p)
     p.add_argument("--neg-grid", default="0,0.05,0.1,0.15,0.2", dest="neg_grid")
     p.add_argument("--pos-grid", default="0,0.05,0.1,0.15,0.2,0.25,0.3", dest="pos_grid")
     p.set_defaults(fn=cmd_sweep, sweep=lambda args, *run: run_offsets_sweep(
-        *run, _parse_float_list(args.neg_grid), _parse_float_list(args.pos_grid),
-        args.workdir))
+        *run, _parse_float_list(args.neg_grid, "--neg-grid"),
+        _parse_float_list(args.pos_grid, "--pos-grid"), args.workdir))
 
     p = sub.add_parser("sweep-keywords", help="per-keyword detectability sweep")
     common(p)

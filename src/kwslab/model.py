@@ -210,18 +210,28 @@ class DetectorModel:
         arrays, meta = nc.load_arrays(path)
         if meta.get("kind") != "detector-checkpoint-v1":
             raise CheckpointError(f"{path}: not a detector checkpoint")
-        config = ModelConfig(**meta["model_config"])
+        stored = meta.get("model_config")
+        if not isinstance(stored, dict):
+            raise CheckpointError(f"{path}: meta holds no model_config object")
+        try:
+            config = ModelConfig(**stored)
+        except (TypeError, ValidationError) as exc:
+            raise CheckpointError(f"{path}: malformed model_config: {exc}") from exc
         if meta.get("config_hash") != config_hash(config):
             raise CheckpointError(f"{path}: config hash does not match stored config")
         if expected_config is not None and config != expected_config:
             raise CheckpointError(
                 f"{path}: checkpoint config differs from the requested config"
             )
+        shapes = parameter_shapes(config)
+        needed = [name for name, _ in shapes]
+        needed += [f"{n}.{s}" for n in _NORM_LAYERS for s in ("running_mean", "running_var")]
+        missing = [name for name in needed if name not in arrays]
+        if missing:
+            raise CheckpointError(f"{path}: missing arrays {', '.join(missing)}")
         dtype = arrays["stem.w"].dtype
         params = {}
-        for name, shape in parameter_shapes(config):
-            if name not in arrays:
-                raise CheckpointError(f"{path}: missing parameter {name}")
+        for name, shape in shapes:
             if tuple(arrays[name].shape) != tuple(shape):
                 raise CheckpointError(f"{path}: bad shape for {name}")
             params[name] = nc.Tensor(arrays[name].astype(dtype), requires_grad=True)

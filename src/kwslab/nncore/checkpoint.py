@@ -16,6 +16,7 @@ import struct
 import numpy as np
 
 from ..errors import CheckpointError
+from ..fileio import atomic_open
 
 _MAGIC = b"KWSARRS1"
 
@@ -42,7 +43,7 @@ def save_arrays(path: str, arrays: dict[str, np.ndarray], meta: dict | None = No
     header = json.dumps(
         {"arrays": index, "meta": meta or {}}, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)

@@ -10,6 +10,7 @@ import os
 
 from .config import config_to_dict
 from .corpus import corpus_checksums
+from .fileio import atomic_open
 
 
 def canonical_json(payload) -> str:
@@ -32,7 +33,7 @@ def provenance_block(config, corpus_root: str | None = None) -> dict:
 
 
 def write_json_report(path: str, payload: dict):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -52,7 +53,7 @@ def _fmt(value, digits=4):
 
 def write_rows_csv(path: str, fieldnames, rows):
     """CSV with full-precision floats (repr) so aggregates re-derive exactly."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(fieldnames)
         for row in rows:

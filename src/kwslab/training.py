@@ -19,6 +19,7 @@ from .errors import (
     TrainingDivergedError,
     ValidationError,
 )
+from .fileio import atomic_open
 from .losses import LossConfig, total_loss
 from .model import DetectorModel, ModelConfig
 from .sampling import BalancedBatchSampler, SamplerConfig, augment_window
@@ -346,7 +347,7 @@ SCORES_HEADER = ["session_id", "token_index", "label", "score"]
 
 
 def write_scores_csv(rows, path: str):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SCORES_HEADER)
         for row in rows:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import kwslab.metrics as mx
+import kwslab.nncore as nc
 from kwslab.cli import main
 from kwslab.config import (
     DATA_ROOT_ENV,
@@ -169,6 +170,18 @@ class TestTrainEvaluateCommands:
                      "--workdir", str(tmp_path)]) == 1
         assert "checkpoint_seed0.ckpt" in capsys.readouterr().err
 
+    def test_checkpoint_without_model_config_is_invalid_input(
+            self, corpus_dir, trained_workdir, micro_config_dict, tmp_path, capsys):
+        config_path, _ = corpus_dir
+        for seed in micro_config_dict["seeds"]:
+            name = f"checkpoint_seed{seed}.ckpt"
+            arrays, meta = nc.load_arrays(os.path.join(trained_workdir, name))
+            del meta["model_config"]
+            nc.save_arrays(str(tmp_path / name), arrays, meta)
+        assert main(["evaluate", "--config", config_path,
+                     "--workdir", str(tmp_path)]) == 1
+        assert "model_config" in capsys.readouterr().err
+
 
 class TestScalingSweep:
     @pytest.fixture(scope="class")
@@ -219,6 +232,21 @@ class TestScalingSweep:
         assert subsample_train_sessions(hours, hours, 0.5) == ["a", "b"]
         assert subsample_train_sessions(hours, hours, 0.75) == ["a", "b", "c"]
         assert subsample_train_sessions(hours, hours, 1.0) == ["a", "b", "c", "d"]
+
+
+class TestFloatListFlags:
+    @pytest.mark.parametrize("argv, flag, token", [
+        (["sweep-scaling", "--fractions", "0.5,abc"], "--fractions", "abc"),
+        (["sweep-offsets", "--neg-grid", "0,x1", "--pos-grid", "0"], "--neg-grid", "x1"),
+        (["sweep-offsets", "--neg-grid", "0", "--pos-grid", "0.1,, 1e"], "--pos-grid", "1e"),
+    ])
+    def test_bad_number_is_invalid_input(self, corpus_dir, tmp_path, capsys, argv, flag,
+                                         token):
+        # a bad token used to escape as ValueError: "runtime failure", exit 2
+        config_path, _ = corpus_dir
+        assert main([*argv, "--config", config_path, "--workdir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert flag in err and repr(token) in err
 
 
 class TestOffsetsSweep:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -361,3 +362,98 @@ def test_auprc_bounds_property(values):
     labels[: max(1, len(scores) // 3)] = 1
     value = mx.auprc(scored(scores, labels))
     assert 0.0 <= value <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# the block engine against the per-draw callable path and the oracles
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def scored_sets(draw):
+    """Both classes present, often k = 1; scores from a few levels (heavy
+    ties) or continuous."""
+    n = draw(st.integers(2, 30))
+    k = draw(st.one_of(st.just(1), st.integers(1, n - 1)))
+    labels = np.zeros(n, int)
+    labels[draw(st.permutations(range(n)))[:k]] = 1
+    levels = draw(st.one_of(st.integers(1, 4), st.just(None)))
+    if levels is None:
+        scores = draw(st.lists(st.floats(0, 1), min_size=n, max_size=n))
+    else:
+        scores = np.array(draw(st.lists(st.integers(0, levels), min_size=n, max_size=n))) / levels
+    return scored(scores, labels)
+
+
+def per_draw_reference(name):
+    """The named metric as a plain callable, which runs one draw at a time."""
+    return {"auprc": mx.auprc, "auroc": mx.auroc}.get(name) or mx.make_thresholded_metric(name, 0.5)
+
+
+def assert_same_result(name, engine, reference):
+    """Field by field: exact, except that AUPRC values may differ by 1e-15
+    relative."""
+    for f in dataclasses.fields(engine):
+        a, b = getattr(engine, f.name), getattr(reference, f.name)
+        if name == "auprc" and f.name not in ("p_value", "n_draws", "n_redrawn", "flagged"):
+            np.testing.assert_allclose(a, b, rtol=1e-15, atol=0, err_msg=f.name)
+        else:
+            assert a == b, f.name
+
+
+@given(s=scored_sets(), name=st.sampled_from(mx.REPORT_METRICS), count=st.integers(1, 40),
+       rows=st.integers(1, 6), seed=st.integers(0, 2**16))
+@settings(max_examples=200, deadline=None)
+def test_engine_matches_per_draw_reference(s, name, count, rows, seed):
+    reference = per_draw_reference(name)
+    with pytest.MonkeyPatch.context() as mp:
+        # blocks of `rows` draws, so most counts leave a partial last block
+        mp.setattr(mx, "_BLOCK_ELEMENTS", rows * s.n)
+        assert_same_result(name, mx.bootstrap_ci(s, name, n_resamples=count, seed=seed),
+                           mx.bootstrap_ci(s, reference, n_resamples=count, seed=seed))
+        assert_same_result(name, mx.permutation_pvalue(s, name, n_draws=count, seed=seed),
+                           mx.permutation_pvalue(s, reference, n_draws=count, seed=seed))
+        sets = [s, scored(np.roll(s.scores, 1), s.labels), scored(s.scores[::-1], s.labels)]
+        assert_same_result(
+            name, mx.seed_mean_permutation_pvalue(sets, name, n_draws=count, seed=seed),
+            mx.seed_mean_permutation_pvalue(sets, reference, n_draws=count, seed=seed))
+
+
+@pytest.mark.parametrize("name, labels", [
+    ("auprc", [1] + [0] * 11),   # 32% of resamples hold no positive
+    ("auroc", [1] + [0] * 11),
+    ("auroc", [0] + [1] * 5),    # 33% hold no negative
+])
+def test_engine_redraws_as_the_reference_does(name, labels):
+    s = scored(np.round(RNG.random(len(labels)), 1), labels)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mx, "_BLOCK_ELEMENTS", 7 * s.n)
+        engine = mx.bootstrap_ci(s, name, n_resamples=300, seed=4)
+        reference = mx.bootstrap_ci(s, per_draw_reference(name), n_resamples=300, seed=4)
+    assert engine.n_redrawn > 50
+    assert_same_result(name, engine, reference)
+
+
+@given(s=scored_sets(), name=st.sampled_from(mx.THRESHOLD_FREE), count=st.integers(1, 40),
+       seed=st.integers(0, 2**16))
+@settings(max_examples=100, deadline=None)
+def test_engine_matches_brute_force_oracles(s, name, count, seed):
+    oracle = brute_force_average_precision if name == "auprc" else brute_force_auroc
+
+    def fn(x):
+        if x.n_positive == 0 or (name == "auroc" and x.n_positive == x.n):
+            raise UndefinedMetricError(name)
+        return oracle(x.scores, x.labels)
+
+    boot = mx.bootstrap_ci(s, name, n_resamples=count, seed=seed)
+    boot_ref = mx.bootstrap_ci(s, fn, n_resamples=count, seed=seed)
+    perm = mx.permutation_pvalue(s, name, n_draws=count, seed=seed)
+    perm_ref = mx.permutation_pvalue(s, fn, n_draws=count, seed=seed)
+    assert boot.n_redrawn == boot_ref.n_redrawn
+    if name == "auroc":  # exact in both: half-integer counts over k * m
+        assert boot == boot_ref and perm == perm_ref
+    else:  # the oracle adds in another order
+        for a, b in ((boot.point, boot_ref.point), (boot.lo, boot_ref.lo),
+                     (boot.hi, boot_ref.hi), (perm.null_mean, perm_ref.null_mean),
+                     (perm.null_median, perm_ref.null_median)):
+            assert a == pytest.approx(b, abs=1e-12)

@@ -1,9 +1,12 @@
 import dataclasses
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
+import kwslab.nncore as nc
 from kwslab.errors import CheckpointError, DimensionError, ValidationError
 from kwslab.model import (
     DetectorModel,
@@ -176,24 +179,54 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             DetectorModel.load(path, expected_config=ModelConfig())
 
-    def test_tampered_config_hash(self, tmp_path):
-        import json
-        import struct
-
+    @staticmethod
+    def _saved_with_meta(path, edit):
+        """Save a small model to `path`, then rewrite the checkpoint header's
+        meta dict through `edit`."""
         model = DetectorModel.initialize(SMALL, seed=9)
-        path = tmp_path / "model.ckpt"
         model.save(str(path))
         blob = path.read_bytes()
         header_len = struct.unpack("<Q", blob[8:16])[0]
         header = json.loads(blob[16 : 16 + header_len])
-        header["meta"]["model_config"]["trunk_kernel"] = 9  # hash now stale
+        edit(header["meta"])
         new_header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
         path.write_bytes(
             blob[:8] + struct.pack("<Q", len(new_header)) + new_header
             + blob[16 + header_len:]
         )
+        return str(path)
+
+    def test_tampered_config_hash(self, tmp_path):
+        def edit(meta):
+            meta["model_config"]["trunk_kernel"] = 9  # hash now stale
+
+        path = self._saved_with_meta(tmp_path / "model.ckpt", edit)
         with pytest.raises(CheckpointError, match="hash"):
-            DetectorModel.load(str(path))
+            DetectorModel.load(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta: meta.pop("model_config"),
+        lambda meta: meta.update(model_config="not an object"),
+        lambda meta: meta["model_config"].update(bogus_field=1),
+        lambda meta: meta["model_config"].update(trunk_kernel="7"),
+        lambda meta: meta["model_config"].update(trunk_kernel=4),
+    ], ids=["missing", "not-object", "unknown-key", "wrong-type", "invalid-value"])
+    def test_bad_model_config_raises_checkpoint_error(self, tmp_path, edit):
+        # these raised a bare KeyError/TypeError, so `kwslab evaluate` exited 2
+        path = self._saved_with_meta(tmp_path / "model.ckpt", edit)
+        with pytest.raises(CheckpointError, match="model_config"):
+            DetectorModel.load(path)
+
+    @pytest.mark.parametrize("name", ["stem.w", "proj.b", "stem_norm.running_mean"])
+    def test_missing_array_raises_checkpoint_error(self, tmp_path, name):
+        # a missing array raised a bare KeyError, so `kwslab evaluate` exited 2
+        path = str(tmp_path / "model.ckpt")
+        DetectorModel.initialize(SMALL, seed=9).save(path)
+        arrays, meta = nc.load_arrays(path)
+        del arrays[name]
+        nc.save_arrays(path, arrays, meta)
+        with pytest.raises(CheckpointError, match=name):
+            DetectorModel.load(path)
 
 
 class TestInitDeterminism:
