@@ -27,6 +27,7 @@ from .errors import (
     MissingKeywordError,
     ValidationError,
 )
+from .fileio import atomic_open
 
 EVENT_KINDS = ("word", "phoneme", "speech")
 EVENTS_HEADER = ("onset", "duration", "kind", "word")
@@ -381,7 +382,7 @@ def save_session(session, root: str):
     os.makedirs(root, exist_ok=True)
     sig = np.ascontiguousarray(session.signal, dtype="<f4")
     base = os.path.join(root, session.session_id)
-    with open(base + ".f32", "wb") as fh:
+    with atomic_open(base + ".f32", "wb") as fh:
         fh.write(sig.tobytes())
     sidecar = {
         "session_id": session.session_id,
@@ -391,10 +392,10 @@ def save_session(session, root: str):
         "channel_names": list(session.channel_config.channel_names or []) or None,
         "checksum_sha256": _signal_checksum(sig),
     }
-    with open(base + ".json", "w", encoding="utf-8") as fh:
+    with atomic_open(base + ".json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    with open(base + "_events.tsv", "w", encoding="utf-8") as fh:
+    with atomic_open(base + "_events.tsv", "w", encoding="utf-8") as fh:
         fh.write(format_events_tsv(session.events))
 
 
@@ -440,7 +441,7 @@ def save_corpus(sessions, root: str, default_split: SplitAssignment):
             }
         )
     manifest = {"sessions": entries}
-    with open(os.path.join(root, "manifest.json"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(root, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

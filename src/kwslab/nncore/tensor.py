@@ -10,6 +10,8 @@ checks).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from ..errors import DimensionError, GradientStateError, ValidationError
@@ -60,9 +62,24 @@ def _accumulate(t: Tensor, g: np.ndarray):
         t.grad += g
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Inside the block, ops record no backward step: outputs carry no
+    gradient state, whatever their inputs (inference)."""
+    global _grad_enabled
+    saved, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
+
+
 def _result(values, parents, backward_fn) -> Tensor:
     out = Tensor(values)
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
@@ -359,27 +376,30 @@ def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
 
     xp = np.pad(x.values, ((0, 0), (0, 0), (padding, padding))) if padding else x.values
     t_out = (t + 2 * padding - k) // stride + 1
-    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)[:, :, ::stride, :]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 1, 3)).reshape(batch, t_out, c_in * k)
+    span = stride * (t_out - 1) + 1
+    # channel-major im2col: row (ci, kk) of cols is input channel ci shifted by tap kk
+    cols = np.empty((batch, c_in, k, t_out), dtype=xp.dtype)
+    for kk in range(k):
+        cols[:, :, kk, :] = xp[:, :, kk : kk + span : stride]
+    cols = cols.reshape(batch, c_in * k, t_out)
     w2 = w.values.reshape(c_out, c_in * k)
-    out_values = np.matmul(cols, w2.T).transpose(0, 2, 1)  # (B, Cout, T')
+    out_values = w2 @ cols  # (B, Cout, T')
     if b is not None:
         out_values = out_values + b.values[None, :, None]
 
     parents = (x, w) if b is None else (x, w, b)
 
     def _bw(g):
-        g2 = np.ascontiguousarray(g.transpose(0, 2, 1))  # (B, T', Cout)
         if b is not None and b.requires_grad:
             _accumulate(b, g.sum(axis=(0, 2)))
         if w.requires_grad:
-            gw = np.tensordot(g2, cols, axes=([0, 1], [0, 1]))  # (Cout, Cin*K)
+            gw = (g @ cols.transpose(0, 2, 1)).sum(axis=0)  # (Cout, Cin*K)
             _accumulate(w, gw.reshape(c_out, c_in, k))
         if x.requires_grad:
-            gcols = np.matmul(g2, w2).reshape(batch, t_out, c_in, k).transpose(0, 2, 1, 3)
+            gcols = (w2.T @ g).reshape(batch, c_in, k, t_out)
             gxp = np.zeros_like(xp)
             for kk in range(k):
-                gxp[:, :, kk : kk + stride * (t_out - 1) + 1 : stride] += gcols[:, :, :, kk]
+                gxp[:, :, kk : kk + span : stride] += gcols[:, :, kk, :]
             _accumulate(x, gxp[:, :, padding : padding + t] if padding else gxp)
 
     return _result(out_values, parents, _bw)
@@ -425,39 +445,34 @@ def batch_norm(
         if batch * t <= 1:
             raise DimensionError("train-mode normalization needs more than one value per channel")
         mean = x.values.mean(axis=(0, 2))
-        var = x.values.var(axis=(0, 2))
+        centered = x.values - mean[None, :, None]
+        var = (centered * centered).mean(axis=(0, 2))
         state.running_mean[...] = (1 - momentum) * state.running_mean + momentum * mean
         state.running_var[...] = (1 - momentum) * state.running_var + momentum * var
     else:
         mean = state.running_mean.astype(x.dtype)
         var = state.running_var.astype(x.dtype)
+        centered = x.values - mean[None, :, None]
 
     inv = 1.0 / np.sqrt(var + eps)
-    centered = x.values - mean[None, :, None]
     xhat = centered * inv[None, :, None]
     out_values = scale.values[None, :, None] * xhat + shift.values[None, :, None]
 
     def _bw(g):
+        g_sum = g.sum(axis=(0, 2))
+        gxhat_sum = (g * xhat).sum(axis=(0, 2))
         if scale.requires_grad:
-            _accumulate(scale, (g * xhat).sum(axis=(0, 2)))
+            _accumulate(scale, gxhat_sum)
         if shift.requires_grad:
-            _accumulate(shift, g.sum(axis=(0, 2)))
+            _accumulate(shift, g_sum)
         if x.requires_grad:
-            gxhat = g * scale.values[None, :, None]
+            gain = (scale.values * inv)[None, :, None]
             if training:
                 n = batch * t
-                gvar = (gxhat * centered).sum(axis=(0, 2)) * (-0.5) * inv**3
-                gmean = (
-                    -(gxhat.sum(axis=(0, 2))) * inv
-                    + gvar * (-2.0 / n) * centered.sum(axis=(0, 2))
-                )
-                gx = (
-                    gxhat * inv[None, :, None]
-                    + (gvar * (2.0 / n))[None, :, None] * centered
-                    + (gmean / n)[None, :, None]
-                )
+                gx = gain * (g - (g_sum / n)[None, :, None]
+                             - xhat * (gxhat_sum / n)[None, :, None])
             else:
-                gx = gxhat * inv[None, :, None]
+                gx = gain * g
             _accumulate(x, gx)
 
     return _result(out_values, (x, scale, shift), _bw)

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import metrics as mx
 from . import nncore as nc
-from .corpus import DropTally, WindowRef, fit_normalizer, index_windows
+from .corpus import STD_FLOOR, DropTally, WindowRef, fit_normalizer, index_windows
 from .errors import (
     CheckpointError,
     InfeasibleTaskError,
@@ -144,16 +144,8 @@ def prepare_task(sessions, split, spec) -> TaskData:
         refs, tallies[sid] = index_windows(by_id[sid], spec)
         partitions[partition_of[sid]].extend(refs)
 
-    total = 0
-    acc = np.zeros(n_channels, dtype=np.float64)
-    acc_sq = np.zeros(n_channels, dtype=np.float64)
-    for sid in split.train:
-        sig = signals[sid].astype(np.float64)
-        acc += sig.sum(axis=1)
-        acc_sq += (sig * sig).sum(axis=1)
-        total += sig.shape[1]
-    mean = acc / total
-    aug_std = np.sqrt(np.maximum(acc_sq / total - mean * mean, 0.0))
+    # z-scored train signals have unit variance, except floored (constant) channels
+    aug_std = np.where(normalizer.std > STD_FLOOR, 1.0, 0.0)
 
     return TaskData(
         spec=spec,
@@ -183,10 +175,11 @@ def score_partition(model: DetectorModel, task: TaskData, partition: str,
     """Eval-mode probabilities in corpus order (no augmentation)."""
     refs = task.partitions[partition]
     scores = np.empty(len(refs), dtype=np.float64)
-    for lo in range(0, len(refs), batch_size):
-        chunk = refs[lo : lo + batch_size]
-        result = model.forward(task.stack(chunk), training=False)
-        scores[lo : lo + len(chunk)] = result.prob.values.astype(np.float64)
+    with nc.no_grad():
+        for lo in range(0, len(refs), batch_size):
+            chunk = refs[lo : lo + batch_size]
+            result = model.forward(task.stack(chunk), training=False)
+            scores[lo : lo + len(chunk)] = result.prob.values.astype(np.float64)
     return scores
 
 

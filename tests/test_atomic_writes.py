@@ -1,6 +1,8 @@
-"""Checkpoints, reports and scores files are replaced all at once: a write
-that fails midway leaves the previous file intact and no temp file."""
+"""Checkpoints, reports, scores files and corpus files are replaced all at
+once: a write that fails midway leaves the previous file intact and no temp
+file."""
 
+import builtins
 import os
 import types
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 import kwslab.nncore.checkpoint as checkpoint
+from kwslab.corpus import ChannelConfig, Session, SplitAssignment, WordEvent, save_corpus
 from kwslab.reports import write_json_report, write_rows_csv
 from kwslab.training import ScoreRow, write_scores_csv
 
@@ -57,3 +60,56 @@ def test_failed_first_write_leaves_nothing(tmp_path, monkeypatch, write):
     with pytest.raises((OSError, TypeError)):
         write(str(tmp_path / "out"), True, monkeypatch)
     assert os.listdir(tmp_path) == []
+
+
+class DiskFull:
+    """A file that takes half of the first write, then fails as a full disk would."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
+        self._fh.flush()
+        raise OSError("no space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def corpus(scale):
+    sessions = [
+        Session(
+            session_id=sid,
+            signal=scale * np.random.default_rng(i).standard_normal((2, 300)),
+            events=[WordEvent(0.5 * scale, 0.25, "ri")],
+            channel_config=ChannelConfig(n_channels=2, sample_rate_hz=100.0),
+        )
+        for i, sid in enumerate(("s0", "s1", "s2"))
+    ]
+    return sessions, SplitAssignment(train=["s0"], validation="s1", test="s2")
+
+
+@pytest.mark.parametrize("name", ["s1.f32", "s1.json", "s1_events.tsv", "manifest.json"])
+def test_failed_corpus_write_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch, name):
+    sessions, split = corpus(1.0)
+    save_corpus(sessions, str(tmp_path), split)
+    before = {f: (tmp_path / f).read_bytes() for f in os.listdir(tmp_path)}
+    real_open = builtins.open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        # the target itself, or a temp file named after it
+        if set(mode) & set("wxa") and name in os.path.basename(str(file)):
+            return DiskFull(fh)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", failing_open)
+    with pytest.raises(OSError):
+        save_corpus(corpus(2.0)[0], str(tmp_path), split)
+    monkeypatch.undo()
+    assert (tmp_path / name).read_bytes() == before[name]
+    assert sorted(os.listdir(tmp_path)) == sorted(before)

@@ -3,9 +3,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kwslab.nncore as nc
 from kwslab.errors import CheckpointError, DimensionError, GradientStateError
+from kwslab.model import DetectorModel, ModelConfig
 
 RNG = np.random.default_rng(123)
 
@@ -33,6 +36,40 @@ def assert_grad_matches(build_loss, params, tol=1e-4):
         rel = np.linalg.norm(p.grad - fd) / max(np.linalg.norm(fd), 1e-12)
         assert rel < tol, f"rel grad error {rel:.2e}"
         p.grad = None
+
+
+def naive_conv1d(x, w, bias, stride, padding):
+    """The cross-correlation written as its defining loop."""
+    b, cin, t = x.shape
+    cout, _, k = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+    t_out = (t + 2 * padding - k) // stride + 1
+    naive = np.zeros((b, cout, t_out))
+    for bi in range(b):
+        for oc in range(cout):
+            for ti in range(t_out):
+                acc = bias[oc]
+                for ic in range(cin):
+                    for ki in range(k):
+                        acc += w[oc, ic, ki] * xp[bi, ic, ti * stride + ki]
+                naive[bi, oc, ti] = acc
+    return naive
+
+
+def naive_conv1d_vjp(x, w, g, stride, padding):
+    """(grad-x, grad-w, grad-b) of sum(g * conv1d(x, w, b)) through the same loop."""
+    b, cin, t = x.shape
+    cout, _, k = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+    gxp, gw = np.zeros_like(xp), np.zeros_like(w)
+    for bi in range(b):
+        for oc in range(cout):
+            for ti in range(g.shape[2]):
+                for ic in range(cin):
+                    for ki in range(k):
+                        gw[oc, ic, ki] += g[bi, oc, ti] * xp[bi, ic, ti * stride + ki]
+                        gxp[bi, ic, ti * stride + ki] += g[bi, oc, ti] * w[oc, ic, ki]
+    return gxp[:, :, padding : padding + t], gw, g.sum(axis=(0, 2))
 
 
 class TestConv1d:
@@ -74,18 +111,35 @@ class TestConv1d:
         w = RNG.standard_normal((cout, cin, k))
         bias = RNG.standard_normal(cout)
         out = nc.conv1d(nc.Tensor(x), nc.Tensor(w), nc.Tensor(bias), stride, padding)
-        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
-        t_out = (t + 2 * padding - k) // stride + 1
-        naive = np.zeros((b, cout, t_out))
-        for bi in range(b):
-            for oc in range(cout):
-                for ti in range(t_out):
-                    acc = bias[oc]
-                    for ic in range(cin):
-                        for ki in range(k):
-                            acc += w[oc, ic, ki] * xp[bi, ic, ti * stride + ki]
-                    naive[bi, oc, ti] = acc
+        naive = naive_conv1d(x, w, bias, stride, padding)
         np.testing.assert_allclose(out.values, naive, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        b=st.integers(1, 3),
+        cin=st.integers(1, 4),
+        cout=st.integers(1, 4),
+        k=st.sampled_from([1, 3, 5, 7]),
+        stride=st.integers(1, 4),
+        padding=st.integers(0, 3),
+        extra=st.integers(0, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_naive_loop_and_adjoint(self, b, cin, cout, k, stride, padding, extra, seed):
+        rng = np.random.default_rng(seed)
+        t = max(1, k - 2 * padding) + extra
+        x = nc.Tensor(rng.standard_normal((b, cin, t)), requires_grad=True)
+        w = nc.Tensor(rng.standard_normal((cout, cin, k)), requires_grad=True)
+        bias = nc.Tensor(rng.standard_normal(cout), requires_grad=True)
+        out = nc.conv1d(x, w, bias, stride=stride, padding=padding)
+        naive = naive_conv1d(x.values, w.values, bias.values, stride, padding)
+        np.testing.assert_allclose(out.values, naive, rtol=1e-10, atol=1e-10)
+
+        g = rng.standard_normal(out.shape)
+        nc.backward(nc.sum_all(nc.mul(out, nc.Tensor(g))))
+        for got, want in zip((x.grad, w.grad, bias.grad),
+                             naive_conv1d_vjp(x.values, w.values, g, stride, padding)):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
     def test_linearity(self):
         w = nc.Tensor(RNG.standard_normal((4, 3, 3)))
@@ -182,6 +236,39 @@ class TestBatchNorm:
                 )
 
             assert_grad_matches(build, [x, scale, shift])
+
+    @settings(max_examples=5, deadline=None)
+    @given(offset=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_train_gradients_match_finite_differences(self, offset, seed):
+        # a random cotangent, not a plain sum: the sum of a normalized batch
+        # has no gradient w.r.t. x, which would hide the xhat * mean(g * xhat) term
+        rng = np.random.default_rng(seed)
+        state = nc.NormState(5, dtype=np.float64)
+        x = nc.Tensor(offset + 2.0 * rng.standard_normal((8, 5, 40)), requires_grad=True)
+        scale = nc.Tensor(rng.uniform(0.5, 1.5, 5), requires_grad=True)
+        shift = nc.Tensor(rng.standard_normal(5), requires_grad=True)
+        g = nc.Tensor(rng.standard_normal((8, 5, 40)))
+
+        def build():
+            return nc.sum_all(nc.mul(nc.batch_norm(x, scale, shift, state, training=True), g))
+
+        assert_grad_matches(build, [x, scale, shift], tol=1e-7)
+
+
+class TestNoGrad:
+    def test_eval_forward_matches_taped_and_records_nothing(self):
+        model = DetectorModel.initialize(ModelConfig(in_channels=4, trunk_channels=8,
+                                                     proj_channels=8), seed=0)
+        batch = RNG.standard_normal((3, 4, 64)).astype(np.float32)
+        taped = model.forward(batch, training=False)
+        assert taped.prob._backward_fn is not None
+        with nc.no_grad():
+            untaped = model.forward(batch, training=False)
+        for name in ("logit", "prob", "per_time_logits", "attention"):
+            a, b = getattr(taped, name), getattr(untaped, name)
+            assert a.values.tobytes() == b.values.tobytes()
+            assert b._backward_fn is None and not b.requires_grad and b._parents == ()
+        assert nc.add(model.params["stem.w"], 1.0)._backward_fn is not None
 
 
 class TestNonlinearities:

@@ -80,7 +80,23 @@ class TestPrepareTask:
             assert keys == sorted(keys)
 
     def test_aug_channel_std_near_one(self, micro_task):
-        np.testing.assert_allclose(micro_task.aug_channel_std, 1.0, atol=1e-4)
+        # derived from the normalizer: z-scored live channels have unit std
+        np.testing.assert_array_equal(micro_task.aug_channel_std, np.ones(micro_task.n_channels))
+        train = np.concatenate([micro_task.signals[sid] for sid in micro_task.split.train], axis=1)
+        np.testing.assert_allclose(train.std(axis=1, dtype=np.float64), 1.0, atol=1e-4)
+
+    def test_aug_channel_std_zero_on_floored_channel(self, micro_corpus, micro_task):
+        sessions, _ = micro_corpus
+        flat = []
+        for s in sessions:
+            signal = s.signal.copy()
+            signal[3] = 0.25  # a dead channel: its std is floored at STD_FLOOR
+            flat.append(dataclasses.replace(s, signal=signal))
+        task = prepare_task(flat, micro_task.split, micro_task.spec)
+        expected = np.ones(task.n_channels)
+        expected[3] = 0.0
+        np.testing.assert_array_equal(task.aug_channel_std, expected)
+        assert not np.any(task.signals[task.split.train[0]][3])
 
 
 class TestTrain:
