@@ -147,7 +147,6 @@ def cmd_evaluate(args) -> int:
     os.makedirs(args.workdir, exist_ok=True)
     root, _, _, spec, split, task = _load_task(config)
     ev = config.evaluation
-    per_seed = {}
     scoreds = []
     for seed in config.seeds:
         ckpt = _checkpoint_path(args.workdir, seed)
@@ -155,30 +154,24 @@ def cmd_evaluate(args) -> int:
             raise CheckpointError(f"missing checkpoint {ckpt}; run `train` first")
         rows = evaluate(ckpt, task, args.partition)
         write_scores_csv(rows, os.path.join(args.workdir, f"scores_seed{seed}.csv"))
-        scored = scored_set_from_rows(rows)
-        scoreds.append(scored)
-        report = mx.build_metrics_report(
-            scored, tau=ev.tau, n_resamples=ev.bootstrap_resamples,
-            n_draws=ev.permutation_draws, seed=ev.stat_seed,
-        )
-        per_seed[str(seed)] = report.to_dict()
+        scoreds.append(scored_set_from_rows(rows))
+    reports, perms = mx.build_metrics_reports(
+        scoreds, tau=ev.tau, n_resamples=ev.bootstrap_resamples,
+        n_draws=ev.permutation_draws, seed=ev.stat_seed,
+    )
+    per_seed = {str(seed): report.to_dict() for seed, report in zip(config.seeds, reports)}
     seed_mean = {}
-    for name in mx.REPORT_METRICS:
+    for name, perm in perms.items():
         values = [per_seed[str(s)]["metrics"][name]["value"] for s in config.seeds]
         mean, se = seed_mean_se(values)
-        perm = mx.seed_mean_permutation_pvalue(
-            scoreds, name, n_draws=ev.permutation_draws, seed=ev.stat_seed, tau=ev.tau
-        )
         seed_mean[name] = {
             "value": mean,
             "se": se,
             "p_value": perm.p_value,
             "baseline": perm.null_mean,
             "null_median": perm.null_median,
-            "pct_improvement": (
-                100.0 * (mean - perm.null_mean) / perm.null_mean
-                if perm.null_mean > 0 else None
-            ),
+            "pct_improvement": (100.0 * (mean - perm.null_mean) / perm.null_mean
+                                if perm.null_mean > 0 else None),
         }
     payload = {
         "provenance": provenance_block(config, root),

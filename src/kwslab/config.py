@@ -53,6 +53,12 @@ class EvaluationConfig:
     scenarios: tuple[Scenario, ...] = (ASSISTIVE, HANDS_FREE)
     stat_seed: int = 0
 
+    def __post_init__(self):
+        for name in ("bootstrap_resamples", "permutation_draws"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ConfigError(f"evaluation.{name} must be an integer >= 1, got {value!r}")
+
 
 @dataclass(frozen=True)
 class RunConfig:

@@ -34,7 +34,3 @@ def reference_operating_curves() -> list[list[PRPoint]]:
             ]
         )
     return curves
-
-
-def reference_offset_grid() -> dict:
-    return load_reference_tables()["offset_grid"]

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 from scipy import stats as _scipy_stats
 
@@ -81,21 +79,21 @@ def pr_curve(scored: ScoredSet) -> list[PRPoint]:
     _, sorted_scores, ordered = _presort(scored)
     ends = _tie_ends(sorted_scores)
     tp = np.cumsum(ordered)[ends]
-    count = ends + 1.0
     return [
-        PRPoint(threshold=float(sorted_scores[e]), precision=float(t / c), recall=float(t / k))
-        for e, t, c in zip(ends, tp, count)
+        PRPoint(threshold=t, precision=p, recall=r)
+        for t, p, r in zip(sorted_scores[ends].tolist(), (tp / (ends + 1.0)).tolist(),
+                           (tp / k).tolist())
     ]
 
 
 def auprc(scored: ScoredSet) -> float:
     """Average precision: sum of (R_i - R_{i-1}) * P_i over the tie-grouped curve."""
-    return _Engine(scored, "auprc").observed
+    return _Engine(scored, ("auprc",)).observed["auprc"]
 
 
 def auroc(scored: ScoredSet) -> float:
     """P(score+ > score-) + 0.5 * P(tie), computed exactly from tie groups."""
-    return _Engine(scored, "auroc").observed
+    return _Engine(scored, ("auroc",)).observed["auroc"]
 
 
 @dataclass(frozen=True)
@@ -132,16 +130,8 @@ def thresholded_metrics(scored: ScoredSet, tau: float) -> ThresholdedMetrics:
     )
 
 
-def make_thresholded_metric(name: str, tau: float) -> Callable[[ScoredSet], float]:
-    def fn(scored: ScoredSet) -> float:
-        return getattr(thresholded_metrics(scored, tau), name)
-
-    fn.__name__ = f"{name}@{tau}"
-    return fn
-
-
 # ---------------------------------------------------------------------------
-# block engine: each named metric on many draws at once
+# block engine: the named metrics on many draws at once
 # ---------------------------------------------------------------------------
 
 REPORT_METRICS = ("f1", "f1_macro", "accuracy", "mcc", "auroc", "auprc")
@@ -154,165 +144,183 @@ _UNDEFINED = {
 _BLOCK_ELEMENTS = 32768
 
 
-def _defined(metric: str, k: int, n: int) -> bool:
-    """Whether `metric` exists on a set of n items with k positives."""
+def _defined(metric: str, k, n: int):
+    """Whether `metric` exists on a set of n items with k positives; k may
+    be an array of counts. The thresholded metrics always exist."""
     if metric == "auprc":
         return k > 0
     if metric == "auroc":
-        return 0 < k < n
-    return True
+        return (k > 0) & (k < n)
+    return k >= 0
 
 
-def _shifted(x: np.ndarray) -> np.ndarray:
-    """Each row moved one column right, with 0 in the first column."""
-    out = np.zeros_like(x)
-    out[:, 1:] = x[:, :-1]
-    return out
+def _by_group(group, tp):
+    """From the positives in score order (their tie groups, per row or one
+    row for all, and the positives drawn down to each): which one is the
+    last of its group, and the positives drawn above each one's group."""
+    last = np.ones(tp.shape, dtype=bool)
+    last[:, :-1] = group[..., 1:] != group[..., :-1]
+    above = np.zeros_like(tp)
+    above[:, 1:] = np.maximum.accumulate(np.where(last, tp, 0), axis=1)[:, :-1]
+    return last, above
+
+
+class _Cursor:
+    """One acceptance class's walk along the shared stream of bootstrap
+    resamples. It takes the first draws its metrics are defined on and
+    counts the others as redraws, as a stream of its own would have."""
+
+    def __init__(self, quota: int):
+        self.left, self.n_redrawn, self.run = quota, 0, 0
+
+    def take(self, ok: np.ndarray) -> np.ndarray:
+        """The rows of a block this class takes, given where it accepts."""
+        rows = np.flatnonzero(ok)[: self.left]
+        end = rows[-1] + 1 if rows.size == self.left else ok.size
+        gaps = np.diff(rows, prepend=-1, append=end) - 1  # redraws before each take
+        gaps[0] += self.run
+        if gaps.max() >= _MAX_REDRAWS:
+            raise UndefinedMetricError("metric undefined on 1000 consecutive bootstrap resamples")
+        self.left -= rows.size
+        self.n_redrawn += end - rows.size
+        self.run = int(gaps[-1])
+        return rows
 
 
 class _Engine:
-    """A named metric on one scored set, presorted once, evaluated a block
-    of draws at a time. A label shuffle keeps the scores and moves the
-    positives; a bootstrap resample is a row of per-item draw counts in the
-    presorted order, and the set's tie groups stay its tie groups. The
-    observed value is the one-row case of the shuffles' arithmetic."""
+    """Named metrics on one scored set, presorted once, evaluated a block of
+    draws at a time. A label shuffle keeps the scores and moves the
+    positives, so it is the positions of its k positives; a bootstrap
+    resample is a row of per-item draw counts in the presorted order, and
+    the set's tie groups stay its tie groups. The observed values are the
+    one-row case of the shuffles' arithmetic."""
 
-    def __init__(self, scored: ScoredSet, metric: str, tau: float = 0.5):
-        if metric not in REPORT_METRICS:
-            raise ValidationError(f"unknown metric {metric!r}")
-        if not _defined(metric, scored.n_positive, scored.n):
-            raise UndefinedMetricError(_UNDEFINED[metric])
-        self.metric, self.labels, self.k = metric, scored.labels, scored.n_positive
-        self.order, sorted_scores, self.sorted_labels = _presort(scored)
-        self.position = np.empty(scored.n, dtype=np.int64)
-        self.position[self.order] = np.arange(scored.n)
+    def __init__(self, scored: ScoredSet, names=REPORT_METRICS, tau: float = 0.5):
+        for name in names:
+            if name not in REPORT_METRICS:
+                raise ValidationError(f"unknown metric {name!r}")
+            if not _defined(name, scored.n_positive, scored.n):
+                raise UndefinedMetricError(_UNDEFINED[name])
+        self.names = tuple(names)
+        self.thresholded = [m for m in self.names if m not in THRESHOLD_FREE]
+        # bootstrap acceptance classes: each threshold-free metric has its
+        # own, and the thresholded metrics, which accept every draw, share one
+        self.class_of = {m: m if m in THRESHOLD_FREE else "thresholded" for m in self.names}
+        self.labels, self.k, self.n = scored.labels, scored.n_positive, scored.n
+        order, sorted_scores, sorted_labels = _presort(scored)
+        self.position = np.empty(self.n, dtype=np.int64)
+        self.position[order] = np.arange(self.n)
         self.ends = _tie_ends(sorted_scores)
-        self.group = np.searchsorted(self.ends, np.arange(scored.n))  # of each position
+        self.edges = np.append(0, self.ends + 1)  # group g spans edges[g]:edges[g + 1]
+        self.group = np.searchsorted(self.ends, np.arange(self.n))  # of each position
         self.n_pred = int(np.sum(sorted_scores >= tau))  # predictions: a prefix
-        # per-item weights whose sum over a draw's positives gives the
-        # AUROC rank sum or the thresholded true positives
-        if metric == "auroc":
-            self.weights = _scipy_stats.rankdata(scored.scores, method="average")
-        elif metric != "auprc":
-            self.weights = (scored.scores >= tau).astype(np.float64)
+        self.positives = np.flatnonzero(sorted_labels)  # positions, ascending
+        self.positive_group = self.group[self.positives]
+        self.n_pred_positives = int(np.sum(self.positives < self.n_pred))
+        if "auroc" in self.names:
+            # a shuffle's rank sum is exact: the ranks are half-integers
+            self.ranks = _scipy_stats.rankdata(sorted_scores, method="average")
         self._memo = {}
-        self.observed = float(self.on_permutations(scored.labels[None, :])[0])
+        positives = np.flatnonzero(scored.labels)[None, :]
+        self.observed = {m: float(v[0]) for m, v in self.on_shuffles(positives).items()}
 
-    def accepts(self, idx) -> bool:
-        """Whether the metric is defined on the bootstrap resample `idx`."""
-        if self.metric not in THRESHOLD_FREE:
-            return True
-        return _defined(self.metric, int(self.labels[idx].sum()), idx.size)
+    def on_shuffles(self, items) -> dict:
+        """Rows of the k items each label shuffle makes positive, against
+        the fixed scores."""
+        pos = np.sort(self.position[items], axis=1)
+        rows, k, n = len(pos), self.k, self.n
+        out = {}
+        if self.thresholded:
+            hits = np.sum(pos < self.n_pred, axis=1)
+            out.update(self._thresholded(hits, np.full(rows, self.n_pred), np.full(rows, k)))
+        if "auroc" in self.names:
+            out["auroc"] = (self.ranks[pos].sum(axis=1) - k * (k + 1) / 2.0) / (k * (n - k))
+        if "auprc" in self.names:
+            group = self.group[pos]
+            out["auprc"] = self._auprc(group, np.broadcast_to(np.arange(1, k + 1), pos.shape),
+                                       self.ends[group] + 1, group, np.full(rows, self.ends.size))
+        return out
 
-    def on_permutations(self, block) -> np.ndarray:
-        """Rows of shuffled labels against the fixed scores."""
-        rows, n = block.shape
-        k = self.k
-        if self.metric == "auprc":
-            return self._shuffled_auprc(block)
-        hits = block @ self.weights  # sums of small integers or halves: exact
-        if self.metric == "auroc":
-            return (hits - k * (k + 1) / 2.0) / (k * (n - k))
-        return self._thresholded(hits.astype(np.int64), [self.n_pred] * rows, [k] * rows, n)
-
-    def on_resamples(self, block) -> np.ndarray:
-        """Rows of bootstrap indices."""
+    def on_resamples(self, block, cursors: dict) -> dict:
+        """Rows of bootstrap indices. The cursor of each acceptance class
+        takes the rows its metrics are evaluated on; the draw counts are
+        shared by the classes."""
         rows, n = block.shape
         flat = (self.position[block] + n * np.arange(rows)[:, None]).ravel()
         counts = np.bincount(flat, minlength=rows * n).reshape(rows, n)
-        positives = counts * self.sorted_labels
-        if self.metric not in THRESHOLD_FREE:
-            p = self.n_pred
-            return self._thresholded(positives[:, :p].sum(axis=1), counts[:, :p].sum(axis=1),
-                                     positives.sum(axis=1), n)
-        tp = self._at_ends(np.cumsum(positives, axis=1))
-        seen = self._at_ends(np.cumsum(counts, axis=1))  # items drawn down to each group
-        if self.metric == "auprc":
-            return self._auprc(tp, seen, seen > _shifted(seen))
-        # twice the Mann-Whitney U, exact in integers: a group's positives
-        # beat the negatives below it and tie with the negatives inside it
+        prefix = np.zeros((rows, n + 1), dtype=np.int64)  # items drawn above each position
+        np.cumsum(counts, axis=1, out=prefix[:, 1:])
+        hits = counts[:, self.positives]  # draws of each positive, in score order
+        k = hits.sum(axis=1)
+        taken = {c: cur.take(_defined(c, k, n)) for c, cur in cursors.items() if cur.left}
+        if taken.keys() - {"thresholded"}:
+            tp = np.cumsum(hits, axis=1)  # positives drawn down to each positive
+            edges = prefix[:, self.edges]  # items drawn above each group, and in all
+        out = {}
+        for c, r in taken.items():
+            if c == "thresholded":
+                hit = hits[r, : self.n_pred_positives].sum(axis=1)
+                out.update(self._thresholded(hit, prefix[r, self.n_pred], k[r]))
+            else:
+                resampled = self._resampled_auroc if c == "auroc" else self._resampled_auprc
+                out[c] = resampled(tp[r], edges[r])
+        return out
+
+    def _resampled_auroc(self, tp, edges) -> np.ndarray:
+        """Twice the Mann-Whitney U, exact in integers: a group's positives
+        beat the negatives below it and tie with the negatives inside it.
+        Groups without a positive add no pairs."""
+        g = self.positive_group
+        last, tp_above = _by_group(g, tp)
+        seen, seen_above = edges[:, g + 1], edges[:, g]
         k = tp[:, -1]
-        m = n - k
-        fp = seen - tp
-        pairs = (tp - _shifted(tp)) * (2 * m[:, None] - fp - _shifted(fp))
-        return pairs.sum(axis=1) / 2.0 / (k * m)
+        m = self.n - k
+        pairs = (tp - tp_above) * (2 * m[:, None] - (seen - tp) - (seen_above - tp_above))
+        return np.where(last, pairs, 0).sum(axis=1) / 2.0 / (k * m)
 
-    def _shuffled_auprc(self, block) -> np.ndarray:
-        """AUPRC of rows holding k positives each. Only the tie groups that
-        hold a positive add a term; the other groups add zeros, which the
-        row sum needs only in their places."""
-        rows, k = len(block), self.k
-        _, items = np.nonzero(block)
-        group = self.group[np.sort(self.position[items].reshape(rows, k), axis=1)]
-        tp = np.arange(1, k + 1)  # positives down to each one, in score order
-        first = np.ones(group.shape, dtype=bool)
-        first[:, 1:] = group[:, 1:] != group[:, :-1]
-        above = np.maximum.accumulate(np.where(first, tp - 1, 0), axis=1)
-        last = np.ones(group.shape, dtype=bool)
-        last[:, :-1] = first[:, 1:]
-        r, j = np.nonzero(last)
-        g = group[r, j]
-        terms = np.zeros((rows, self.ends.size))
-        terms[r, g] = (tp[j] / k - above[r, j] / k) * (tp[j] / (self.ends[g] + 1))
-        return terms.sum(axis=1)
+    def _resampled_auprc(self, tp, edges) -> np.ndarray:
+        """`_auprc` of resamples, each placing its terms among the groups it draws from."""
+        g = self.positive_group
+        slot = np.cumsum(edges[:, 1:] > edges[:, :-1], axis=1)  # drawn groups down to each
+        return self._auprc(g, tp, edges[:, g + 1], slot[:, g] - 1, slot[:, -1])
 
-    def _at_ends(self, x) -> np.ndarray:
-        return x if self.ends.size == x.shape[1] else x[:, self.ends]
-
-    def _auprc(self, tp, seen, drawn) -> np.ndarray:
+    def _auprc(self, group, tp, seen, slot, lengths) -> np.ndarray:
         """Sum of (R_g - R_{g-1}) * P_g over the tie groups each row draws
-        from (`drawn`), given the true positives and the items seen down to
-        each group. Each row's terms are summed as one vector, so pairwise in
-        the order np.sum adds a single draw's terms."""
-        recall = tp / tp[:, -1:]
-        terms = (recall - _shifted(recall)) * (tp / np.maximum(seen, 1))
-        flat = terms[drawn]
-        bounds = np.cumsum(drawn.sum(axis=1)).tolist()
-        return np.array([flat[a:b].sum() for a, b in zip([0] + bounds[:-1], bounds)])
+        from, given for the positives in score order: their groups, the
+        positives drawn down to each, the items drawn down to its group's
+        end and its group's place among the `lengths` groups the row draws
+        from. Only a group with a drawn positive adds a nonzero term; the
+        others add zeros, which a row's sum needs in their places to add its
+        terms pairwise in the order np.sum adds a single draw's terms."""
+        last, above = _by_group(group, tp)
+        keep = last & (tp > above)
+        k = tp[:, -1:]
+        terms = (tp / k - above / k) * (tp / np.maximum(seen, 1))
+        starts = np.cumsum(lengths) - lengths
+        flat = np.zeros(int(lengths.sum()))
+        flat[(starts[:, None] + slot)[keep]] = terms[keep]
+        bounds = zip(starts.tolist(), (starts + lengths).tolist())
+        return np.array([flat[a:b].sum() for a, b in bounds])
 
-    def _thresholded(self, tp, n_pred, k, n) -> np.ndarray:
-        """From per-row counts; Python ints, once per distinct confusion, so
-        exact and free of overflow."""
-        keys = list(zip(np.asarray(tp).tolist(), np.asarray(n_pred).tolist(),
-                        np.asarray(k).tolist()))
-        for key in keys:
+    def _thresholded(self, tp, n_pred, k) -> dict:
+        """Each thresholded metric from per-row counts; Python ints, once
+        per distinct confusion, so exact and free of overflow."""
+        confusions = []
+        for key in zip(tp.tolist(), n_pred.tolist(), k.tolist()):
             if key not in self._memo:
-                self._memo[key] = getattr(_metrics_from_counts(*key, n), self.metric)
-        return np.array([self._memo[key] for key in keys])
-
-
-class _PerDraw:
-    """A user-supplied metric callable, run one draw at a time on a
-    validated ScoredSet; the reference the block engine is tested against."""
-
-    def __init__(self, scored: ScoredSet, fn):
-        self.scored, self.fn = scored, fn
-        self.observed = fn(scored)
-        self._kept = []
-
-    def accepts(self, idx) -> bool:
-        # only the value tells whether the resample is defined, so keep it
-        try:
-            self._kept.append(self.fn(ScoredSet(self.scored.scores[idx], self.scored.labels[idx])))
-            return True
-        except UndefinedMetricError:
-            return False
-
-    def on_resamples(self, block) -> np.ndarray:
-        values, self._kept = self._kept, []
-        return np.array(values, dtype=np.float64)
-
-    def on_permutations(self, block) -> np.ndarray:
-        return np.array([self.fn(ScoredSet(self.scored.scores, row)) for row in block],
-                        dtype=np.float64)
-
-
-def _evaluator(scored: ScoredSet, metric, tau: float):
-    return _PerDraw(scored, metric) if callable(metric) else _Engine(scored, metric, tau)
+                self._memo[key] = _metrics_from_counts(*key, self.n)
+            confusions.append(self._memo[key])
+        return {m: np.array([getattr(c, m) for c in confusions], dtype=np.float64)
+                for m in self.thresholded}
 
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed,))))
+
+
+def _require_draws(count: int, what: str):
+    if count < 1:
+        raise ValidationError(f"{what} must be >= 1, got {count}")
 
 
 # ---------------------------------------------------------------------------
@@ -335,54 +343,50 @@ def se_from_ci(lo: float, hi: float) -> float:
     return (hi - lo) / SE_CI_DIVISOR
 
 
-def bootstrap_ci(
-    scored: ScoredSet,
-    metric,
-    n_resamples: int = 4000,
-    level: float = 0.95,
-    seed: int = 0,
-    tau: float = 0.5,
-) -> BootstrapResult:
-    """Percentile bootstrap over examples; resamples on which the metric is
-    undefined (e.g. zero positives for AUPRC) are redrawn and counted.
-    `metric` is a name from REPORT_METRICS or a callable on a ScoredSet."""
-    engine = _evaluator(scored, metric, tau)
-    point = engine.observed
-    rng = _rng(seed)
-    n = scored.n
-    rows = max(1, _BLOCK_ELEMENTS // n)
-    block = np.empty((rows, n), dtype=np.int64)
-    values = np.empty(n_resamples, dtype=np.float64)
-    n_redrawn = 0
-    for i in range(n_resamples):
-        for _ in range(_MAX_REDRAWS):
-            idx = rng.integers(0, n, size=n)
-            if engine.accepts(idx):
-                break
-            n_redrawn += 1
-        else:
-            raise UndefinedMetricError(
-                "metric undefined on 1000 consecutive bootstrap resamples"
-            )
-        row = i % rows
-        block[row] = idx
-        if row == rows - 1 or i == n_resamples - 1:
-            values[i - row : i + 1] = engine.on_resamples(block[: row + 1])
-    alpha = (1.0 - level) / 2.0
+def _percentile_ci(point: float, values, n_redrawn: int) -> BootstrapResult:
+    """The 95% percentile interval, and its normal-approximation SE."""
+    alpha = (1.0 - 0.95) / 2.0  # not 0.025: the percentiles keep this rounding
     lo, hi = np.percentile(values, [100 * alpha, 100 * (1 - alpha)])
-    if level == 0.95:
-        se = se_from_ci(lo, hi)
-    else:
-        z = float(_scipy_stats.norm.ppf(1 - alpha))
-        se = (hi - lo) / (2 * z)
     return BootstrapResult(
         point=point,
         lo=float(lo),
         hi=float(hi),
-        se=float(se),
+        se=float(se_from_ci(lo, hi)),
         n_redrawn=n_redrawn,
         flagged=not (lo <= point <= hi),
     )
+
+
+def _bootstrap(engine: _Engine, n_resamples: int, seed: int) -> dict:
+    """One stream of resamples for all the engine's metrics. Each acceptance
+    class redraws where its metrics are undefined (e.g. zero positives for
+    AUPRC), and so sees exactly the draws a stream of its own would give."""
+    _require_draws(n_resamples, "n_resamples")
+    rng = _rng(seed)
+    n = engine.n
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    cursors = {c: _Cursor(n_resamples) for c in engine.class_of.values()}
+    values = {m: np.empty(n_resamples, dtype=np.float64) for m in engine.names}
+    while need := max(cur.left for cur in cursors.values()):
+        block = np.stack([rng.integers(0, n, size=n) for _ in range(min(rows, need))])
+        for m, v in engine.on_resamples(block, cursors).items():
+            end = n_resamples - cursors[engine.class_of[m]].left
+            values[m][end - v.size : end] = v
+    return {m: _percentile_ci(engine.observed[m], values[m], cursors[engine.class_of[m]].n_redrawn)
+            for m in engine.names}
+
+
+def bootstrap_ci(
+    scored: ScoredSet,
+    metric: str,
+    n_resamples: int = 4000,
+    seed: int = 0,
+    tau: float = 0.5,
+) -> BootstrapResult:
+    """95% percentile bootstrap over examples of a metric named in
+    REPORT_METRICS; resamples on which the metric is undefined (e.g. zero
+    positives for AUPRC) are redrawn and counted."""
+    return _bootstrap(_Engine(scored, (metric,), tau), n_resamples, seed)[metric]
 
 
 @dataclass(frozen=True)
@@ -395,23 +399,8 @@ class PermutationResult:
     n_draws: int
 
 
-def _shuffle_test(scored_sets, metric, n_draws: int, seed: int, tau: float) -> PermutationResult:
-    """Each draw shuffles the shared label vector once and averages the
-    metric over the score vectors; p = (1 + #{null >= observed}) / (n_draws + 1)."""
-    labels = scored_sets[0].labels
-    for s in scored_sets[1:]:
-        if not np.array_equal(s.labels, labels):
-            raise ValidationError("seed-mean test needs identical label vectors")
-    evaluators = [_evaluator(s, metric, tau) for s in scored_sets]
-    observed = float(np.mean([e.observed for e in evaluators]))
-    rng = _rng(seed)
-    rows = max(1, _BLOCK_ELEMENTS // labels.size)
-    null = np.empty(n_draws, dtype=np.float64)
-    for start in range(0, n_draws, rows):
-        block = np.stack([rng.permutation(labels) for _ in range(min(rows, n_draws - start))])
-        per_set = np.stack([e.on_permutations(block) for e in evaluators], axis=1)
-        null[start : start + len(block)] = per_set.mean(axis=1)
-    p = (1.0 + np.sum(null >= observed)) / (n_draws + 1.0)
+def _permutation_result(observed: float, null) -> PermutationResult:
+    p = (1.0 + np.sum(null >= observed)) / (null.size + 1.0)
     lo, hi = np.percentile(null, [2.5, 97.5])
     return PermutationResult(
         p_value=float(p),
@@ -419,33 +408,66 @@ def _shuffle_test(scored_sets, metric, n_draws: int, seed: int, tau: float) -> P
         null_mean=float(null.mean()),
         null_median=float(np.median(null)),
         band=(float(lo), float(hi)),
-        n_draws=n_draws,
+        n_draws=null.size,
     )
 
 
-def permutation_pvalue(
-    scored: ScoredSet,
-    metric,
-    n_draws: int = 10000,
-    seed: int = 0,
-    tau: float = 0.5,
-) -> PermutationResult:
+def _shuffle_nulls(engines: list[_Engine], n_draws: int, seed: int) -> list[dict]:
+    """Each engine's null values of its metrics, from one stream of label
+    shuffles: each draw shuffles the shared label vector once, and every
+    engine's score vector is evaluated on it."""
+    _require_draws(n_draws, "n_draws")
+    labels = engines[0].labels
+    rng = _rng(seed)
+    rows = max(1, _BLOCK_ELEMENTS // labels.size)
+    nulls = [{m: np.empty(n_draws, dtype=np.float64) for m in e.names} for e in engines]
+    for start in range(0, n_draws, rows):
+        count = min(rows, n_draws - start)
+        items = np.stack([np.flatnonzero(rng.permutation(labels))  # a shuffle's positives
+                          for _ in range(count)])
+        for engine, null in zip(engines, nulls):
+            for m, values in engine.on_shuffles(items).items():
+                null[m][start : start + count] = values
+    return nulls
+
+
+def _engines(scored_sets: list[ScoredSet], names, tau: float) -> list[_Engine]:
+    labels = scored_sets[0].labels
+    for s in scored_sets[1:]:
+        if not np.array_equal(s.labels, labels):
+            raise ValidationError("seed-mean test needs identical label vectors")
+    return [_Engine(s, names, tau) for s in scored_sets]
+
+
+def _seed_mean_tests(engines: list[_Engine], nulls: list[dict]) -> dict:
+    """The null of the seed-averaged metric is, draw by draw, the mean of
+    the per-seed nulls; p = (1 + #{null >= observed}) / (n_draws + 1)."""
+    return {m: _permutation_result(float(np.mean([e.observed[m] for e in engines])),
+                                   np.stack([null[m] for null in nulls], axis=1).mean(axis=1))
+            for m in engines[0].names}
+
+
+def seed_mean_permutation_pvalues(scored_sets: list[ScoredSet], names, n_draws: int = 10000,
+                                  seed: int = 0, tau: float = 0.5) -> dict[str, PermutationResult]:
+    """One-sided (greater) permutation tests of the seed-averaged metrics
+    `names`: each draw shuffles the shared label vector once and averages
+    each metric over the per-seed score vectors;
+    p = (1 + #{null >= observed}) / (n_draws + 1)."""
+    engines = _engines(scored_sets, names, tau)
+    return _seed_mean_tests(engines, _shuffle_nulls(engines, n_draws, seed))
+
+
+def permutation_pvalue(scored: ScoredSet, metric: str, n_draws: int = 10000, seed: int = 0,
+                       tau: float = 0.5) -> PermutationResult:
     """One-sided (greater) label-shuffle test:
     p = (1 + #{null >= observed}) / (n_draws + 1)."""
-    return _shuffle_test([scored], metric, n_draws, seed, tau)
+    return seed_mean_permutation_pvalues([scored], (metric,), n_draws, seed, tau)[metric]
 
 
-def seed_mean_permutation_pvalue(
-    scored_sets: list[ScoredSet],
-    metric,
-    n_draws: int = 10000,
-    seed: int = 0,
-    tau: float = 0.5,
-) -> PermutationResult:
-    """Permutation test of the seed-averaged metric: each draw shuffles the
-    shared label vector once and averages the metric over the per-seed score
-    vectors."""
-    return _shuffle_test(scored_sets, metric, n_draws, seed, tau)
+def seed_mean_permutation_pvalue(scored_sets: list[ScoredSet], metric: str, n_draws: int = 10000,
+                                 seed: int = 0, tau: float = 0.5) -> PermutationResult:
+    """`seed_mean_permutation_pvalues` of one metric."""
+    return seed_mean_permutation_pvalues(scored_sets, (metric,), n_draws, seed, tau)[metric]
 
 
 # ---------------------------------------------------------------------------
@@ -550,39 +572,43 @@ class MetricsReport:
         }
 
 
-def build_metrics_report(
-    scored: ScoredSet,
-    tau: float = 0.5,
-    n_resamples: int = 4000,
-    n_draws: int = 10000,
-    seed: int = 0,
-) -> MetricsReport:
+def build_metrics_reports(scored_sets: list[ScoredSet], tau: float = 0.5, n_resamples: int = 4000,
+                          n_draws: int = 10000, seed: int = 0,
+                          ) -> tuple[list[MetricsReport], dict[str, PermutationResult]]:
+    """`build_metrics_report` of each of the per-seed scored sets, which
+    share one label vector, and the seed-mean permutation tests of the six
+    metrics. One stream of shuffles serves every set and the seed means."""
+    engines = _engines(scored_sets, REPORT_METRICS, tau)
+    nulls = _shuffle_nulls(engines, n_draws, seed)
+    reports = []
+    for scored, engine, null in zip(scored_sets, engines, nulls):
+        boots = _bootstrap(engine, n_resamples, seed)
+        entries = {}
+        for name in REPORT_METRICS:
+            boot, perm = boots[name], _permutation_result(engine.observed[name], null[name])
+            baseline = perm.null_mean
+            pct = 100.0 * (boot.point - baseline) / baseline if baseline > 0 else None
+            entries[name] = MetricEntry(
+                value=boot.point,
+                ci_lo=boot.lo,
+                ci_hi=boot.hi,
+                se=boot.se,
+                p_value=perm.p_value,
+                baseline=baseline,
+                null_median=perm.null_median,
+                pct_improvement=pct,
+                ci_flagged=boot.flagged,
+            )
+        reports.append(MetricsReport(n=scored.n, n_positive=scored.n_positive,
+                                     base_rate=scored.base_rate, threshold=tau, entries=entries))
+    return reports, _seed_mean_tests(engines, nulls)
+
+
+def build_metrics_report(scored: ScoredSet, tau: float = 0.5, n_resamples: int = 4000,
+                         n_draws: int = 10000, seed: int = 0) -> MetricsReport:
     """The full roster (F1, F1-macro, accuracy, MCC, AUROC, AUPRC) with
     bootstrap CIs, CI-derived SEs, permutation p-values, and permutation-null
-    baselines. The baseline column is the null mean, never a constant."""
-    entries = {}
-    for name in REPORT_METRICS:
-        boot = bootstrap_ci(scored, name, n_resamples=n_resamples, seed=seed, tau=tau)
-        perm = permutation_pvalue(scored, name, n_draws=n_draws, seed=seed, tau=tau)
-        baseline = perm.null_mean
-        pct = None
-        if baseline > 0:
-            pct = 100.0 * (boot.point - baseline) / baseline
-        entries[name] = MetricEntry(
-            value=boot.point,
-            ci_lo=boot.lo,
-            ci_hi=boot.hi,
-            se=boot.se,
-            p_value=perm.p_value,
-            baseline=baseline,
-            null_median=perm.null_median,
-            pct_improvement=pct,
-            ci_flagged=boot.flagged,
-        )
-    return MetricsReport(
-        n=scored.n,
-        n_positive=scored.n_positive,
-        base_rate=scored.base_rate,
-        threshold=tau,
-        entries=entries,
-    )
+    baselines, from one stream of resamples and one of shuffles shared by
+    the six metrics. The baseline column is the null mean, never a
+    constant."""
+    return build_metrics_reports([scored], tau, n_resamples, n_draws, seed)[0][0]

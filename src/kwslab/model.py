@@ -73,10 +73,6 @@ def parameter_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     return shapes
 
 
-def count_parameters(config: ModelConfig) -> int:
-    return sum(int(np.prod(shape)) for _, shape in parameter_shapes(config))
-
-
 _NORM_LAYERS = ("stem_norm", "res1_norm", "res2_norm", "down_norm", "proj_norm")
 
 
@@ -188,9 +184,6 @@ class DetectorModel:
             attention=attention,
         )
 
-    def trainable_count(self) -> int:
-        return sum(p.values.size for p in self.params.values())
-
     # -- persistence --------------------------------------------------------
 
     def save(self, path: str):
@@ -264,8 +257,3 @@ def pool(z, w) -> nc.Tensor:
     if np.any(wv < 0) or np.max(np.abs(wv.sum(axis=-1) - 1.0)) > 1e-6:
         raise ValidationError("pooling weights must be nonnegative and sum to 1")
     return nc.sum_axis(nc.mul(z, w), axis=1)
-
-
-def downsampled_length(t: int, factor: int) -> int:
-    """T' after the strided trunk stage: floor((T - 1) / factor) + 1."""
-    return (t - 1) // factor + 1

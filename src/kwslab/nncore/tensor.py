@@ -41,9 +41,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.values)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.values)
-
     def zero_grad(self):
         self.grad = None
 

@@ -98,42 +98,46 @@ def _as_operating_point(point: PRPoint, scenario: Scenario, feasible: bool) -> O
 
 
 def _translatable(curve):
-    """Curve points with nonzero precision, paired with their FA/h."""
-    out = []
-    for point in curve:
-        if point.precision > 0:
-            fa = point.recall * 1.0 * (1.0 / point.precision - 1.0)  # per unit lambda
-            out.append((point, fa))
-    if not out:
+    """The indices of the curve points with nonzero precision, and their
+    recall, precision, threshold and FA/h per unit lambda, in curve order."""
+    recall = np.array([p.recall for p in curve], dtype=np.float64)
+    precision = np.array([p.precision for p in curve], dtype=np.float64)
+    threshold = np.array([p.threshold for p in curve], dtype=np.float64)
+    keep = np.flatnonzero(precision > 0)
+    if not keep.size:
         raise UndefinedOperatingPointError("no curve point has nonzero precision")
-    return out
+    recall, precision, threshold = recall[keep], precision[keep], threshold[keep]
+    fa = recall * 1.0 * (1.0 / precision - 1.0)
+    return keep, recall, precision, threshold, fa
+
+
+def _pick(curve, kept, scenario: Scenario, qualifying, best, fallback) -> OperatingPoint:
+    """The first qualifying point with the lexicographically least `best`
+    keys (most significant first); with none qualifying, the first point
+    with the least `fallback` keys, flagged infeasible."""
+    feasible = bool(qualifying.any())
+    order = np.lexsort((best if feasible else fallback)[::-1])  # stable: ties keep curve order
+    if feasible:
+        order = order[qualifying[order]]
+    return _as_operating_point(curve[kept[order[0]]], scenario, feasible)
 
 
 def select_threshold_max_recall(curve, scenario: Scenario, fa_budget: float) -> OperatingPoint:
     """Max recall subject to FA/h <= budget; ties prefer higher precision,
     then higher threshold. With no qualifying point, the minimal-FA/h point
     is returned flagged infeasible."""
-    lam = scenario.lambda_per_hour
-    candidates = _translatable(curve)
-    qualifying = [(p, fa * lam) for p, fa in candidates if fa * lam <= fa_budget]
-    if qualifying:
-        best, _ = max(qualifying, key=lambda pf: (pf[0].recall, pf[0].precision, pf[0].threshold))
-        return _as_operating_point(best, scenario, feasible=True)
-    fallback, _ = min(candidates, key=lambda pf: (pf[1], -pf[0].recall, -pf[0].threshold))
-    return _as_operating_point(fallback, scenario, feasible=False)
+    kept, recall, precision, threshold, fa = _translatable(curve)
+    return _pick(curve, kept, scenario, fa * scenario.lambda_per_hour <= fa_budget,
+                 (-recall, -precision, -threshold), (fa, -recall, -threshold))
 
 
 def select_threshold_min_fa(curve, scenario: Scenario, target_recall: float) -> OperatingPoint:
     """Min FA/h subject to recall >= target; ties prefer higher threshold.
     With no qualifying point, the max-recall point is returned flagged
     infeasible."""
-    candidates = _translatable(curve)
-    qualifying = [(p, fa) for p, fa in candidates if p.recall >= target_recall]
-    if qualifying:
-        best, _ = min(qualifying, key=lambda pf: (pf[1], -pf[0].threshold))
-        return _as_operating_point(best, scenario, feasible=True)
-    fallback, _ = max(candidates, key=lambda pf: (pf[0].recall, -pf[1], pf[0].threshold))
-    return _as_operating_point(fallback, scenario, feasible=False)
+    kept, recall, _, threshold, fa = _translatable(curve)
+    return _pick(curve, kept, scenario, recall >= target_recall, (fa, -threshold),
+                 (-recall, fa, -threshold))
 
 
 def empirical_fp_per_hour(scores, labels, tau: float, window_s: float) -> float:
@@ -153,14 +157,8 @@ def empirical_fp_per_hour(scores, labels, tau: float, window_s: float) -> float:
 def recall_vs_fa_curve(curve, scenario: Scenario) -> list[tuple[float, float]]:
     """Translated (FA/h, recall) points sorted by FA/h, recall forced
     non-decreasing by the upper envelope."""
-    lam = scenario.lambda_per_hour
-    points = sorted(
-        ((fa * lam, p.recall) for p, fa in _translatable(curve)),
-        key=lambda fr: (fr[0], fr[1]),
-    )
-    best = 0.0
-    enveloped = []
-    for fa, recall in points:
-        best = max(best, recall)
-        enveloped.append((fa, best))
-    return enveloped
+    _, recall, _, _, fa = _translatable(curve)
+    fa = fa * scenario.lambda_per_hour
+    order = np.lexsort((recall, fa))
+    envelope = np.maximum.accumulate(np.maximum(recall[order], 0.0))
+    return list(zip(fa[order].tolist(), envelope.tolist()))

@@ -62,11 +62,6 @@ def write_rows_csv(path: str, fieldnames, rows):
             )
 
 
-def read_rows_csv(path: str) -> list[dict]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
 def render_metrics_table(report: dict) -> str:
     """Metric | Baseline | Value (+- SE) | %Delta | p-value rows."""
     lines = []

@@ -7,6 +7,7 @@ import pytest
 
 import kwslab.metrics as mx
 import kwslab.nncore as nc
+from helpers import read_rows_csv, reference_offset_grid
 from kwslab.cli import main
 from kwslab.config import (
     DATA_ROOT_ENV,
@@ -15,8 +16,8 @@ from kwslab.config import (
     strip_json_comments,
 )
 from kwslab.errors import ConfigError
-from kwslab.fixtures import load_reference_tables, reference_offset_grid
-from kwslab.reports import read_json_report, read_rows_csv
+from kwslab.fixtures import load_reference_tables
+from kwslab.reports import read_json_report
 from kwslab.sweeps import (
     auto_keywords_by_length,
     lexicon_length_frequency_spearman,
@@ -158,6 +159,14 @@ class TestTrainEvaluateCommands:
         assert main(["evaluate", "--config", config_path,
                      "--workdir", str(tmp_path)]) == 1
         assert "checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["permutation_draws", "bootstrap_resamples"])
+    def test_zero_draws_is_invalid_input(self, corpus_dir, trained_workdir, capsys, key):
+        # used to fail inside np.percentile: "runtime failure", exit 2
+        config_path, _ = corpus_dir
+        assert main(["evaluate", "--config", config_path, "--workdir", trained_workdir,
+                     "--set", f"evaluation.{key}=0"]) == 1
+        assert f"evaluation.{key}" in capsys.readouterr().err
 
     def test_truncated_checkpoint_is_invalid_input(self, corpus_dir, trained_workdir,
                                                    micro_config_dict, tmp_path, capsys):

@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 import kwslab.metrics as mx
-from helpers import brute_force_auroc, brute_force_average_precision
+from helpers import (
+    brute_force_auroc,
+    brute_force_average_precision,
+    make_thresholded_metric,
+    per_draw_metric,
+    reference_bootstrap_ci,
+    reference_permutation_pvalue,
+    reference_seed_mean_permutation_pvalue,
+)
 from kwslab.errors import UndefinedMetricError, ValidationError
 
 RNG = np.random.default_rng(99)
@@ -258,9 +266,9 @@ class TestPermutation:
         labels[0], labels[1] = 1, 0
         s = scored(scores, labels)
         for name, fn in (("auprc", mx.auprc), ("auroc", mx.auroc),
-                         ("f1_macro", mx.make_thresholded_metric("f1_macro", 0.5))):
+                         ("f1_macro", make_thresholded_metric("f1_macro", 0.5))):
             fast = mx.permutation_pvalue(s, name, n_draws=150, seed=9)
-            generic = mx.permutation_pvalue(s, fn, n_draws=150, seed=9)
+            generic = reference_permutation_pvalue(s, fn, n_draws=150, seed=9)
             assert fast.p_value == generic.p_value
             assert fast.null_mean == pytest.approx(generic.null_mean, abs=1e-12)
 
@@ -365,7 +373,7 @@ def test_auprc_bounds_property(values):
 
 
 # ---------------------------------------------------------------------------
-# the block engine against the per-draw callable path and the oracles
+# the block engine against the per-draw reference and the oracles
 # ---------------------------------------------------------------------------
 
 
@@ -385,11 +393,6 @@ def scored_sets(draw):
     return scored(scores, labels)
 
 
-def per_draw_reference(name):
-    """The named metric as a plain callable, which runs one draw at a time."""
-    return {"auprc": mx.auprc, "auroc": mx.auroc}.get(name) or mx.make_thresholded_metric(name, 0.5)
-
-
 def assert_same_result(name, engine, reference):
     """Field by field: exact, except that AUPRC values may differ by 1e-15
     relative."""
@@ -405,18 +408,18 @@ def assert_same_result(name, engine, reference):
        rows=st.integers(1, 6), seed=st.integers(0, 2**16))
 @settings(max_examples=200, deadline=None)
 def test_engine_matches_per_draw_reference(s, name, count, rows, seed):
-    reference = per_draw_reference(name)
+    reference = per_draw_metric(name)
     with pytest.MonkeyPatch.context() as mp:
         # blocks of `rows` draws, so most counts leave a partial last block
         mp.setattr(mx, "_BLOCK_ELEMENTS", rows * s.n)
         assert_same_result(name, mx.bootstrap_ci(s, name, n_resamples=count, seed=seed),
-                           mx.bootstrap_ci(s, reference, n_resamples=count, seed=seed))
+                           reference_bootstrap_ci(s, reference, n_resamples=count, seed=seed))
         assert_same_result(name, mx.permutation_pvalue(s, name, n_draws=count, seed=seed),
-                           mx.permutation_pvalue(s, reference, n_draws=count, seed=seed))
+                           reference_permutation_pvalue(s, reference, n_draws=count, seed=seed))
         sets = [s, scored(np.roll(s.scores, 1), s.labels), scored(s.scores[::-1], s.labels)]
         assert_same_result(
             name, mx.seed_mean_permutation_pvalue(sets, name, n_draws=count, seed=seed),
-            mx.seed_mean_permutation_pvalue(sets, reference, n_draws=count, seed=seed))
+            reference_seed_mean_permutation_pvalue(sets, reference, n_draws=count, seed=seed))
 
 
 @pytest.mark.parametrize("name, labels", [
@@ -429,7 +432,7 @@ def test_engine_redraws_as_the_reference_does(name, labels):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mx, "_BLOCK_ELEMENTS", 7 * s.n)
         engine = mx.bootstrap_ci(s, name, n_resamples=300, seed=4)
-        reference = mx.bootstrap_ci(s, per_draw_reference(name), n_resamples=300, seed=4)
+        reference = reference_bootstrap_ci(s, per_draw_metric(name), n_resamples=300, seed=4)
     assert engine.n_redrawn > 50
     assert_same_result(name, engine, reference)
 
@@ -446,9 +449,9 @@ def test_engine_matches_brute_force_oracles(s, name, count, seed):
         return oracle(x.scores, x.labels)
 
     boot = mx.bootstrap_ci(s, name, n_resamples=count, seed=seed)
-    boot_ref = mx.bootstrap_ci(s, fn, n_resamples=count, seed=seed)
+    boot_ref = reference_bootstrap_ci(s, fn, n_resamples=count, seed=seed)
     perm = mx.permutation_pvalue(s, name, n_draws=count, seed=seed)
-    perm_ref = mx.permutation_pvalue(s, fn, n_draws=count, seed=seed)
+    perm_ref = reference_permutation_pvalue(s, fn, n_draws=count, seed=seed)
     assert boot.n_redrawn == boot_ref.n_redrawn
     if name == "auroc":  # exact in both: half-integer counts over k * m
         assert boot == boot_ref and perm == perm_ref
@@ -457,3 +460,79 @@ def test_engine_matches_brute_force_oracles(s, name, count, seed):
                      (boot.hi, boot_ref.hi), (perm.null_mean, perm_ref.null_mean),
                      (perm.null_median, perm_ref.null_median)):
             assert a == pytest.approx(b, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one pass for all six metrics against six one-name calls
+# ---------------------------------------------------------------------------
+
+
+def assert_one_pass_equals_one_name_calls(s, resamples, draws, seed):
+    """The shared bootstrap and shuffle passes, and the report built from
+    them, equal six one-name calls field for field, redraw counts included."""
+    boots = mx._bootstrap(mx._Engine(s, mx.REPORT_METRICS), resamples, seed)
+    perms = mx.seed_mean_permutation_pvalues([s], mx.REPORT_METRICS, n_draws=draws, seed=seed)
+    report = mx.build_metrics_report(s, n_resamples=resamples, n_draws=draws, seed=seed)
+    for name in mx.REPORT_METRICS:
+        boot = mx.bootstrap_ci(s, name, n_resamples=resamples, seed=seed)
+        perm = mx.permutation_pvalue(s, name, n_draws=draws, seed=seed)
+        assert boots[name] == boot, name
+        assert perms[name] == perm, name
+        entry = report.entries[name]
+        assert (entry.value, entry.ci_lo, entry.ci_hi, entry.se, entry.ci_flagged) == (
+            boot.point, boot.lo, boot.hi, boot.se, boot.flagged), name
+        assert (entry.p_value, entry.baseline, entry.null_median) == (
+            perm.p_value, perm.null_mean, perm.null_median), name
+
+
+@given(s=scored_sets(), count=st.integers(1, 40), rows=st.integers(1, 6),
+       seed=st.integers(0, 2**16))
+@settings(max_examples=100, deadline=None)
+def test_one_pass_matches_one_name_calls(s, count, rows, seed):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mx, "_BLOCK_ELEMENTS", rows * s.n)
+        assert_one_pass_equals_one_name_calls(s, count, count, seed)
+
+
+@pytest.mark.parametrize("n, k", [(40, 1), (60, 59), (12, 1)])
+def test_one_pass_redraws_as_one_name_calls_do(n, k):
+    labels = np.zeros(n, int)
+    labels[:k] = 1
+    s = scored(np.round(np.random.default_rng(n).random(n), 1), labels)
+    boots = mx._bootstrap(mx._Engine(s, mx.REPORT_METRICS), 300, 4)
+    assert boots["auroc"].n_redrawn > 50
+    assert_one_pass_equals_one_name_calls(s, 300, 200, 4)
+
+
+@given(s=scored_sets(), count=st.integers(1, 30), seed=st.integers(0, 2**16))
+@settings(max_examples=50, deadline=None)
+def test_seed_mean_pvalues_match_one_name_calls(s, count, seed):
+    """The six seed-mean tests in one pass, alone or sharing their shuffles
+    with the per-seed reports, equal six one-name calls and one report per
+    seed."""
+    sets = [s, scored(np.roll(s.scores, 1), s.labels), scored(s.scores[::-1], s.labels)]
+    together = mx.seed_mean_permutation_pvalues(sets, mx.REPORT_METRICS, n_draws=count, seed=seed)
+    reports, with_reports = mx.build_metrics_reports(sets, n_resamples=count, n_draws=count,
+                                                     seed=seed)
+    assert list(together) == list(mx.REPORT_METRICS) and with_reports == together
+    for name in mx.REPORT_METRICS:
+        assert together[name] == mx.seed_mean_permutation_pvalue(sets, name, n_draws=count,
+                                                                 seed=seed), name
+    for x, report in zip(sets, reports):
+        assert report == mx.build_metrics_report(x, n_resamples=count, n_draws=count, seed=seed)
+
+
+def test_zero_draws_rejected():
+    s = scored([0.9, 0.2, 0.6, 0.1], [1, 0, 1, 0])
+    with pytest.raises(ValidationError, match="n_resamples"):
+        mx.bootstrap_ci(s, "auprc", n_resamples=0)
+    with pytest.raises(ValidationError, match="n_draws"):
+        mx.permutation_pvalue(s, "auprc", n_draws=0)
+    with pytest.raises(ValidationError, match="n_draws"):
+        mx.seed_mean_permutation_pvalues([s, s], mx.REPORT_METRICS, n_draws=-1)
+    with pytest.raises(ValidationError):
+        mx.build_metrics_report(s, n_resamples=0, n_draws=10)
+    with pytest.raises(ValidationError, match="identical label vectors"):
+        mx.build_metrics_reports([s, scored(s.scores, [0, 1, 1, 0])])
+    with pytest.raises(ValidationError, match="unknown metric"):
+        mx.bootstrap_ci(s, mx.auprc, n_resamples=10)

@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 import kwslab.nncore as nc
+from helpers import count_parameters, downsampled_length
 from kwslab.errors import CheckpointError, DimensionError, ValidationError
 from kwslab.model import (
     DetectorModel,
     ModelConfig,
     config_hash,
-    count_parameters,
-    downsampled_length,
     parameter_shapes,
     pool,
 )
@@ -157,7 +156,7 @@ class TestCountParameters:
 
     def test_matches_instantiated_model(self):
         model = DetectorModel.initialize(SMALL, seed=0)
-        assert model.trainable_count() == count_parameters(SMALL)
+        assert sum(p.values.size for p in model.params.values()) == count_parameters(SMALL)
 
 
 class TestCheckpoint:

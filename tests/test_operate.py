@@ -1,8 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import (
+    loop_recall_vs_fa_curve,
+    loop_select_threshold_max_recall,
+    loop_select_threshold_min_fa,
+)
 from kwslab.errors import UndefinedOperatingPointError, ValidationError
 from kwslab.fixtures import load_reference_tables, reference_operating_curves
 from kwslab.metrics import PRPoint
@@ -219,3 +226,40 @@ class TestReferenceFixtureCurves:
             assert (a.threshold, a.precision, a.recall) == (b.threshold, b.precision, b.recall)
             assert b.fa_per_hour == pytest.approx(5 * a.fa_per_hour, rel=1e-12)
             assert b.detections_per_hour == pytest.approx(5 * a.detections_per_hour, rel=1e-12)
+
+
+@st.composite
+def tied_curves(draw):
+    """Curve points from a few levels, so recalls, precisions, FA/h and
+    thresholds tie, zero-precision points included. No subnormal
+    precision: 1/P would overflow and make FA/h NaN at zero recall, which
+    neither version orders (a curve's precision is at least 1/n)."""
+    def level(*values):
+        return st.one_of(st.sampled_from(values), st.floats(0, 1, allow_subnormal=False))
+
+    return [
+        PRPoint(threshold=draw(level(0.2, 0.5, 0.8)), precision=draw(level(0.0, 0.25, 0.5, 1.0)),
+                recall=draw(level(0.0, 0.25, 0.5, 1.0)))
+        for _ in range(draw(st.integers(0, 12)))
+    ]
+
+
+def outcome(select, *args):
+    try:
+        return select(*args)
+    except UndefinedOperatingPointError as exc:
+        return type(exc)
+
+
+@given(curve=tied_curves(), lam=st.sampled_from([2.0, 10.0, 3.7]),
+       budget=st.one_of(st.sampled_from([0.0, 0.5, 2.0, math.inf]), st.floats(0, 50)),
+       target=st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.1]), st.floats(0, 1)))
+@settings(max_examples=300, deadline=None)
+def test_array_selection_matches_the_loop(curve, lam, budget, target):
+    scenario = Scenario("s", lam)
+    assert outcome(select_threshold_max_recall, curve, scenario, budget) == outcome(
+        loop_select_threshold_max_recall, curve, scenario, budget)
+    assert outcome(select_threshold_min_fa, curve, scenario, target) == outcome(
+        loop_select_threshold_min_fa, curve, scenario, target)
+    assert outcome(recall_vs_fa_curve, curve, scenario) == outcome(
+        loop_recall_vs_fa_curve, curve, scenario)
