@@ -217,8 +217,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _operating_rows_for_scenario(scenario, curves, fp_rates, target_recall, budgets):
-    fa_points = [select_threshold_min_fa(curve, scenario, target_recall) for curve in curves]
+def _operating_rows_for_scenario(scenario, curves, fa_points, fp_rates, budgets):
     fa_mean, fa_se = seed_mean_se([p.fa_per_hour for p in fa_points])
     rows = {
         "fa_at_target_recall": {
@@ -240,10 +239,9 @@ def _operating_rows_for_scenario(scenario, curves, fp_rates, target_recall, budg
                 "per_seed": [p.to_dict() for p in points],
             }
         )
-    if fp_rates is not None:
-        fp_mean, fp_se = seed_mean_se(fp_rates)
-        rows["fp_per_hour"] = {"mean": fp_mean, "se": fp_se, "per_seed": list(fp_rates)}
-    return rows, fa_points
+    fp_mean, fp_se = seed_mean_se(fp_rates)
+    rows["fp_per_hour"] = {"mean": fp_mean, "se": fp_se, "per_seed": list(fp_rates)}
+    return rows
 
 
 def cmd_operating_points(args) -> int:
@@ -284,24 +282,18 @@ def cmd_operating_points(args) -> int:
             window_s = args.window_s
         if window_s is None:
             raise ConfigError("need a corpus or --window-s to compute FP/h coverage")
-        fp_rates = None
         source = ",".join(args.scores)
 
     scenario_payloads = []
     fa_csv_rows = []
     for scenario in scenarios:
-        rates = fp_rates
+        fa_points = [select_threshold_min_fa(curve, scenario, target_recall) for curve in curves]
         if scored_sets is not None:
-            fa_points = [
-                select_threshold_min_fa(curve, scenario, target_recall) for curve in curves
-            ]
-            rates = [
+            fp_rates = [
                 empirical_fp_per_hour(s.scores, s.labels, p.threshold, window_s)
                 for s, p in zip(scored_sets, fa_points)
             ]
-        rows, _ = _operating_rows_for_scenario(
-            scenario, curves, rates, target_recall, budgets
-        )
+        rows = _operating_rows_for_scenario(scenario, curves, fa_points, fp_rates, budgets)
         scenario_payloads.append(
             {
                 "scenario": {"name": scenario.name, "lambda_per_hour": scenario.lambda_per_hour},

@@ -3,7 +3,6 @@ with dotted-path overrides from the command line."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 from dataclasses import dataclass, field, fields
@@ -197,16 +196,3 @@ def load_run_config(path: str, overrides=(), require_corpus=False) -> RunConfig:
         if not os.path.exists(manifest):
             raise ConfigError(f"referenced corpus manifest does not exist: {manifest}")
     return config
-
-
-def config_to_dict(config) -> dict:
-    """Canonical plain-dict view (tuples as lists) for hashing and reports."""
-
-    def convert(obj):
-        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-            return {f.name: convert(getattr(obj, f.name)) for f in fields(obj)}
-        if isinstance(obj, (list, tuple)):
-            return [convert(v) for v in obj]
-        return obj
-
-    return convert(config)

@@ -374,29 +374,28 @@ def fit_normalizer(train_sessions) -> Normalizer:
 # ---------------------------------------------------------------------------
 
 
-def _signal_checksum(signal: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(signal, dtype="<f4").tobytes()).hexdigest()
-
-
-def save_session(session, root: str):
+def save_session(session, root: str) -> str:
+    """Write the signal, sidecar and events files; returns the signal's sha256."""
     os.makedirs(root, exist_ok=True)
-    sig = np.ascontiguousarray(session.signal, dtype="<f4")
+    raw = np.ascontiguousarray(session.signal, dtype="<f4").tobytes()
+    checksum = hashlib.sha256(raw).hexdigest()
     base = os.path.join(root, session.session_id)
     with atomic_open(base + ".f32", "wb") as fh:
-        fh.write(sig.tobytes())
+        fh.write(raw)
     sidecar = {
         "session_id": session.session_id,
         "n_channels": session.channel_config.n_channels,
         "n_samples": session.n_samples,
         "sample_rate_hz": session.channel_config.sample_rate_hz,
         "channel_names": list(session.channel_config.channel_names or []) or None,
-        "checksum_sha256": _signal_checksum(sig),
+        "checksum_sha256": checksum,
     }
     with atomic_open(base + ".json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
     with atomic_open(base + "_events.tsv", "w", encoding="utf-8") as fh:
         fh.write(format_events_tsv(session.events))
+    return checksum
 
 
 def load_session(root: str, session_id: str) -> Session:
@@ -432,12 +431,12 @@ def save_corpus(sessions, root: str, default_split: SplitAssignment):
     partition[default_split.test] = "test"
     entries = []
     for session in sessions:
-        save_session(session, root)
+        checksum = save_session(session, root)
         entries.append(
             {
                 "session_id": session.session_id,
                 "partition": partition[session.session_id],
-                "checksum_sha256": _signal_checksum(session.signal),
+                "checksum_sha256": checksum,
             }
         )
     manifest = {"sessions": entries}

@@ -41,7 +41,8 @@ class ModelConfig:
             raise ValidationError("topk_fraction must lie in (0, 1]")
 
 
-def config_hash(config: ModelConfig) -> str:
+def config_hash(config) -> str:
+    """sha256 of a config dataclass as sorted, compact JSON."""
     blob = json.dumps(asdict(config), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

@@ -4,29 +4,16 @@ the plain-text renderers behind the `report` subcommand."""
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import os
 
-from .config import config_to_dict
 from .corpus import corpus_checksums
 from .fileio import atomic_open
-
-
-def canonical_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def sha256_hex(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def run_config_hash(config) -> str:
-    return sha256_hex(canonical_json(config_to_dict(config)))
+from .model import config_hash
 
 
 def provenance_block(config, corpus_root: str | None = None) -> dict:
-    block = {"config_hash": run_config_hash(config)}
+    block = {"config_hash": config_hash(config)}
     if corpus_root and os.path.exists(os.path.join(corpus_root, "manifest.json")):
         block["corpus_checksums"] = corpus_checksums(corpus_root)
     return block

@@ -40,8 +40,6 @@ class TrainConfig:
     lr: float = 1e-3
     weight_decay: float = 0.01
     seed: int = 0
-    eval_every: int | str = "epoch"
-    sampler_seed: int | None = None
 
     def __post_init__(self):
         if self.max_epochs < 1:
@@ -50,10 +48,6 @@ class TrainConfig:
             raise ValidationError("patience must lie in [0, max_epochs]")
         if self.lr <= 0:
             raise ValidationError("lr must be > 0")
-        if isinstance(self.eval_every, str) and self.eval_every != "epoch":
-            raise ValidationError("eval_every must be a step count or 'epoch'")
-        if isinstance(self.eval_every, int) and self.eval_every < 1:
-            raise ValidationError("eval_every step count must be >= 1")
 
 
 @dataclass
@@ -201,18 +195,13 @@ def train(
     if val_labels.sum() < 1:
         raise InfeasibleTaskError("validation partition has no positive examples")
 
-    model = DetectorModel.initialize(model_config, seed=train_config.seed)
+    seed = train_config.seed
+    model = DetectorModel.initialize(model_config, seed=seed)
     optimizer = nc.AdamW(
         model.params, lr=train_config.lr, weight_decay=train_config.weight_decay
     )
 
-    seed = train_config.seed
-    if train_config.sampler_seed is not None:
-        sampler_seed = train_config.sampler_seed
-    else:
-        sampler_seed = int(
-            np.random.SeedSequence((seed, _STREAM_SAMPLER)).generate_state(1)[0]
-        )
+    sampler_seed = int(np.random.SeedSequence((seed, _STREAM_SAMPLER)).generate_state(1)[0])
     train_refs = task.partitions["train"]
     train_labels = task.labels("train")
     sampler = BalancedBatchSampler(train_labels, sampler_config, sampler_seed)
@@ -223,27 +212,10 @@ def train(
     best_epoch = -1.0
     epochs_since_improvement = 0
     global_step = 0
-    eval_every = train_config.eval_every
-
-    def run_validation(epoch_pos: float, mean_loss: float):
-        nonlocal best_auprc, best_epoch
-        scores = score_partition(model, task, "validation")
-        scored = mx.ScoredSet(scores, val_labels)
-        val_auprc = mx.auprc(scored)
-        val_auroc = mx.auroc(scored)
-        records.append(EvalRecord(epoch_pos, mean_loss, val_auprc, val_auroc))
-        if val_auprc > best_auprc + IMPROVEMENT_EPS:
-            best_auprc = val_auprc
-            best_epoch = epoch_pos
-            model.save(checkpoint_path)
-            return True
-        return False
 
     for epoch in range(1, train_config.max_epochs + 1):
         losses = []
-        improved_mid_epoch = False
-        for _ in range(sampler.batches_per_epoch):
-            batch_idx = sampler.next_batch()
+        for batch_idx in sampler.epoch():
             aug_rng = _stream_rng(seed, _STREAM_AUGMENT, global_step)
             batch = np.empty((len(batch_idx), task.n_channels, n), dtype=np.float32)
             for row, example_idx in enumerate(batch_idx):
@@ -281,13 +253,15 @@ def train(
             optimizer.zero_grad()
             losses.append(parts["total"])
             global_step += 1
-            if isinstance(eval_every, int) and global_step % eval_every == 0:
-                epoch_pos = epoch - 1 + len(losses) / sampler.batches_per_epoch
-                if run_validation(epoch_pos, float(np.mean(losses))):
-                    improved_mid_epoch = True
 
-        improved = run_validation(float(epoch), float(np.mean(losses)))
-        if improved or improved_mid_epoch:
+        scored = mx.ScoredSet(score_partition(model, task, "validation"), val_labels)
+        val_auprc = mx.auprc(scored)
+        records.append(EvalRecord(float(epoch), float(np.mean(losses)), val_auprc,
+                                  mx.auroc(scored)))
+        if val_auprc > best_auprc + IMPROVEMENT_EPS:
+            best_auprc = val_auprc
+            best_epoch = float(epoch)
+            model.save(checkpoint_path)
             epochs_since_improvement = 0
         else:
             epochs_since_improvement += 1

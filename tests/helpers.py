@@ -197,7 +197,8 @@ def _translatable_pairs(curve):
     out = []
     for point in curve:
         if point.precision > 0:
-            fa = point.recall * 1.0 * (1.0 / point.precision - 1.0)  # per unit lambda
+            # per unit lambda; 0 at zero recall, where 1/P may overflow
+            fa = point.recall * (1.0 / point.precision - 1.0) if point.recall else 0.0
             out.append((point, fa))
     if not out:
         raise UndefinedOperatingPointError("no curve point has nonzero precision")

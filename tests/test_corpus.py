@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -320,6 +323,13 @@ class TestSerialization:
         assert loaded.events == session.events
         assert loaded.channel_config == session.channel_config
 
+    def test_save_session_returns_the_written_checksum(self, tmp_path):
+        session = make_session(duration_s=5.0)
+        digest = save_session(session, str(tmp_path))
+        raw = (tmp_path / f"{session.session_id}.f32").read_bytes()
+        sidecar = json.loads((tmp_path / f"{session.session_id}.json").read_text())
+        assert digest == hashlib.sha256(raw).hexdigest() == sidecar["checksum_sha256"]
+
     def test_events_tsv_round_trip(self):
         events = [WordEvent(0.1 + 1 / 7, 0.123456789012345, "x")]
         assert parse_events_tsv(format_events_tsv(events)) == events
@@ -349,6 +359,10 @@ class TestSerialization:
             assert a.events == b.events
         assert default.validation == split.validation
         assert default.test == split.test
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        for entry in manifest["sessions"]:
+            sidecar = json.loads((tmp_path / f"{entry['session_id']}.json").read_text())
+            assert entry["checksum_sha256"] == sidecar["checksum_sha256"]
 
 
 class TestSessionValidation:

@@ -17,7 +17,8 @@ from kwslab.config import (
 )
 from kwslab.errors import ConfigError
 from kwslab.fixtures import load_reference_tables
-from kwslab.reports import read_json_report
+from kwslab.model import config_hash
+from kwslab.reports import provenance_block, read_json_report
 from kwslab.sweeps import (
     auto_keywords_by_length,
     lexicon_length_frequency_spearman,
@@ -90,6 +91,26 @@ class TestConfigLoading:
         loaded = load_run_config(str(path))
         monkeypatch.setenv(DATA_ROOT_ENV, "/elsewhere")
         assert loaded.resolved_root() == "/elsewhere"
+
+    @pytest.mark.parametrize("key,value", [("eval_every", 5), ("sampler_seed", 111)])
+    def test_removed_training_key_is_invalid_input(self, tmp_path, micro_config_dict, capsys,
+                                                   key, value):
+        config = copy.deepcopy(micro_config_dict)
+        config["corpus"]["root"] = str(tmp_path / "data")
+        config["training"][key] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(path), "--workdir", str(tmp_path / "w")]) == 1
+        err = capsys.readouterr().err
+        assert "unknown keys" in err and key in err
+
+    def test_provenance_hash_is_the_config_hash(self, micro_config_dict):
+        config = copy.deepcopy(micro_config_dict)
+        config["corpus"]["root"] = "unused"
+        run_config = run_config_from_dict(config)
+        assert provenance_block(run_config)["config_hash"] == config_hash(run_config)
+        other = run_config_from_dict({**config, "seeds": [0]})
+        assert config_hash(other) != config_hash(run_config)
 
     def test_invalid_field_nonzero_exit(self, tmp_path, micro_config_dict, capsys):
         config = copy.deepcopy(micro_config_dict)

@@ -73,6 +73,11 @@ class TestTranslate:
         with pytest.raises(ValidationError):
             Scenario("bad", 0.0)
 
+    def test_zero_recall_is_zero_fa_at_subnormal_precision(self):
+        # 1/P overflows to inf here; FA/h at zero recall is still 0, not NaN
+        assert translate(2.2e-313, 0.0, ASSISTIVE) == (0.0, 2.0, 0.0)
+        assert translate(2.2e-313, 0.5, ASSISTIVE)[0] == math.inf
+
 
 class TestSelectMaxRecall:
     def test_enumerated_curve(self):
@@ -197,6 +202,12 @@ class TestRecallVsFaCurve:
         assert fas == sorted(fas)
         assert recalls == sorted(recalls)
 
+    def test_zero_recall_point_at_subnormal_precision(self):
+        curve = [PRPoint(0.9, 2.2e-313, 0.0), PRPoint(0.5, 0.5, 0.5), PRPoint(0.2, 0.25, 1.0)]
+        assert recall_vs_fa_curve(curve, ASSISTIVE) == [(0.0, 0.0), (1.0, 0.5), (6.0, 1.0)]
+        point = select_threshold_min_fa(curve, ASSISTIVE, 0.0)
+        assert (point.threshold, point.fa_per_hour) == (0.9, 0.0)
+
 
 class TestReferenceFixtureCurves:
     def test_snapshot_rows_reproduced(self):
@@ -231,14 +242,14 @@ class TestReferenceFixtureCurves:
 @st.composite
 def tied_curves(draw):
     """Curve points from a few levels, so recalls, precisions, FA/h and
-    thresholds tie, zero-precision points included. No subnormal
-    precision: 1/P would overflow and make FA/h NaN at zero recall, which
-    neither version orders (a curve's precision is at least 1/n)."""
+    thresholds tie, zero-precision and subnormal-precision points included
+    (1/P overflows there, giving infinite FA/h, or 0 at zero recall)."""
     def level(*values):
-        return st.one_of(st.sampled_from(values), st.floats(0, 1, allow_subnormal=False))
+        return st.one_of(st.sampled_from(values), st.floats(0, 1))
 
     return [
-        PRPoint(threshold=draw(level(0.2, 0.5, 0.8)), precision=draw(level(0.0, 0.25, 0.5, 1.0)),
+        PRPoint(threshold=draw(level(0.2, 0.5, 0.8)),
+                precision=draw(level(0.0, 2.2e-313, 0.25, 0.5, 1.0)),
                 recall=draw(level(0.0, 0.25, 0.5, 1.0)))
         for _ in range(draw(st.integers(0, 12)))
     ]

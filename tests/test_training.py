@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import kwslab.metrics as mx
+import kwslab.training as training
 from conftest import MICRO_MODEL, MICRO_SAMPLER, MICRO_TRAIN
 from kwslab.corpus import index_windows, round_half_up
 from kwslab.errors import (
@@ -14,6 +15,7 @@ from kwslab.errors import (
 )
 from kwslab.losses import LossConfig
 from kwslab.model import DetectorModel, ModelConfig
+from kwslab.sampling import BalancedBatchSampler
 from kwslab.training import (
     IMPROVEMENT_EPS,
     ScoreRow,
@@ -120,19 +122,57 @@ class TestTrain:
         value = mx.auprc(mx.ScoredSet(scores, micro_task.labels("validation")))
         assert value == report.best_val_auprc
 
-    def test_seed_isolation_init_independent_of_sampler_seed(self, micro_task, tmp_path):
-        # same master seed, different data-order seed: same initialization
-        a = DetectorModel.initialize(MICRO_MODEL, seed=3)
-        b = DetectorModel.initialize(MICRO_MODEL, seed=3)
-        for name in a.params:
-            assert a.params[name].values.tobytes() == b.params[name].values.tobytes()
-        cfg_a = dataclasses.replace(MICRO_TRAIN, seed=3, sampler_seed=111, max_epochs=1, patience=1)
-        cfg_b = dataclasses.replace(MICRO_TRAIN, seed=3, sampler_seed=222, max_epochs=1, patience=1)
-        ra = train(MICRO_MODEL, LossConfig(), MICRO_SAMPLER, cfg_a, micro_task,
-                   str(tmp_path / "a.ckpt"))
-        rb = train(MICRO_MODEL, LossConfig(), MICRO_SAMPLER, cfg_b, micro_task,
-                   str(tmp_path / "b.ckpt"))
-        assert ra.records[0].train_loss != rb.records[0].train_loss
+    def test_seed_isolation_init_independent_of_sampler_seed(self, micro_task, tmp_path,
+                                                              monkeypatch):
+        # the initialization is a function of the seed alone; the seed also
+        # sets the data order, through the sampler's own substream
+        expected = DetectorModel.initialize(MICRO_MODEL, seed=3).params
+        initialize = DetectorModel.initialize.__func__
+        inits, orders = [], []
+
+        def recording_initialize(cls, config, seed):
+            model = initialize(cls, config, seed)
+            inits.append({k: p.values.copy() for k, p in model.params.items()})
+            return model
+
+        class RecordingSampler(BalancedBatchSampler):
+            def __init__(self, labels, config, seed):
+                super().__init__(labels, config, seed)
+                copy = BalancedBatchSampler(labels, config, seed)
+                orders.append([b.tolist() for b in copy.epoch()])
+
+        monkeypatch.setattr(DetectorModel, "initialize", classmethod(recording_initialize))
+        monkeypatch.setattr(training, "BalancedBatchSampler", RecordingSampler)
+        for seed in (3, 4):
+            cfg = dataclasses.replace(MICRO_TRAIN, seed=seed, max_epochs=1, patience=1)
+            train(MICRO_MODEL, LossConfig(), MICRO_SAMPLER, cfg, micro_task,
+                  str(tmp_path / f"{seed}.ckpt"))
+        for name, param in expected.items():
+            assert inits[0][name].tobytes() == param.values.tobytes()
+        assert inits[0]["stem.w"].tobytes() != inits[1]["stem.w"].tobytes()
+        assert orders[0] != orders[1]
+
+    def test_one_validation_per_epoch(self, micro_task, tmp_path, monkeypatch):
+        batches, validations = [], []
+        next_batch, score = BalancedBatchSampler.next_batch, training.score_partition
+
+        def counting_next_batch(self):
+            batches.append(self.batches_per_epoch)
+            return next_batch(self)
+
+        def counting_score(model, task, partition, batch_size=64):
+            validations.append(partition)
+            return score(model, task, partition, batch_size)
+
+        monkeypatch.setattr(BalancedBatchSampler, "next_batch", counting_next_batch)
+        monkeypatch.setattr(training, "score_partition", counting_score)
+        config = dataclasses.replace(MICRO_TRAIN, max_epochs=4, patience=1)
+        report = train(MICRO_MODEL, LossConfig(), MICRO_SAMPLER, config, micro_task,
+                       str(tmp_path / "v.ckpt"))
+        epochs_run, rest = divmod(len(batches), batches[0])
+        assert rest == 0
+        assert validations == ["validation"] * epochs_run
+        assert [r.epoch for r in report.records] == [float(e) for e in range(1, epochs_run + 1)]
 
     def test_early_stopping_rule(self, micro_task, tmp_path):
         config = dataclasses.replace(MICRO_TRAIN, max_epochs=6, patience=2)
@@ -176,13 +216,6 @@ class TestTrain:
                   str(tmp_path / "div.ckpt"))
         assert "loss_parts" in err.value.record
 
-    def test_step_based_eval_every(self, micro_task, tmp_path):
-        config = dataclasses.replace(MICRO_TRAIN, max_epochs=1, patience=1, eval_every=5)
-        report = train(MICRO_MODEL, LossConfig(), MICRO_SAMPLER, config, micro_task,
-                       str(tmp_path / "step.ckpt"))
-        assert len(report.records) > 1
-        assert report.records[-1].epoch == 1.0
-
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             TrainConfig(max_epochs=0)
@@ -190,8 +223,6 @@ class TestTrain:
             TrainConfig(patience=10, max_epochs=5)
         with pytest.raises(ValidationError):
             TrainConfig(lr=0.0)
-        with pytest.raises(ValidationError):
-            TrainConfig(eval_every="sometimes")
 
 
 class TestEvaluate:
