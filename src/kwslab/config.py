@@ -57,6 +57,8 @@ class EvaluationConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ConfigError(f"evaluation.{name} must be an integer >= 1, got {value!r}")
+        if self.stat_seed < 0:
+            raise ConfigError(f"evaluation.stat_seed must be >= 0, got {self.stat_seed}")
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,10 @@ class RunConfig:
     training: TrainConfig = field(default_factory=TrainConfig)
     evaluation: EvaluationConfig = field(default_factory=EvaluationConfig)
     seeds: tuple[int, ...] = (0, 1, 2)
+
+    def __post_init__(self):
+        if any(seed < 0 for seed in self.seeds):
+            raise ConfigError(f"seeds must all be >= 0, got {list(self.seeds)}")
 
     def resolved_root(self) -> str | None:
         return os.environ.get(DATA_ROOT_ENV) or self.corpus.root

@@ -6,6 +6,14 @@ softmax-over-time, elementwise arithmetic, reductions, gather, and the
 stable softplus used by the ranking loss. Forward values live in whatever
 float dtype the inputs carry (float32 for training, float64 for gradient
 checks).
+
+Gradient ownership: a tensor's first gradient becomes its ``.grad``, and
+later ones are added into it in place. A backward function may pass
+``owned=True`` to ``_accumulate`` only for an array it has just allocated
+and hands to no other tensor; that array is adopted as ``.grad`` without a
+copy. Views, the upstream gradient ``g`` and anything else reachable from
+elsewhere are passed without it and copied, so no two ``.grad`` arrays
+ever share memory.
 """
 
 from __future__ import annotations
@@ -52,9 +60,13 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _accumulate(t: Tensor, g: np.ndarray):
+def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False):
+    """Add g into t.grad; a first g is copied unless owned (module docstring)."""
     if t.grad is None:
-        t.grad = g.astype(t.values.dtype, copy=True)
+        if owned and g.dtype == t.values.dtype:
+            t.grad = g
+        else:
+            t.grad = g.astype(t.values.dtype, copy=True)
     else:
         t.grad += g
 
@@ -156,7 +168,7 @@ def sub(a, b) -> Tensor:
         if a.requires_grad:
             _accumulate(a, _unbroadcast(g, a.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g, b.shape))
+            _accumulate(b, _unbroadcast(-g, b.shape), owned=True)
 
     return _result(out_values, (a, b), _bw)
 
@@ -167,9 +179,9 @@ def mul(a, b) -> Tensor:
 
     def _bw(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.values, a.shape))
+            _accumulate(a, _unbroadcast(g * b.values, a.shape), owned=True)
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.values, b.shape))
+            _accumulate(b, _unbroadcast(g * a.values, b.shape), owned=True)
 
     return _result(out_values, (a, b), _bw)
 
@@ -179,7 +191,7 @@ def neg(a) -> Tensor:
 
     def _bw(g):
         if a.requires_grad:
-            _accumulate(a, -g)
+            _accumulate(a, -g, owned=True)
 
     return _result(-a.values, (a,), _bw)
 
@@ -192,9 +204,9 @@ def power(a, exponent: float) -> Tensor:
     def _bw(g):
         if a.requires_grad:
             if exponent == 0:
-                _accumulate(a, np.zeros_like(a.values))
+                _accumulate(a, np.zeros_like(a.values), owned=True)
             else:
-                _accumulate(a, g * exponent * a.values ** (exponent - 1))
+                _accumulate(a, g * exponent * a.values ** (exponent - 1), owned=True)
 
     return _result(out_values, (a,), _bw)
 
@@ -204,7 +216,7 @@ def log(a) -> Tensor:
 
     def _bw(g):
         if a.requires_grad:
-            _accumulate(a, g / a.values)
+            _accumulate(a, g / a.values, owned=True)
 
     return _result(np.log(a.values), (a,), _bw)
 
@@ -217,7 +229,7 @@ def clip(a, lo: float, hi: float) -> Tensor:
 
     def _bw(g):
         if a.requires_grad:
-            _accumulate(a, g * inside)
+            _accumulate(a, g * inside, owned=True)
 
     return _result(out_values, (a,), _bw)
 
@@ -241,7 +253,7 @@ def take(a, indices) -> Tensor:
         if a.requires_grad:
             acc = np.zeros_like(a.values)
             np.add.at(acc, idx, g)
-            _accumulate(a, acc)
+            _accumulate(a, acc, owned=True)
 
     return _result(a.values[idx], (a,), _bw)
 
@@ -256,7 +268,7 @@ def sum_all(a) -> Tensor:
 
     def _bw(g):
         if a.requires_grad:
-            _accumulate(a, np.broadcast_to(g, a.shape).copy())
+            _accumulate(a, np.broadcast_to(g, a.shape).copy(), owned=True)
 
     return _result(a.values.sum(), (a,), _bw)
 
@@ -267,7 +279,7 @@ def mean_all(a) -> Tensor:
 
     def _bw(g):
         if a.requires_grad:
-            _accumulate(a, np.broadcast_to(g / n, a.shape).astype(a.dtype, copy=True))
+            _accumulate(a, np.broadcast_to(g / n, a.shape).astype(a.dtype), owned=True)
 
     return _result(a.values.mean(), (a,), _bw)
 
@@ -277,7 +289,7 @@ def sum_axis(a, axis: int) -> Tensor:
 
     def _bw(g):
         if a.requires_grad:
-            _accumulate(a, np.broadcast_to(np.expand_dims(g, axis), a.shape).copy())
+            _accumulate(a, np.broadcast_to(np.expand_dims(g, axis), a.shape).copy(), owned=True)
 
     return _result(a.values.sum(axis=axis), (a,), _bw)
 
@@ -293,7 +305,7 @@ def relu(a) -> Tensor:
 
     def _bw(g):
         if a.requires_grad:
-            _accumulate(a, g * mask)
+            _accumulate(a, g * mask, owned=True)
 
     return _result(np.maximum(a.values, 0), (a,), _bw)
 
@@ -309,7 +321,7 @@ def sigmoid(a) -> Tensor:
 
     def _bw(g):
         if a.requires_grad:
-            _accumulate(a, g * s * (1 - s))
+            _accumulate(a, g * s * (1 - s), owned=True)
 
     return _result(s, (a,), _bw)
 
@@ -322,7 +334,7 @@ def softplus(a) -> Tensor:
 
     def _bw(g):
         if a.requires_grad:
-            _accumulate(a, g * _sigmoid_values(v))
+            _accumulate(a, g * _sigmoid_values(v), owned=True)
 
     return _result(out_values, (a,), _bw)
 
@@ -339,7 +351,7 @@ def softmax_time(a) -> Tensor:
     def _bw(g):
         if a.requires_grad:
             inner = (g * s).sum(axis=-1, keepdims=True)
-            _accumulate(a, (g - inner) * s)
+            _accumulate(a, (g - inner) * s, owned=True)
 
     return _result(s, (a,), _bw)
 
@@ -347,6 +359,18 @@ def softmax_time(a) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution
 # ---------------------------------------------------------------------------
+
+
+def _tap_range(kk: int, t: int, t_out: int, stride: int, padding: int):
+    """Output columns [lo, hi) whose tap kk reads inside the unpadded input,
+    and the slice of the input they read (column j reads kk + j*stride - padding).
+    A tap that reads only padding has lo == hi and an empty slice."""
+    lo = min(t_out, max(0, -((kk - padding) // stride)))
+    hi = max(lo, min(t_out, (t - 1 + padding - kk) // stride + 1))
+    if hi == lo:
+        return lo, hi, slice(0, 0)
+    start = kk + lo * stride - padding
+    return lo, hi, slice(start, start + (hi - lo - 1) * stride + 1, stride)
 
 
 def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
@@ -371,33 +395,44 @@ def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
     if b is not None and b.shape != (c_out,):
         raise DimensionError(f"bias shape {b.shape} != ({c_out},)")
 
-    xp = np.pad(x.values, ((0, 0), (0, 0), (padding, padding))) if padding else x.values
+    xv = x.values
     t_out = (t + 2 * padding - k) // stride + 1
-    span = stride * (t_out - 1) + 1
-    # channel-major im2col: row (ci, kk) of cols is input channel ci shifted by tap kk
-    cols = np.empty((batch, c_in, k, t_out), dtype=xp.dtype)
-    for kk in range(k):
-        cols[:, :, kk, :] = xp[:, :, kk : kk + span : stride]
-    cols = cols.reshape(batch, c_in * k, t_out)
+    pointwise = k == 1 and stride == 1 and padding == 0
+    if pointwise:
+        cols = np.ascontiguousarray(xv)  # (B, Cin, T) is already the im2col matrix
+    else:
+        # channel-major im2col: row (ci, kk) of cols is input channel ci shifted by tap kk;
+        # columns whose tap falls in the padding are zeroed, the rest read straight from x
+        taps = [_tap_range(kk, t, t_out, stride, padding) for kk in range(k)]
+        cols = np.empty((batch, c_in, k, t_out), dtype=xv.dtype)
+        for kk, (lo, hi, src) in enumerate(taps):
+            cols[:, :, kk, :lo] = 0
+            cols[:, :, kk, hi:] = 0
+            cols[:, :, kk, lo:hi] = xv[:, :, src]
+        cols = cols.reshape(batch, c_in * k, t_out)
     w2 = w.values.reshape(c_out, c_in * k)
     out_values = w2 @ cols  # (B, Cout, T')
     if b is not None:
-        out_values = out_values + b.values[None, :, None]
+        out_values += b.values[None, :, None]
 
     parents = (x, w) if b is None else (x, w, b)
 
     def _bw(g):
         if b is not None and b.requires_grad:
-            _accumulate(b, g.sum(axis=(0, 2)))
+            _accumulate(b, g.sum(axis=(0, 2)), owned=True)
         if w.requires_grad:
             gw = (g @ cols.transpose(0, 2, 1)).sum(axis=0)  # (Cout, Cin*K)
-            _accumulate(w, gw.reshape(c_out, c_in, k))
+            _accumulate(w, gw.reshape(c_out, c_in, k), owned=True)
         if x.requires_grad:
-            gcols = (w2.T @ g).reshape(batch, c_in, k, t_out)
-            gxp = np.zeros_like(xp)
-            for kk in range(k):
-                gxp[:, :, kk : kk + span : stride] += gcols[:, :, kk, :]
-            _accumulate(x, gxp[:, :, padding : padding + t] if padding else gxp)
+            gcols = w2.T @ g  # (B, Cin*K, T')
+            if pointwise:
+                gx = gcols
+            else:
+                gcols = gcols.reshape(batch, c_in, k, t_out)
+                gx = np.zeros_like(xv)
+                for kk, (lo, hi, src) in enumerate(taps):
+                    gx[:, :, src] += gcols[:, :, kk, lo:hi]
+            _accumulate(x, gx, owned=True)
 
     return _result(out_values, parents, _bw)
 
@@ -442,34 +477,36 @@ def batch_norm(
         if batch * t <= 1:
             raise DimensionError("train-mode normalization needs more than one value per channel")
         mean = x.values.mean(axis=(0, 2))
-        centered = x.values - mean[None, :, None]
-        var = (centered * centered).mean(axis=(0, 2))
+        xhat = x.values - mean[None, :, None]
+        var = (xhat * xhat).mean(axis=(0, 2))
         state.running_mean[...] = (1 - momentum) * state.running_mean + momentum * mean
         state.running_var[...] = (1 - momentum) * state.running_var + momentum * var
     else:
         mean = state.running_mean.astype(x.dtype)
         var = state.running_var.astype(x.dtype)
-        centered = x.values - mean[None, :, None]
+        xhat = x.values - mean[None, :, None]
 
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv[None, :, None]
-    out_values = scale.values[None, :, None] * xhat + shift.values[None, :, None]
+    xhat *= inv[None, :, None]
+    out_values = xhat * scale.values[None, :, None]
+    out_values += shift.values[None, :, None]
 
     def _bw(g):
         g_sum = g.sum(axis=(0, 2))
         gxhat_sum = (g * xhat).sum(axis=(0, 2))
         if scale.requires_grad:
-            _accumulate(scale, gxhat_sum)
+            _accumulate(scale, gxhat_sum, owned=True)
         if shift.requires_grad:
-            _accumulate(shift, g_sum)
+            _accumulate(shift, g_sum, owned=True)
         if x.requires_grad:
             gain = (scale.values * inv)[None, :, None]
             if training:
                 n = batch * t
-                gx = gain * (g - (g_sum / n)[None, :, None]
-                             - xhat * (gxhat_sum / n)[None, :, None])
+                gx = g - (g_sum / n)[None, :, None]
+                gx -= xhat * (gxhat_sum / n)[None, :, None]
+                gx *= gain
             else:
-                gx = gain * g
-            _accumulate(x, gx)
+                gx = g * gain
+            _accumulate(x, gx, owned=True)
 
     return _result(out_values, (x, scale, shift), _bw)

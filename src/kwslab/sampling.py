@@ -93,7 +93,8 @@ def augment_window(
 ) -> np.ndarray:
     """Training-time augmentation: re-slice the window at a jittered start
     (falling back to zero shift at session edges), then add channel-scaled
-    Gaussian noise. jitter = noise = 0 is the identity.
+    Gaussian noise. jitter = noise = 0 is the identity. The signal is
+    float32 (C, T); the window comes back as a new float32 array.
     """
     total = signal.shape[1]
     if jitter_samples > 0:
@@ -107,5 +108,7 @@ def augment_window(
     if noise_std_fraction > 0:
         noise = rng.standard_normal(window.shape, dtype=np.float32)
         scale = (noise_std_fraction * np.asarray(channel_std, dtype=np.float32))[:, None]
-        return window + noise * scale
+        noise *= scale
+        noise += window
+        return noise
     return np.array(window, dtype=np.float32)

@@ -44,6 +44,8 @@ class SynthConfig:
     sample_rate_hz: float = 250.0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.vocab_size < 2:
             raise ValidationError("vocab_size must be >= 2")
         if self.snr < 0:

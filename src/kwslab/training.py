@@ -48,6 +48,10 @@ class TrainConfig:
             raise ValidationError("patience must lie in [0, max_epochs]")
         if self.lr <= 0:
             raise ValidationError("lr must be > 0")
+        if self.weight_decay < 0:
+            raise ValidationError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

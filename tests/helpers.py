@@ -1,8 +1,8 @@
 """Shared test utilities: finite-difference gradient checking with
 kink-stencil detection, brute-force metric oracles, the per-draw resampling
 reference the block engine is tested against, the loop-based operating-point
-selection the array version is tested against, and small helpers only the
-tests use."""
+selection the array version is tested against, the copying nncore kernels the
+copy-free ones must match bit for bit, and small helpers only the tests use."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import numpy as np
 
 import kwslab.metrics as mx
 import kwslab.nncore as nc
+import kwslab.nncore.tensor as nct
 from kwslab.errors import UndefinedMetricError, UndefinedOperatingPointError
 from kwslab.fixtures import load_reference_tables
 from kwslab.losses import total_loss
@@ -238,6 +239,125 @@ def loop_recall_vs_fa_curve(curve, scenario):
         best = max(best, recall)
         enveloped.append((fa, best))
     return enveloped
+
+
+# ---------------------------------------------------------------------------
+# reference kernels: conv1d, batch_norm and augment_window written with a
+# padded copy of the input, a copied im2col for every conv, fresh temporaries
+# for every normalisation step and a copy of every first gradient. The
+# library versions run the same float32 operations in the same order on fewer
+# fresh arrays, so they must agree bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def copy_accumulate(t, g, owned=False):
+    """`_accumulate` that copies every first gradient, whoever owns it."""
+    if t.grad is None:
+        t.grad = g.astype(t.values.dtype, copy=True)
+    else:
+        t.grad += g
+
+
+def reference_conv1d(x, w, b=None, stride=1, padding=0):
+    x, w = nc.as_tensor(x), nc.as_tensor(w)
+    if b is not None:
+        b = nc.as_tensor(b)
+    batch, c_in, t = x.shape
+    c_out, _, k = w.shape
+    xp = np.pad(x.values, ((0, 0), (0, 0), (padding, padding))) if padding else x.values
+    t_out = (t + 2 * padding - k) // stride + 1
+    span = stride * (t_out - 1) + 1
+    cols = np.empty((batch, c_in, k, t_out), dtype=xp.dtype)
+    for kk in range(k):
+        cols[:, :, kk, :] = xp[:, :, kk : kk + span : stride]
+    cols = cols.reshape(batch, c_in * k, t_out)
+    w2 = w.values.reshape(c_out, c_in * k)
+    out_values = w2 @ cols
+    if b is not None:
+        out_values = out_values + b.values[None, :, None]
+
+    def _bw(g):
+        if b is not None and b.requires_grad:
+            copy_accumulate(b, g.sum(axis=(0, 2)))
+        if w.requires_grad:
+            gw = (g @ cols.transpose(0, 2, 1)).sum(axis=0)
+            copy_accumulate(w, gw.reshape(c_out, c_in, k))
+        if x.requires_grad:
+            gcols = (w2.T @ g).reshape(batch, c_in, k, t_out)
+            gxp = np.zeros_like(xp)
+            for kk in range(k):
+                gxp[:, :, kk : kk + span : stride] += gcols[:, :, kk, :]
+            copy_accumulate(x, gxp[:, :, padding : padding + t] if padding else gxp)
+
+    return nct._result(out_values, (x, w) if b is None else (x, w, b), _bw)
+
+
+def reference_batch_norm(x, scale, shift, state, training, momentum=0.1, eps=1e-5):
+    x, scale, shift = nc.as_tensor(x), nc.as_tensor(scale), nc.as_tensor(shift)
+    batch, _, t = x.shape
+    if training:
+        mean = x.values.mean(axis=(0, 2))
+        centered = x.values - mean[None, :, None]
+        var = (centered * centered).mean(axis=(0, 2))
+        state.running_mean[...] = (1 - momentum) * state.running_mean + momentum * mean
+        state.running_var[...] = (1 - momentum) * state.running_var + momentum * var
+    else:
+        mean = state.running_mean.astype(x.dtype)
+        var = state.running_var.astype(x.dtype)
+        centered = x.values - mean[None, :, None]
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv[None, :, None]
+    out_values = scale.values[None, :, None] * xhat + shift.values[None, :, None]
+
+    def _bw(g):
+        g_sum = g.sum(axis=(0, 2))
+        gxhat_sum = (g * xhat).sum(axis=(0, 2))
+        if scale.requires_grad:
+            copy_accumulate(scale, gxhat_sum)
+        if shift.requires_grad:
+            copy_accumulate(shift, g_sum)
+        if x.requires_grad:
+            gain = (scale.values * inv)[None, :, None]
+            if training:
+                n = batch * t
+                gx = gain * (g - (g_sum / n)[None, :, None]
+                             - xhat * (gxhat_sum / n)[None, :, None])
+            else:
+                gx = gain * g
+            copy_accumulate(x, gx)
+
+    return nct._result(out_values, (x, scale, shift), _bw)
+
+
+def reference_augment_window(signal, start, n_samples, jitter_samples,
+                             noise_std_fraction, channel_std, rng):
+    total = signal.shape[1]
+    if jitter_samples > 0:
+        shift = int(rng.integers(-jitter_samples, jitter_samples + 1))
+        moved = start + shift
+        if moved < 0 or moved + n_samples > total:
+            moved = start
+    else:
+        moved = start
+    window = signal[:, moved : moved + n_samples]
+    if noise_std_fraction > 0:
+        noise = rng.standard_normal(window.shape, dtype=np.float32)
+        scale = (noise_std_fraction * np.asarray(channel_std, dtype=np.float32))[:, None]
+        return window + noise * scale
+    return np.array(window, dtype=np.float32)
+
+
+@contextmanager
+def copying_kernels():
+    """Run nncore with the reference conv1d and batch_norm and a copy of
+    every first gradient, the all-copy autodiff the library must match."""
+    saved = nc.conv1d, nc.batch_norm, nct._accumulate
+    nc.conv1d, nc.batch_norm, nct._accumulate = (
+        reference_conv1d, reference_batch_norm, copy_accumulate)
+    try:
+        yield
+    finally:
+        nc.conv1d, nc.batch_norm, nct._accumulate = saved
 
 
 # ---------------------------------------------------------------------------

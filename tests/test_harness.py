@@ -120,6 +120,23 @@ class TestConfigLoading:
         assert main(["synth", "--config", str(path), "--out", str(tmp_path / "d")]) == 1
         assert "vocab_size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,override,message", [
+        ("train", "training.seed=-1", "config.training: seed must be >= 0"),
+        ("train", "seeds=[0,-1]", "seeds must all be >= 0"),
+        ("synth", "corpus.synth.seed=-3", "config.corpus.synth: seed must be >= 0"),
+        ("evaluate", "evaluation.stat_seed=-2", "evaluation.stat_seed must be >= 0"),
+        ("train", "training.weight_decay=-5", "config.training: weight_decay must be >= 0"),
+    ])
+    def test_negative_seed_or_decay_is_invalid_input(self, corpus_dir, tmp_path, capsys,
+                                                     command, override, message):
+        # negative seeds used to reach np.random.SeedSequence (exit 2), and a
+        # negative weight decay trained and exited 0 with growing weights
+        config_path, _ = corpus_dir
+        out = ["--out", str(tmp_path / "d")] if command == "synth" else \
+            ["--workdir", str(tmp_path / "w")]
+        assert main([command, "--config", config_path, *out, "--set", override]) == 1
+        assert message in capsys.readouterr().err
+
 
 class TestSynthCommand:
     def test_manifest_lists_sessions(self, corpus_dir, micro_config_dict):

@@ -7,8 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kwslab.nncore as nc
+from helpers import (
+    copying_kernels,
+    reference_augment_window,
+    reference_batch_norm,
+    reference_conv1d,
+)
 from kwslab.errors import CheckpointError, DimensionError, GradientStateError
+from kwslab.losses import LossConfig, total_loss
 from kwslab.model import DetectorModel, ModelConfig
+from kwslab.sampling import augment_window
 
 RNG = np.random.default_rng(123)
 
@@ -253,6 +261,219 @@ class TestBatchNorm:
             return nc.sum_all(nc.mul(nc.batch_norm(x, scale, shift, state, training=True), g))
 
         assert_grad_matches(build, [x, scale, shift], tol=1e-7)
+
+
+def _float32(rng, shape, offset=0.0):
+    return (offset + rng.standard_normal(shape)).astype(np.float32)
+
+
+def _conv_outputs(conv, x, w, bias, g, stride, padding):
+    """conv1d forward values and (grad-x, grad-w, grad-b) under cotangent g."""
+    x = nc.Tensor(x.copy(), requires_grad=True)
+    w = nc.Tensor(w.copy(), requires_grad=True)
+    bias = None if bias is None else nc.Tensor(bias.copy(), requires_grad=True)
+    out = conv(x, w, bias, stride=stride, padding=padding)
+    nc.backward(nc.sum_all(nc.mul(out, nc.Tensor(g))))
+    return [out.values, x.grad, w.grad] + ([] if bias is None else [bias.grad])
+
+
+def _assert_conv_bit_identical(b, cin, cout, k, stride, padding, t, with_bias, seed):
+    rng = np.random.default_rng(seed)
+    x = _float32(rng, (b, cin, t))
+    w = _float32(rng, (cout, cin, k))
+    bias = _float32(rng, cout) if with_bias else None
+    t_out = (t + 2 * padding - k) // stride + 1
+    g = _float32(rng, (b, cout, t_out))
+    got = _conv_outputs(nc.conv1d, x, w, bias, g, stride, padding)
+    want = _conv_outputs(reference_conv1d, x, w, bias, g, stride, padding)
+    for a, r in zip(got, want):
+        assert a.dtype == r.dtype == np.float32 and a.shape == r.shape
+        assert np.array_equal(a, r)
+
+
+def _bn_outputs(norm, x, scale, shift, g, stats, training):
+    state = nc.NormState(x.shape[1])
+    state.running_mean[...], state.running_var[...] = stats
+    x = nc.Tensor(x.copy(), requires_grad=True)
+    scale = nc.Tensor(scale.copy(), requires_grad=True)
+    shift = nc.Tensor(shift.copy(), requires_grad=True)
+    out = norm(x, scale, shift, state, training=training)
+    nc.backward(nc.sum_all(nc.mul(out, nc.Tensor(g))))
+    return [out.values, x.grad, scale.grad, shift.grad, state.running_mean, state.running_var]
+
+
+class TestKernelBitIdentity:
+    """The copy-free kernels run the reference kernels' float32 operations in
+    the same order, so every output and gradient is equal, not just close."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        b=st.integers(1, 3),
+        cin=st.integers(1, 4),
+        cout=st.integers(1, 4),
+        k=st.sampled_from([1, 3, 5, 7]),
+        stride=st.integers(1, 4),
+        padding=st.integers(0, 3),
+        extra=st.integers(0, 12),
+        with_bias=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_conv1d_matches_reference(self, b, cin, cout, k, stride, padding, extra,
+                                      with_bias, seed):
+        t = max(1, k - 2 * padding) + extra
+        _assert_conv_bit_identical(b, cin, cout, k, stride, padding, t, with_bias, seed)
+
+    @pytest.mark.parametrize("k,stride,padding,t", [
+        (7, 1, 3, 1),  # taps 0-2 and 4-6 read only padding
+        (5, 1, 3, 1),  # padding > K - 1: the outer taps never reach the input
+        (3, 4, 3, 2),  # stride > T: most columns sit in the padding
+        (7, 3, 3, 2),
+        (1, 4, 2, 1),  # pointwise kernel over a padded input
+        (1, 1, 0, 5),  # the copy-free pointwise path
+        (3, 1, 0, 3),  # a single output column, no padding
+    ])
+    def test_conv1d_taps_outside_the_input(self, k, stride, padding, t):
+        for with_bias in (False, True):
+            _assert_conv_bit_identical(2, 3, 2, k, stride, padding, t, with_bias, seed=k + t)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        b=st.integers(1, 4),
+        c=st.integers(1, 5),
+        t=st.integers(2, 30),
+        training=st.booleans(),
+        offset=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_norm_matches_reference(self, b, c, t, training, offset, seed):
+        rng = np.random.default_rng(seed)
+        x = _float32(rng, (b, c, t), offset)
+        scale = rng.uniform(0.5, 1.5, c).astype(np.float32)
+        shift = _float32(rng, c)
+        g = _float32(rng, (b, c, t))
+        stats = (_float32(rng, c), rng.uniform(0.5, 2.0, c).astype(np.float32))
+        got = _bn_outputs(nc.batch_norm, x, scale, shift, g, stats, training)
+        want = _bn_outputs(reference_batch_norm, x, scale, shift, g, stats, training)
+        for a, r in zip(got, want):
+            assert a.dtype == r.dtype == np.float32
+            assert np.array_equal(a, r)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        c=st.integers(1, 4),
+        n_samples=st.integers(1, 40),
+        jitter=st.integers(0, 6),
+        noise=st.sampled_from([0.0, 0.1, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_augment_window_matches_reference(self, c, n_samples, jitter, noise, seed):
+        rng = np.random.default_rng(seed)
+        signal = _float32(rng, (c, n_samples + 20))
+        std = rng.uniform(0.1, 2.0, c)
+        start = int(rng.integers(0, 21))
+        got = augment_window(signal, start, n_samples, jitter, noise, std,
+                             np.random.default_rng(seed))
+        want = reference_augment_window(signal, start, n_samples, jitter, noise, std,
+                                        np.random.default_rng(seed))
+        assert got.dtype == want.dtype == np.float32
+        assert np.array_equal(got, want)
+        assert not np.shares_memory(got, signal)
+
+
+def _small_model():
+    return DetectorModel.initialize(
+        ModelConfig(in_channels=4, trunk_channels=8, proj_channels=8), seed=3)
+
+
+def _train_step_batch(seed=0, b=6, t=48):
+    rng = np.random.default_rng(seed)
+    labels = np.array([1, 0] * (b // 2))
+    return rng.standard_normal((b, 4, t)).astype(np.float32), labels
+
+
+class TestGradientHandoff:
+    """Adopted gradients are never shared: a tensor read twice gets the sum of
+    both gradients, and no `.grad` array aliases another."""
+
+    def test_conv_output_feeding_relu_and_residual_add(self):
+        x = nc.Tensor(RNG.standard_normal((2, 3, 9)), requires_grad=True)
+        w = nc.Tensor(RNG.standard_normal((3, 3, 3)) * 0.5, requires_grad=True)
+        b = nc.Tensor(RNG.standard_normal(3) * 0.1, requires_grad=True)
+        g = nc.Tensor(RNG.standard_normal((2, 3, 9)))
+
+        def build():
+            h = nc.conv1d(x, w, b, padding=1)
+            return nc.sum_all(nc.mul(nc.add(nc.relu(h), h), g))
+
+        assert_grad_matches(build, [x, w, b], tol=1e-7)
+
+    @pytest.mark.parametrize("k_first,padding", [(3, 1), (1, 0)])
+    def test_input_feeding_two_convs(self, k_first, padding):
+        # (1, 0): two pointwise convs read one tensor, as the two heads do
+        x = nc.Tensor(RNG.standard_normal((2, 3, 8)), requires_grad=True)
+        w1 = nc.Tensor(RNG.standard_normal((2, 3, k_first)) * 0.5, requires_grad=True)
+        w2 = nc.Tensor(RNG.standard_normal((2, 3, 1)) * 0.5, requires_grad=True)
+        b2 = nc.Tensor(RNG.standard_normal(2) * 0.1, requires_grad=True)
+        g = nc.Tensor(RNG.standard_normal((2, 2, 8)))
+
+        def build():
+            y = nc.add(nc.conv1d(x, w1, padding=padding), nc.conv1d(x, w2, b2))
+            return nc.sum_all(nc.mul(nc.power(y, 2), g))
+
+        assert_grad_matches(build, [x, w1, w2, b2], tol=1e-7)
+
+    def test_editing_one_grad_leaves_the_others(self):
+        # besides the model, two leaves summed as the residual add sums its
+        # branches, and one reshaped: add and reshape hand back the upstream
+        # gradient itself, which must be copied, never adopted
+        model = _small_model()
+        batch, labels = _train_step_batch()
+        leaves = {n: nc.Tensor(RNG.standard_normal((2, 3)), requires_grad=True)
+                  for n in ("branch_a", "branch_b", "flat")}
+        out = model.forward(batch, training=True)
+        loss, _ = total_loss(out.prob, out.logit, labels, LossConfig(), np.random.default_rng(1))
+        branches = nc.add(leaves["branch_a"], leaves["branch_b"])
+        flat = nc.reshape(leaves["flat"], (6,))
+        extra = nc.add(nc.sum_all(nc.mul(branches, nc.Tensor(RNG.standard_normal((2, 3))))),
+                       nc.sum_all(nc.mul(flat, nc.Tensor(RNG.standard_normal(6)))))
+        nc.backward(nc.add(loss, extra))
+        grads = {n: p.grad for n, p in {**model.params, **leaves}.items()}
+        before = {n: g.copy() for n, g in grads.items()}
+        for name, grad in grads.items():
+            grad += 1.0
+            for other, g in grads.items():
+                if other != name:
+                    assert np.array_equal(g, before[other]), (name, other)
+            grad[...] = before[name]
+        for a in grads:
+            for b in grads:
+                assert a == b or not np.shares_memory(grads[a], grads[b])
+
+    def test_two_adamw_steps_match_the_all_copy_reference(self):
+        def run():
+            model = _small_model()
+            opt = nc.AdamW(model.params, lr=1e-2, weight_decay=0.01)
+            for step in range(2):
+                batch, labels = _train_step_batch(seed=step)
+                opt.zero_grad()
+                out = model.forward(batch, training=True)
+                loss, _ = total_loss(out.prob, out.logit, labels, LossConfig(),
+                                     np.random.default_rng(step))
+                nc.backward(loss)
+                opt.step()
+            arrays = {n: p.values for n, p in model.params.items()}
+            arrays.update({f"{n}.grad": p.grad for n, p in model.params.items()})
+            for name, state in model.norm_states.items():
+                arrays[f"{name}.running_mean"] = state.running_mean
+                arrays[f"{name}.running_var"] = state.running_var
+            return arrays
+
+        got = run()
+        with copying_kernels():
+            want = run()
+        assert got.keys() == want.keys()
+        for name in got:
+            assert got[name].tobytes() == want[name].tobytes(), name
 
 
 class TestNoGrad:

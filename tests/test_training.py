@@ -223,6 +223,11 @@ class TestTrain:
             TrainConfig(patience=10, max_epochs=5)
         with pytest.raises(ValidationError):
             TrainConfig(lr=0.0)
+        with pytest.raises(ValidationError, match="weight_decay"):
+            TrainConfig(weight_decay=-0.01)
+        with pytest.raises(ValidationError, match="seed"):
+            TrainConfig(seed=-1)
+        TrainConfig(weight_decay=0.0, seed=0)
 
 
 class TestEvaluate:
