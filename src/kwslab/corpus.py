@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,7 @@ from .fileio import atomic_open
 EVENT_KINDS = ("word", "phoneme", "speech")
 EVENTS_HEADER = ("onset", "duration", "kind", "word")
 STD_FLOOR = 1e-8
+SIDECAR_KEYS = ("n_channels", "n_samples", "sample_rate_hz", "checksum_sha256")
 
 
 def round_half_up(x: float) -> int:
@@ -199,9 +201,9 @@ class Normalizer:
     std: np.ndarray
 
     def apply(self, arr: np.ndarray) -> np.ndarray:
-        mean = self.mean.astype(np.float32)[:, None]
-        std = self.std.astype(np.float32)[:, None]
-        return ((np.asarray(arr, dtype=np.float32) - mean) / std).astype(np.float32)
+        out = np.asarray(arr, dtype=np.float32) - self.mean.astype(np.float32)[:, None]
+        out /= self.std.astype(np.float32)[:, None]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +359,11 @@ def fit_normalizer(train_sessions) -> Normalizer:
     acc = np.zeros(n_channels, dtype=np.float64)
     acc_sq = np.zeros(n_channels, dtype=np.float64)
     for session in train_sessions:
-        sig = session.signal.astype(np.float64)
-        acc += sig.sum(axis=1)
-        acc_sq += (sig * sig).sum(axis=1)
+        # a row at a time: the same pairwise sums as over the whole matrix
+        for c, row in enumerate(session.signal):
+            row = row.astype(np.float64)
+            acc[c] += row.sum()
+            acc_sq[c] += (row * row).sum()
         total += session.n_samples
     if total == 0:
         raise ValidationError("training sessions contain no samples")
@@ -374,10 +378,24 @@ def fit_normalizer(train_sessions) -> Normalizer:
 # ---------------------------------------------------------------------------
 
 
+def map_sessions(fn, items) -> list:
+    """`fn` of each item, on one worker thread per item up to the core count.
+
+    The work that dominates releases the GIL: numpy fills, sha256, file
+    reads and writes. Results come back in item order, and so does the
+    first exception; items not yet started when it is raised are dropped.
+    Keep `fn` to per-session work: a tracer that wraps this package's
+    public functions keeps one span stack, for the calling thread.
+    """
+    items = list(items)
+    with ThreadPoolExecutor(max(1, min(len(items), os.cpu_count() or 1))) as pool:
+        return list(pool.map(fn, items))
+
+
 def save_session(session, root: str) -> str:
     """Write the signal, sidecar and events files; returns the signal's sha256."""
     os.makedirs(root, exist_ok=True)
-    raw = np.ascontiguousarray(session.signal, dtype="<f4").tobytes()
+    raw = np.ascontiguousarray(session.signal, dtype="<f4").reshape(-1).view(np.uint8)
     checksum = hashlib.sha256(raw).hexdigest()
     base = os.path.join(root, session.session_id)
     with atomic_open(base + ".f32", "wb") as fh:
@@ -398,15 +416,36 @@ def save_session(session, root: str) -> str:
     return checksum
 
 
-def load_session(root: str, session_id: str) -> Session:
+def _open_session(root: str, session_id: str) -> tuple[dict, np.ndarray]:
+    """A session's sidecar, checked, and an empty signal of its shape."""
+    path = os.path.join(root, session_id + ".json")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            sidecar = json.load(fh)
+        except ValueError:  # not JSON, or not UTF-8
+            sidecar = None
+    if not isinstance(sidecar, dict):
+        raise ValidationError(f"session {session_id}: {path} is not a JSON object")
+    missing = [key for key in SIDECAR_KEYS if key not in sidecar]
+    if missing:
+        raise ValidationError(f"session {session_id}: {path} has no {', '.join(missing)}")
+    shape = sidecar["n_channels"], sidecar["n_samples"]
+    if not all(type(d) is int and d >= 0 for d in shape):
+        raise ValidationError(f"session {session_id}: {path} gives the shape {shape}, not counts")
+    return sidecar, np.empty(shape, dtype="<f4")
+
+
+def _read_session(root: str, session_id: str, sidecar: dict, signal: np.ndarray) -> Session:
+    """Read a session's signal file into `signal`, check it against the
+    sidecar, and parse its events."""
     base = os.path.join(root, session_id)
-    with open(base + ".json", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
+    raw = signal.reshape(-1).view(np.uint8)  # the signal's own bytes
     with open(base + ".f32", "rb") as fh:
-        raw = fh.read()
-    signal = np.frombuffer(raw, dtype="<f4").reshape(
-        sidecar["n_channels"], sidecar["n_samples"]
-    )
+        if fh.readinto(raw) != raw.nbytes or fh.read(1):
+            raise ValidationError(
+                f"session {session_id}: {base}.f32 does not hold the "
+                f"{signal.shape[0]} x {signal.shape[1]} float32 samples its sidecar gives"
+            )
     checksum = hashlib.sha256(raw).hexdigest()
     if checksum != sidecar["checksum_sha256"]:
         raise ValidationError(f"session {session_id}: signal checksum mismatch")
@@ -418,27 +457,23 @@ def load_session(root: str, session_id: str) -> Session:
     )
     with open(base + "_events.tsv", encoding="utf-8") as fh:
         events = parse_events_tsv(fh.read())
-    return Session(
-        session_id=session_id, signal=signal.copy(), events=events, channel_config=config
-    )
+    return Session(session_id=session_id, signal=signal, events=events, channel_config=config)
+
+
+def load_session(root: str, session_id: str) -> Session:
+    return _read_session(root, session_id, *_open_session(root, session_id))
 
 
 def save_corpus(sessions, root: str, default_split: SplitAssignment):
-    """Write every session plus a manifest carrying the default partition hints."""
+    """Write every session, one thread per session, then a manifest carrying
+    the default partition hints."""
     os.makedirs(root, exist_ok=True)
     partition = {sid: "train" for sid in default_split.train}
     partition[default_split.validation] = "validation"
     partition[default_split.test] = "test"
-    entries = []
-    for session in sessions:
-        checksum = save_session(session, root)
-        entries.append(
-            {
-                "session_id": session.session_id,
-                "partition": partition[session.session_id],
-                "checksum_sha256": checksum,
-            }
-        )
+    checksums = map_sessions(lambda session: save_session(session, root), sessions)
+    entries = [{"session_id": s.session_id, "partition": partition[s.session_id],
+                "checksum_sha256": checksum} for s, checksum in zip(sessions, checksums)]
     manifest = {"sessions": entries}
     with atomic_open(os.path.join(root, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -446,13 +481,15 @@ def save_corpus(sessions, root: str, default_split: SplitAssignment):
 
 
 def load_corpus(root: str):
-    """Read the manifest and all sessions; returns (sessions, default_split)."""
+    """Read the manifest and all sessions, one thread per session; returns
+    (sessions, default_split)."""
     with open(os.path.join(root, "manifest.json"), encoding="utf-8") as fh:
         manifest = json.load(fh)
-    sessions = []
+    ids = [entry["session_id"] for entry in manifest["sessions"]]
+    opened = [_open_session(root, sid) for sid in ids]  # the signals are allocated here
+    sessions = map_sessions(lambda i: _read_session(root, ids[i], *opened[i]), range(len(ids)))
     parts = {"train": [], "validation": [], "test": []}
     for entry in manifest["sessions"]:
-        sessions.append(load_session(root, entry["session_id"]))
         parts[entry["partition"]].append(entry["session_id"])
     if len(parts["validation"]) != 1 or len(parts["test"]) != 1:
         raise ValidationError(

@@ -241,10 +241,9 @@ class _Engine:
                                        self.ends[group] + 1, group, np.full(rows, self.ends.size))
         return out
 
-    def on_resamples(self, block, cursors: dict) -> dict:
-        """Rows of bootstrap indices. The cursor of each acceptance class
-        takes the rows its metrics are evaluated on; the draw counts are
-        shared by the classes."""
+    def on_resamples(self, block, taken: dict) -> dict:
+        """Rows of bootstrap indices, and the rows of the block each
+        acceptance class takes; the draw counts are shared by the classes."""
         rows, n = block.shape
         flat = (self.position[block] + n * np.arange(rows)[:, None]).ravel()
         counts = np.bincount(flat, minlength=rows * n).reshape(rows, n)
@@ -252,7 +251,6 @@ class _Engine:
         np.cumsum(counts, axis=1, out=prefix[:, 1:])
         hits = counts[:, self.positives]  # draws of each positive, in score order
         k = hits.sum(axis=1)
-        taken = {c: cur.take(_defined(c, k, n)) for c, cur in cursors.items() if cur.left}
         if taken.keys() - {"thresholded"}:
             tp = np.cumsum(hits, axis=1)  # positives drawn down to each positive
             edges = prefix[:, self.edges]  # items drawn above each group, and in all
@@ -357,23 +355,30 @@ def _percentile_ci(point: float, values, n_redrawn: int) -> BootstrapResult:
     )
 
 
-def _bootstrap(engine: _Engine, n_resamples: int, seed: int) -> dict:
-    """One stream of resamples for all the engine's metrics. Each acceptance
-    class redraws where its metrics are undefined (e.g. zero positives for
-    AUPRC), and so sees exactly the draws a stream of its own would give."""
+def _bootstrap(engines: list[_Engine], n_resamples: int, seed: int) -> list[dict]:
+    """One stream of resamples for all the metrics of the engines, which
+    share one label vector and one roster. Each acceptance class redraws
+    where its metrics are undefined (e.g. zero positives for AUPRC), and so
+    sees exactly the draws a stream of its own would give. Where a class
+    accepts depends only on the labels drawn, so one cursor per class
+    serves every engine."""
     _require_draws(n_resamples, "n_resamples")
     rng = _rng(seed)
-    n = engine.n
+    first = engines[0]
+    n = first.n
     rows = max(1, _BLOCK_ELEMENTS // n)
-    cursors = {c: _Cursor(n_resamples) for c in engine.class_of.values()}
-    values = {m: np.empty(n_resamples, dtype=np.float64) for m in engine.names}
+    cursors = {c: _Cursor(n_resamples) for c in first.class_of.values()}
+    values = [{m: np.empty(n_resamples, dtype=np.float64) for m in e.names} for e in engines]
     while need := max(cur.left for cur in cursors.values()):
         block = np.stack([rng.integers(0, n, size=n) for _ in range(min(rows, need))])
-        for m, v in engine.on_resamples(block, cursors).items():
-            end = n_resamples - cursors[engine.class_of[m]].left
-            values[m][end - v.size : end] = v
-    return {m: _percentile_ci(engine.observed[m], values[m], cursors[engine.class_of[m]].n_redrawn)
-            for m in engine.names}
+        k = first.labels[block].sum(axis=1)  # positives drawn per row
+        taken = {c: cur.take(_defined(c, k, n)) for c, cur in cursors.items() if cur.left}
+        for engine, vals in zip(engines, values):
+            for m, v in engine.on_resamples(block, taken).items():
+                end = n_resamples - cursors[engine.class_of[m]].left
+                vals[m][end - v.size : end] = v
+    return [{m: _percentile_ci(e.observed[m], vals[m], cursors[e.class_of[m]].n_redrawn)
+             for m in e.names} for e, vals in zip(engines, values)]
 
 
 def bootstrap_ci(
@@ -386,7 +391,7 @@ def bootstrap_ci(
     """95% percentile bootstrap over examples of a metric named in
     REPORT_METRICS; resamples on which the metric is undefined (e.g. zero
     positives for AUPRC) are redrawn and counted."""
-    return _bootstrap(_Engine(scored, (metric,), tau), n_resamples, seed)[metric]
+    return _bootstrap([_Engine(scored, (metric,), tau)], n_resamples, seed)[0][metric]
 
 
 @dataclass(frozen=True)
@@ -577,12 +582,13 @@ def build_metrics_reports(scored_sets: list[ScoredSet], tau: float = 0.5, n_resa
                           ) -> tuple[list[MetricsReport], dict[str, PermutationResult]]:
     """`build_metrics_report` of each of the per-seed scored sets, which
     share one label vector, and the seed-mean permutation tests of the six
-    metrics. One stream of shuffles serves every set and the seed means."""
+    metrics. One stream of resamples serves every set, and one stream of
+    shuffles every set and the seed means."""
     engines = _engines(scored_sets, REPORT_METRICS, tau)
     nulls = _shuffle_nulls(engines, n_draws, seed)
     reports = []
-    for scored, engine, null in zip(scored_sets, engines, nulls):
-        boots = _bootstrap(engine, n_resamples, seed)
+    for scored, engine, null, boots in zip(scored_sets, engines, nulls,
+                                           _bootstrap(engines, n_resamples, seed)):
         entries = {}
         for name in REPORT_METRICS:
             boot, perm = boots[name], _permutation_result(engine.observed[name], null[name])

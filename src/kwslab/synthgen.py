@@ -1,9 +1,9 @@
 """Deterministic generator of MEG-like corpora with a Zipfian lexicon and
 injected word-evoked signatures, sized for desk-scale end-to-end runs.
 
-Every random draw is keyed by an explicit (seed, stream, ...) tuple so
-per-session generation can run in parallel without changing a single bit of
-the output.
+Every random draw is keyed by an explicit (seed, stream, ...) tuple, so the
+sessions are generated on one thread per session, up to the core count, and
+the output is bit-identical to generating them one after another.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import ChannelConfig, Session, SplitAssignment, WordEvent, round_half_up
+from .corpus import ChannelConfig, Session, SplitAssignment, WordEvent, map_sessions, round_half_up
 from .errors import ValidationError
 
 # RNG stream tags
@@ -137,12 +137,24 @@ def build_templates(config: SynthConfig) -> dict[str, WordTemplate]:
     return templates
 
 
-def _generate_session(config, session_idx, lexicon, probs, templates) -> Session:
+def _burst(template: WordTemplate, width: int, config: SynthConfig) -> np.ndarray:
+    """The float32 evoked burst of one token `width` samples long; its peak
+    sample amplitude over the unit noise std is the snr."""
+    burst = np.outer(template.spatial, template.kernel(width, config.sample_rate_hz))
+    peak = np.max(np.abs(burst))
+    if peak > 0:
+        burst *= config.snr / peak
+    return burst.astype(np.float32)
+
+
+def _generate_session(config, session_idx, lexicon, probs, burst, signal) -> Session:
+    """Fill `signal`, allocated by the caller, with one session's noise and
+    bursts; `burst(word, width)` gives a token's burst."""
     fs = config.sample_rate_hz
     session_s = config.session_minutes * 60.0
-    n_samples = round_half_up(session_s * fs)
+    n_samples = signal.shape[1]
     noise_rng = _rng(config.seed, _STREAM_NOISE, session_idx)
-    signal = noise_rng.standard_normal((config.n_channels, n_samples), dtype=np.float32)
+    noise_rng.standard_normal(dtype=np.float32, out=signal)
 
     events = []
     t = _HEAD_MARGIN_S
@@ -159,15 +171,8 @@ def _generate_session(config, session_idx, lexicon, probs, templates) -> Session
         events.append(WordEvent(onset_s=onset, duration_s=duration, word=word, kind="word"))
         if config.snr > 0:
             start = round_half_up(onset * fs)
-            width = max(round_half_up(duration * fs), 1)
-            width = min(width, n_samples - start)
-            template = templates[word]
-            burst = np.outer(template.spatial, template.kernel(width, fs))
-            peak = np.max(np.abs(burst))
-            if peak > 0:
-                # snr = peak burst sample amplitude over the unit noise std
-                burst *= config.snr / peak
-            signal[:, start : start + width] += burst.astype(np.float32)
+            width = min(max(round_half_up(duration * fs), 1), n_samples - start)
+            signal[:, start : start + width] += burst(word, width)
         t = onset + duration
         token_idx += 1
 
@@ -181,19 +186,44 @@ def _generate_session(config, session_idx, lexicon, probs, templates) -> Session
     )
 
 
+def _bursts(templates: dict[str, WordTemplate], config: SynthConfig):
+    """`burst(word, width)`, the burst of one token. Each word's burst is
+    made once, at the longest token width, and a token covering the
+    response span takes a slice of it: the kernel is zero past the span, so
+    the peak and the scaling are the same numbers. Shorter tokens make their
+    own."""
+    fs = config.sample_rate_hz
+    longest = max(round_half_up(config.word_duration_range_s[1] * fs), 1)
+    # samples of the longest token inside the span, by the kernel's own test;
+    # at least one, so a token cut to zero samples fails in _burst as it would alone
+    span = max(1, int(np.count_nonzero((np.arange(longest) + 0.5) / fs < _RESPONSE_SPAN_S)))
+    table = {word: _burst(t, longest, config) for word, t in templates.items()}
+
+    def burst(word, width):
+        if span <= width <= longest:
+            return table[word][:, :width]
+        return _burst(templates[word], width, config)
+
+    return burst
+
+
 def generate_corpus(config: SynthConfig):
     """Generate all sessions plus the ground-truth template map.
 
     Identical configs produce bit-identical corpora regardless of how the
-    per-session work is scheduled.
+    per-session work is scheduled: the signals are allocated here and filled
+    on one worker thread per session.
     """
     lexicon = build_lexicon(config.vocab_size)
     probs = zipf_probabilities(config.vocab_size, config.zipf_exponent)
     templates = build_templates(config)
-    sessions = [
-        _generate_session(config, idx, lexicon, probs, templates)
-        for idx in range(config.n_sessions)
-    ]
+    burst = _bursts(templates, config) if config.snr > 0 else None
+    n_samples = round_half_up(config.session_minutes * 60.0 * config.sample_rate_hz)
+    signals = [np.empty((config.n_channels, n_samples), dtype=np.float32)
+               for _ in range(config.n_sessions)]
+    sessions = map_sessions(
+        lambda idx: _generate_session(config, idx, lexicon, probs, burst, signals[idx]),
+        range(config.n_sessions))
     return sessions, templates
 
 

@@ -1,8 +1,9 @@
 """Shared test utilities: finite-difference gradient checking with
 kink-stencil detection, brute-force metric oracles, the per-draw resampling
 reference the block engine is tested against, the loop-based operating-point
-selection the array version is tested against, the copying nncore kernels the
-copy-free ones must match bit for bit, and small helpers only the tests use."""
+selection the array version is tested against, the copying nncore kernels and
+the serial corpus set-up the copy-free ones must match bit for bit, and small
+helpers only the tests use."""
 
 from __future__ import annotations
 
@@ -14,6 +15,8 @@ import numpy as np
 import kwslab.metrics as mx
 import kwslab.nncore as nc
 import kwslab.nncore.tensor as nct
+import kwslab.synthgen as synthgen
+from kwslab.corpus import STD_FLOOR, ChannelConfig, Normalizer, Session, WordEvent, round_half_up
 from kwslab.errors import UndefinedMetricError, UndefinedOperatingPointError
 from kwslab.fixtures import load_reference_tables
 from kwslab.losses import total_loss
@@ -358,6 +361,87 @@ def copying_kernels():
         yield
     finally:
         nc.conv1d, nc.batch_norm, nct._accumulate = saved
+
+
+# ---------------------------------------------------------------------------
+# reference corpus set-up: serial session generation with a burst made for
+# every token, and a normalizer fitted on whole-matrix float64 copies and
+# applied with a final copy. The library fills caller-allocated signals on
+# worker threads, slices each word's burst from a per-corpus table and
+# normalises in place, so it must agree bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _reference_session(config, session_idx, lexicon, probs, templates):
+    fs = config.sample_rate_hz
+    session_s = config.session_minutes * 60.0
+    n_samples = round_half_up(session_s * fs)
+    noise_rng = synthgen._rng(config.seed, synthgen._STREAM_NOISE, session_idx)
+    signal = noise_rng.standard_normal((config.n_channels, n_samples), dtype=np.float32)
+    events = []
+    t = synthgen._HEAD_MARGIN_S
+    token_idx = 0
+    while True:
+        token_rng = synthgen._rng(config.seed, synthgen._STREAM_TOKENS, session_idx, token_idx)
+        gap = float(token_rng.uniform(*config.gap_range_s))
+        rank = int(token_rng.choice(config.vocab_size, p=probs))
+        duration = float(token_rng.uniform(*config.word_duration_range_s))
+        onset = t if token_idx == 0 else t + gap
+        if onset + duration + synthgen._TAIL_MARGIN_S > session_s:
+            break
+        word = lexicon[rank]
+        events.append(WordEvent(onset_s=onset, duration_s=duration, word=word, kind="word"))
+        if config.snr > 0:
+            start = round_half_up(onset * fs)
+            width = max(round_half_up(duration * fs), 1)
+            width = min(width, n_samples - start)
+            template = templates[word]
+            burst = np.outer(template.spatial, template.kernel(width, fs))
+            peak = np.max(np.abs(burst))
+            if peak > 0:
+                burst *= config.snr / peak
+            signal[:, start : start + width] += burst.astype(np.float32)
+        t = onset + duration
+        token_idx += 1
+    return Session(
+        session_id=f"s{session_idx:03d}",
+        signal=signal,
+        events=events,
+        channel_config=ChannelConfig(
+            n_channels=config.n_channels, sample_rate_hz=fs, channel_names=None
+        ),
+    )
+
+
+def reference_generate_corpus(config):
+    lexicon = synthgen.build_lexicon(config.vocab_size)
+    probs = synthgen.zipf_probabilities(config.vocab_size, config.zipf_exponent)
+    templates = synthgen.build_templates(config)
+    sessions = [_reference_session(config, idx, lexicon, probs, templates)
+                for idx in range(config.n_sessions)]
+    return sessions, templates
+
+
+def reference_fit_normalizer(train_sessions):
+    n_channels = train_sessions[0].channel_config.n_channels
+    total = 0
+    acc = np.zeros(n_channels, dtype=np.float64)
+    acc_sq = np.zeros(n_channels, dtype=np.float64)
+    for session in train_sessions:
+        sig = session.signal.astype(np.float64)
+        acc += sig.sum(axis=1)
+        acc_sq += (sig * sig).sum(axis=1)
+        total += session.n_samples
+    mean = acc / total
+    var = np.maximum(acc_sq / total - mean * mean, 0.0)
+    std = np.maximum(np.sqrt(var), STD_FLOOR)
+    return Normalizer(mean=mean, std=std)
+
+
+def reference_normalizer_apply(normalizer, arr):
+    mean = normalizer.mean.astype(np.float32)[:, None]
+    std = normalizer.std.astype(np.float32)[:, None]
+    return ((np.asarray(arr, dtype=np.float32) - mean) / std).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------

@@ -113,3 +113,26 @@ def test_failed_corpus_write_keeps_old_file_and_leaves_no_temp(tmp_path, monkeyp
     monkeypatch.undo()
     assert (tmp_path / name).read_bytes() == before[name]
     assert sorted(os.listdir(tmp_path)) == sorted(before)
+
+
+@pytest.mark.parametrize("name", ["s1.f32", "s1.json", "s1_events.tsv"])
+def test_failed_session_write_leaves_no_manifest_and_no_temp(tmp_path, monkeypatch, name):
+    # sessions are written on worker threads; the caller writes the manifest
+    # only after every session is out
+    real_open = builtins.open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if set(mode) & set("wxa") and name in os.path.basename(str(file)):
+            return DiskFull(fh)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", failing_open)
+    sessions, split = corpus(1.0)
+    with pytest.raises(OSError, match="no space left"):
+        save_corpus(sessions, str(tmp_path), split)
+    monkeypatch.undo()
+    written = os.listdir(tmp_path)
+    assert "manifest.json" not in written
+    assert not [f for f in written if f.endswith(".tmp")]
+    assert name not in written

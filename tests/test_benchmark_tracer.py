@@ -26,3 +26,31 @@ def test_tracer_wraps_and_restores_every_name():
         mx.ScoredSet([0.2, 0.7], [0, 1])
     assert (nc.sum_all, training.prepare_task, mx.permutation_pvalue) == originals
     assert tracer.per_layer()["metrics.scoredsets_built"] == 1
+
+
+def test_traced_corpus_setup_times_every_stage(tmp_path):
+    # the tracer keeps one span stack for the calling thread, so a set-up
+    # stage that ran a wrapped function on a worker thread would misnest
+    from perfbench import checks
+    from perfbench.workloads import Size, corpus_setup
+
+    size = Size(synth={"n_sessions": 4, "session_minutes": 1.5, "vocab_size": 12,
+                       "zipf_exponent": 0.7, "word_duration_range_s": (0.20, 0.35),
+                       "gap_range_s": (0.25, 0.45), "snr": 1.2, "n_channels": 8,
+                       "sample_rate_hz": 100.0},
+                keyword="ri", beta_pos_s=0.2)
+    chk = checks.Checks()
+    tracer = Tracer()
+    with tracer.active("setup"):
+        task, loaded, elapsed = corpus_setup(size, 5, str(tmp_path), chk)
+    assert chk.ok, chk.failures
+    assert len(loaded) == 4 and elapsed > 0 and task.partitions["train"]
+    stages = ("synthgen.generate_corpus", "corpus.save_corpus", "corpus.load_corpus",
+              "training.prepare_task")
+    layer = tracer.per_layer()
+    for stage in stages:
+        assert layer[f"{stage}_s"] > 0, stage
+    root = [i for i, s in enumerate(tracer.spans) if s[0] == "setup"]
+    assert len(root) == 1
+    assert all(s[4] >= s[3] > 0 for s in tracer.spans)  # every span closed
+    assert sorted(s[0] for s in tracer.spans if s[5] == root[0]) == sorted(stages)

@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+from helpers import reference_fit_normalizer, reference_normalizer_apply
+
 from kwslab.corpus import (
     ChannelConfig,
     Normalizer,
@@ -30,6 +32,7 @@ from kwslab.errors import (
     MissingKeywordError,
     ValidationError,
 )
+from kwslab.synthgen import default_split
 from kwslab.training import TaskData
 
 
@@ -312,6 +315,19 @@ class TestNormalizer:
         with pytest.raises(ValidationError):
             fit_normalizer([])
 
+    def test_bit_identical_to_whole_matrix_reference(self, micro_corpus):
+        sessions, _ = micro_corpus
+        constant = make_session(session_id="c", n_channels=8, signal=np.full((8, 300), 2.5),
+                                duration_s=3.0)
+        for train in (sessions[:2], sessions, [constant], [constant, sessions[0]]):
+            norm, ref = fit_normalizer(train), reference_fit_normalizer(train)
+            assert norm.mean.tobytes() == ref.mean.tobytes()
+            assert norm.std.tobytes() == ref.std.tobytes()
+            for session in (*sessions, constant):
+                out = norm.apply(session.signal)
+                assert out.dtype == np.float32
+                assert out.tobytes() == reference_normalizer_apply(ref, session.signal).tobytes()
+
 
 class TestSerialization:
     def test_session_round_trip_bit_identical(self, tmp_path):
@@ -343,6 +359,54 @@ class TestSerialization:
         raw.write_bytes(bytes(blob))
         with pytest.raises(ValidationError, match="checksum"):
             load_session(str(tmp_path), session.session_id)
+
+    @pytest.mark.parametrize("edit", [lambda b: b[:-4], lambda b: b[:-1], lambda b: b + b"\0"])
+    def test_signal_file_of_the_wrong_size_rejected(self, tmp_path, edit):
+        # used to escape as a bare ValueError from numpy's reshape or frombuffer
+        session = make_session(duration_s=5.0)
+        save_session(session, str(tmp_path))
+        raw = tmp_path / "s0.f32"
+        raw.write_bytes(edit(raw.read_bytes()))
+        with pytest.raises(ValidationError, match=r"session s0: .*s0\.f32 does not hold"):
+            load_session(str(tmp_path), "s0")
+
+    @pytest.mark.parametrize("key", ["n_samples", "n_channels", "checksum_sha256"])
+    def test_sidecar_missing_key_rejected(self, tmp_path, key):
+        # a missing n_samples used to escape as a KeyError
+        save_session(make_session(duration_s=5.0), str(tmp_path))
+        path = tmp_path / "s0.json"
+        sidecar = json.loads(path.read_text())
+        del sidecar[key]
+        path.write_text(json.dumps(sidecar))
+        with pytest.raises(ValidationError, match=rf"session s0: .*s0\.json has no {key}"):
+            load_session(str(tmp_path), "s0")
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"n_channels": "3"'])
+    def test_sidecar_not_a_json_object_rejected(self, tmp_path, text):
+        save_session(make_session(duration_s=5.0), str(tmp_path))
+        (tmp_path / "s0.json").write_text(text)
+        with pytest.raises(ValidationError, match=r"session s0: .*s0\.json is not a JSON object"):
+            load_session(str(tmp_path), "s0")
+
+    def test_sidecar_shape_not_counts_rejected(self, tmp_path):
+        save_session(make_session(duration_s=5.0), str(tmp_path))
+        path = tmp_path / "s0.json"
+        sidecar = json.loads(path.read_text())
+        sidecar["n_samples"] = -500
+        path.write_text(json.dumps(sidecar))
+        with pytest.raises(ValidationError, match="not counts"):
+            load_session(str(tmp_path), "s0")
+
+    def test_checksum_mismatch_in_a_middle_session_detected(self, tmp_path, micro_corpus):
+        # the sessions are read on worker threads; the error still surfaces
+        sessions, _ = micro_corpus
+        save_corpus(sessions, str(tmp_path), default_split(sessions))
+        raw = tmp_path / "s001.f32"
+        blob = bytearray(raw.read_bytes())
+        blob[-1] ^= 0x01
+        raw.write_bytes(bytes(blob))
+        with pytest.raises(ValidationError, match="session s001: signal checksum mismatch"):
+            load_corpus(str(tmp_path))
 
     def test_corpus_round_trip(self, tmp_path, micro_corpus):
         sessions, _ = micro_corpus

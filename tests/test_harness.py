@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -216,6 +217,20 @@ class TestTrainEvaluateCommands:
         assert main(["evaluate", "--config", config_path,
                      "--workdir", str(tmp_path)]) == 1
         assert "checkpoint_seed0.ckpt" in capsys.readouterr().err
+
+    def test_truncated_signal_file_is_invalid_input(self, corpus_dir, micro_config_dict,
+                                                    tmp_path, capsys):
+        # used to fail in numpy's reshape: "runtime failure", exit 2
+        _, root = corpus_dir
+        shutil.copytree(root, tmp_path / "data")
+        signal = tmp_path / "data" / "s001.f32"
+        signal.write_bytes(signal.read_bytes()[:-4])
+        config = copy.deepcopy(micro_config_dict)
+        config["corpus"]["root"] = str(tmp_path / "data")
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        assert main(["train", "--config", str(tmp_path / "c.json"),
+                     "--workdir", str(tmp_path / "w")]) == 1
+        assert "s001.f32" in capsys.readouterr().err
 
     def test_checkpoint_without_model_config_is_invalid_input(
             self, corpus_dir, trained_workdir, micro_config_dict, tmp_path, capsys):

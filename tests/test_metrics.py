@@ -470,7 +470,7 @@ def test_engine_matches_brute_force_oracles(s, name, count, seed):
 def assert_one_pass_equals_one_name_calls(s, resamples, draws, seed):
     """The shared bootstrap and shuffle passes, and the report built from
     them, equal six one-name calls field for field, redraw counts included."""
-    boots = mx._bootstrap(mx._Engine(s, mx.REPORT_METRICS), resamples, seed)
+    boots = mx._bootstrap([mx._Engine(s, mx.REPORT_METRICS)], resamples, seed)[0]
     perms = mx.seed_mean_permutation_pvalues([s], mx.REPORT_METRICS, n_draws=draws, seed=seed)
     report = mx.build_metrics_report(s, n_resamples=resamples, n_draws=draws, seed=seed)
     for name in mx.REPORT_METRICS:
@@ -499,7 +499,7 @@ def test_one_pass_redraws_as_one_name_calls_do(n, k):
     labels = np.zeros(n, int)
     labels[:k] = 1
     s = scored(np.round(np.random.default_rng(n).random(n), 1), labels)
-    boots = mx._bootstrap(mx._Engine(s, mx.REPORT_METRICS), 300, 4)
+    boots = mx._bootstrap([mx._Engine(s, mx.REPORT_METRICS)], 300, 4)[0]
     assert boots["auroc"].n_redrawn > 50
     assert_one_pass_equals_one_name_calls(s, 300, 200, 4)
 
@@ -520,6 +520,33 @@ def test_seed_mean_pvalues_match_one_name_calls(s, count, seed):
                                                                  seed=seed), name
     for x, report in zip(sets, reports):
         assert report == mx.build_metrics_report(x, n_resamples=count, n_draws=count, seed=seed)
+
+
+def test_reports_draw_each_bootstrap_resample_once(monkeypatch):
+    """The per-seed reports share one stream of resamples: three seeds take
+    as many `integers` calls as one."""
+    calls = []
+    real_rng = mx._rng
+
+    class Counting:
+        def __init__(self, seed):
+            self.rng = real_rng(seed)
+
+        def integers(self, *args, **kwargs):
+            calls.append(1)
+            return self.rng.integers(*args, **kwargs)
+
+        def permutation(self, x):
+            return self.rng.permutation(x)
+
+    monkeypatch.setattr(mx, "_rng", Counting)
+    labels = np.arange(40) % 7 == 0
+    sets = [scored(np.random.default_rng(i).random(40), labels) for i in range(3)]
+    mx.build_metrics_reports(sets[:1], n_resamples=300, n_draws=5, seed=2)
+    one = len(calls)
+    calls.clear()
+    mx.build_metrics_reports(sets, n_resamples=300, n_draws=5, seed=2)
+    assert one >= 300 and len(calls) == one
 
 
 def test_zero_draws_rejected():

@@ -1,15 +1,22 @@
 import dataclasses
+import os
+import sys
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from helpers import reference_generate_corpus
+from kwslab.corpus import load_corpus, round_half_up, save_corpus
 from kwslab.errors import ValidationError
 from kwslab.metrics import spearman_rank_corr
 from kwslab.synthgen import (
     SynthConfig,
+    _burst,
+    _bursts,
     build_lexicon,
     build_templates,
+    default_split,
     generate_corpus,
     zipf_probabilities,
 )
@@ -110,6 +117,77 @@ class TestLexicon:
         lengths = [len(w) for w in lexicon]
         assert lengths == sorted(lengths)
         assert len(lexicon[0]) == 2 and len(lexicon[63]) == 14
+
+
+def assert_same_corpus(got, want):
+    (sessions, templates), (ref_sessions, ref_templates) = got, want
+    assert [s.session_id for s in sessions] == [s.session_id for s in ref_sessions]
+    for s, ref in zip(sessions, ref_sessions):
+        assert s.signal.dtype == ref.signal.dtype and s.signal.shape == ref.signal.shape
+        assert s.signal.tobytes() == ref.signal.tobytes(), s.session_id
+        assert s.events == ref.events and s.channel_config == ref.channel_config
+    assert list(templates) == list(ref_templates)
+    for word, t in templates.items():
+        assert t.spatial.tobytes() == ref_templates[word].spatial.tobytes()
+        assert (t.freqs_hz, t.phases, t.mix) == (
+            ref_templates[word].freqs_hz, ref_templates[word].phases, ref_templates[word].mix)
+
+
+class TestParallelBitIdentity:
+    """Sessions filled on worker threads, with bursts sliced from a
+    per-word table, equal the serial generator with a burst made per token."""
+
+    @pytest.mark.parametrize("config", [
+        SMALL,  # widths 20-35 samples around a 30-sample response span
+        dataclasses.replace(SMALL, snr=0.0),
+        dataclasses.replace(SMALL, word_duration_range_s=(0.1, 0.25)),  # all inside the span
+        dataclasses.replace(SMALL, word_duration_range_s=(0.4, 0.6), sample_rate_hz=250.0),
+        dataclasses.replace(SMALL, n_sessions=1),
+        dataclasses.replace(SMALL, n_sessions=(os.cpu_count() or 1) + 2, session_minutes=0.5),
+    ])
+    def test_matches_serial_reference(self, config):
+        assert_same_corpus(generate_corpus(config), reference_generate_corpus(config))
+
+    def test_round_trip_matches_with_threads_switching_often(self, tmp_path):
+        config = dataclasses.replace(SMALL, n_sessions=(os.cpu_count() or 1) + 2,
+                                     session_minutes=0.5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sessions, templates = generate_corpus(config)
+            save_corpus(sessions, str(tmp_path), default_split(sessions))
+            loaded, _ = load_corpus(str(tmp_path))
+        finally:
+            sys.setswitchinterval(interval)
+        want = reference_generate_corpus(config)
+        assert_same_corpus((sessions, templates), want)
+        assert_same_corpus((loaded, templates), want)
+
+    def test_token_cut_at_the_session_end_fails_as_the_reference_does(self):
+        # the tail margin leaves room for every token at any rate above ~1 Hz;
+        # at 0.1 Hz the last token starts on the session end and is cut to
+        # zero samples, which has no peak to scale by
+        config = dataclasses.replace(SMALL, sample_rate_hz=0.1, session_minutes=3.0)
+        with pytest.raises(ValueError) as ref:
+            reference_generate_corpus(config)
+        with pytest.raises(ValueError) as got:
+            generate_corpus(config)
+        assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("config", [
+        SMALL, dataclasses.replace(SMALL, snr=3.5, word_duration_range_s=(0.1, 0.25)),
+        dataclasses.replace(SMALL, word_duration_range_s=(0.3, 0.9), sample_rate_hz=333.0),
+    ])
+    def test_burst_table_matches_a_fresh_burst_at_every_width(self, config):
+        templates = build_templates(config)
+        burst = _bursts(templates, config)
+        longest = max(round_half_up(config.word_duration_range_s[1] * config.sample_rate_hz), 1)
+        for word, template in templates.items():
+            for width in range(1, longest + 1):
+                got = burst(word, width)
+                want = _burst(template, width, config)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (word, width)
 
 
 class TestTemplates:
