@@ -75,6 +75,9 @@ def parameter_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
 
 
 _NORM_LAYERS = ("stem_norm", "res1_norm", "res2_norm", "down_norm", "proj_norm")
+# bound on |value| in a loaded checkpoint: a flipped top exponent bit multiplies a
+# float32 by 2**128, so any value above 2**-64 lands past it; trained ones stay far below
+_MAX_MAGNITUDE = 2.0**64
 
 
 @dataclass
@@ -118,22 +121,21 @@ class DetectorModel:
 
     # -- forward ----------------------------------------------------------
 
-    def _conv_norm_relu(self, x, conv_name, norm_name, stride, padding, training):
-        h = nc.conv1d(
-            x,
-            self.params[f"{conv_name}.w"],
-            self.params[f"{conv_name}.b"],
-            stride=stride,
-            padding=padding,
-        )
-        h = nc.batch_norm(
-            h,
-            self.params[f"{norm_name}.scale"],
-            self.params[f"{norm_name}.shift"],
-            self.norm_states[norm_name],
-            training=training,
-        )
-        return nc.relu(h)
+    def _conv_norm(self, x, conv, norm, stride, padding, training):
+        """Conv `conv`, then normalisation `norm`: by batch statistics in train
+        mode; in eval mode folded into one conv with w' = w * gain and
+        b' = (b - running_mean) * gain + shift, gain = scale / sqrt(running_var
+        + eps), built from taped ops so an eval forward still differentiates."""
+        w, b = self.params[f"{conv}.w"], self.params[f"{conv}.b"]
+        scale, shift = self.params[f"{norm}.scale"], self.params[f"{norm}.shift"]
+        state = self.norm_states[norm]
+        if training:
+            h = nc.conv1d(x, w, b, stride=stride, padding=padding)
+            return nc.batch_norm(h, scale, shift, state)
+        gain = nc.mul(scale, 1.0 / np.sqrt(state.running_var + state.EPS))
+        w = nc.mul(w, nc.reshape(gain, (-1, 1, 1)))
+        b = nc.add(nc.mul(nc.sub(b, state.running_mean), gain), shift)
+        return nc.conv1d(x, w, b, stride=stride, padding=padding)
 
     def forward(self, batch, training: bool = False) -> ForwardResult:
         x = batch if isinstance(batch, nc.Tensor) else nc.Tensor(
@@ -149,21 +151,13 @@ class DetectorModel:
         pad_stem = (cfg.trunk_kernel - 1) // 2
         pad_res = (cfg.res_kernel - 1) // 2
 
-        h = self._conv_norm_relu(x, "stem", "stem_norm", 1, pad_stem, training)
-        r = self._conv_norm_relu(h, "res1", "res1_norm", 1, pad_res, training)
-        r = nc.conv1d(r, self.params["res2.w"], self.params["res2.b"], padding=pad_res)
-        r = nc.batch_norm(
-            r,
-            self.params["res2_norm.scale"],
-            self.params["res2_norm.shift"],
-            self.norm_states["res2_norm"],
-            training=training,
-        )
+        h = nc.relu(self._conv_norm(x, "stem", "stem_norm", 1, pad_stem, training))
+        r = nc.relu(self._conv_norm(h, "res1", "res1_norm", 1, pad_res, training))
+        r = self._conv_norm(r, "res2", "res2_norm", 1, pad_res, training)
         h = nc.relu(nc.add(r, h))
-        h = self._conv_norm_relu(
-            h, "down", "down_norm", cfg.downsample_factor, pad_res, training
-        )
-        h = self._conv_norm_relu(h, "proj", "proj_norm", 1, 0, training)
+        h = nc.relu(self._conv_norm(
+            h, "down", "down_norm", cfg.downsample_factor, pad_res, training))
+        h = nc.relu(self._conv_norm(h, "proj", "proj_norm", 1, 0, training))
 
         t_out = h.shape[2]
         b = h.shape[0]
@@ -217,21 +211,30 @@ class DetectorModel:
             raise CheckpointError(
                 f"{path}: checkpoint config differs from the requested config"
             )
-        shapes = parameter_shapes(config)
-        needed = [name for name, _ in shapes]
-        needed += [f"{n}.{s}" for n in _NORM_LAYERS for s in ("running_mean", "running_var")]
-        missing = [name for name in needed if name not in arrays]
+        param_shapes = dict(parameter_shapes(config))
+        shapes = [*param_shapes.items()] + [
+            (f"{n}.{stat}", param_shapes[f"{n}.scale"])
+            for n in _NORM_LAYERS for stat in ("running_mean", "running_var")]
+        missing = [name for name, _ in shapes if name not in arrays]
         if missing:
             raise CheckpointError(f"{path}: missing arrays {', '.join(missing)}")
         dtype = arrays["stem.w"].dtype
-        params = {}
         for name, shape in shapes:
-            if tuple(arrays[name].shape) != tuple(shape):
+            values = arrays[name]
+            if values.shape != shape:
                 raise CheckpointError(f"{path}: bad shape for {name}")
-            params[name] = nc.Tensor(arrays[name].astype(dtype), requires_grad=True)
+            if values.dtype != dtype or dtype not in (np.float32, np.float64):
+                raise CheckpointError(f"{path}: {name} has dtype {values.dtype}, "
+                                      "not the float32 or float64 of every array")
+            if not np.all(np.abs(values) < _MAX_MAGNITUDE):
+                raise CheckpointError(
+                    f"{path}: {name} holds non-finite values or magnitudes >= 2**64")
+            if name.endswith(".running_var") and np.any(values < 0):
+                raise CheckpointError(f"{path}: {name} holds negative variances")
+        params = {name: nc.Tensor(arrays[name], requires_grad=True) for name in param_shapes}
         states = {}
         for name in _NORM_LAYERS:
-            state = nc.NormState(params[f"{name}.scale"].shape[0], dtype=dtype)
+            state = nc.NormState(param_shapes[f"{name}.scale"][0], dtype=dtype)
             state.running_mean[...] = arrays[f"{name}.running_mean"]
             state.running_var[...] = arrays[f"{name}.running_var"]
             states[name] = state

@@ -75,13 +75,15 @@ def load_arrays(path: str):
         raise CheckpointError(f"{path}: header meta is not an object")
     data = memoryview(raw)[start + header_len :]
     arrays = {}
+    end = 0  # arrays lie back to back in index order and fill the data section
     for entry in header["arrays"]:
         try:
             name = entry["name"]
             dtype = np.dtype(str(entry["dtype"]))
             shape = tuple(int(d) for d in entry["shape"])
             offset, nbytes = int(entry["offset"]), int(entry["nbytes"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, SyntaxError, OverflowError) as exc:
+            # np.dtype(",f4") raises SyntaxError, int() of JSON Infinity OverflowError
             raise CheckpointError(f"{path}: malformed array entry {entry!r}: {exc}") from None
         if dtype.hasobject or dtype.itemsize == 0 or min(shape, default=0) < 0 or offset < 0:
             raise CheckpointError(f"{path}: invalid array entry {entry!r}")
@@ -89,6 +91,11 @@ def load_arrays(path: str):
             raise CheckpointError(f"{path}: array {name!r} nbytes does not match its shape")
         if offset + nbytes > len(data):
             raise CheckpointError(f"{path}: array {name!r} runs past the end of the file")
-        blob = data[offset : offset + nbytes]
+        if offset != end:
+            raise CheckpointError(f"{path}: array {name!r} does not start where the last ended")
+        end += nbytes
+        blob = data[offset:end]
         arrays[name] = np.frombuffer(blob, dtype=dtype).reshape(shape).copy()
+    if end != len(data):
+        raise CheckpointError(f"{path}: {len(data) - end} bytes follow the last array")
     return arrays, meta

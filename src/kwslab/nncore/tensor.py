@@ -446,25 +446,18 @@ class NormState:
     """Running per-channel statistics for a normalization layer."""
 
     __slots__ = ("running_mean", "running_var")
+    EPS = 1e-5  # added to the variance a normalization divides by, train or eval
 
     def __init__(self, n_channels: int, dtype=np.float32):
         self.running_mean = np.zeros(n_channels, dtype=dtype)
         self.running_var = np.ones(n_channels, dtype=dtype)
 
 
-def batch_norm(
-    x,
-    scale,
-    shift,
-    state: NormState,
-    training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
-) -> Tensor:
-    """Per-channel normalization over (batch, time) for (B, C, T) input.
-
-    Train mode normalizes by the batch statistics (biased variance) and
-    folds them into the running stats; eval mode uses the running stats.
+def batch_norm(x, scale, shift, state: NormState, momentum: float = 0.1) -> Tensor:
+    """Train-mode per-channel normalization over (batch, time) for (B, C, T)
+    input: normalizes by the batch statistics (biased variance) and folds
+    them into the running stats. Inference applies the running stats as a
+    fixed per-channel map folded into the preceding convolution instead.
     """
     x, scale, shift = as_tensor(x), as_tensor(scale), as_tensor(shift)
     if x.values.ndim != 3:
@@ -472,21 +465,15 @@ def batch_norm(
     batch, channels, t = x.shape
     if scale.shape != (channels,) or shift.shape != (channels,):
         raise DimensionError("scale/shift must be per-channel vectors")
+    if batch * t <= 1:
+        raise DimensionError("train-mode normalization needs more than one value per channel")
 
-    if training:
-        if batch * t <= 1:
-            raise DimensionError("train-mode normalization needs more than one value per channel")
-        mean = x.values.mean(axis=(0, 2))
-        xhat = x.values - mean[None, :, None]
-        var = (xhat * xhat).mean(axis=(0, 2))
-        state.running_mean[...] = (1 - momentum) * state.running_mean + momentum * mean
-        state.running_var[...] = (1 - momentum) * state.running_var + momentum * var
-    else:
-        mean = state.running_mean.astype(x.dtype)
-        var = state.running_var.astype(x.dtype)
-        xhat = x.values - mean[None, :, None]
-
-    inv = 1.0 / np.sqrt(var + eps)
+    mean = x.values.mean(axis=(0, 2))
+    xhat = x.values - mean[None, :, None]
+    var = (xhat * xhat).mean(axis=(0, 2))
+    state.running_mean[...] = (1 - momentum) * state.running_mean + momentum * mean
+    state.running_var[...] = (1 - momentum) * state.running_var + momentum * var
+    inv = 1.0 / np.sqrt(var + state.EPS)
     xhat *= inv[None, :, None]
     out_values = xhat * scale.values[None, :, None]
     out_values += shift.values[None, :, None]
@@ -499,14 +486,10 @@ def batch_norm(
         if shift.requires_grad:
             _accumulate(shift, g_sum, owned=True)
         if x.requires_grad:
-            gain = (scale.values * inv)[None, :, None]
-            if training:
-                n = batch * t
-                gx = g - (g_sum / n)[None, :, None]
-                gx -= xhat * (gxhat_sum / n)[None, :, None]
-                gx *= gain
-            else:
-                gx = g * gain
+            n = batch * t
+            gx = g - (g_sum / n)[None, :, None]
+            gx -= xhat * (gxhat_sum / n)[None, :, None]
+            gx *= (scale.values * inv)[None, :, None]
             _accumulate(x, gx, owned=True)
 
     return _result(out_values, (x, scale, shift), _bw)

@@ -52,6 +52,11 @@ class SynthConfig:
             raise ValidationError("snr must be >= 0")
         if self.word_duration_range_s[0] <= 0 or self.gap_range_s[0] <= 0:
             raise ValidationError("duration and gap minima must be > 0")
+        if self.word_duration_range_s[0] * self.sample_rate_hz < 1:
+            # else the last token can start on the session end, cut to zero samples
+            raise ValidationError(
+                "sample_rate_hz must give the shortest word at least one sample "
+                f"({self.word_duration_range_s[0]} s at {self.sample_rate_hz} Hz)")
         if self.word_duration_range_s[1] < self.word_duration_range_s[0]:
             raise ValidationError("word_duration_range_s must be (min, max)")
         if self.gap_range_s[1] < self.gap_range_s[0]:

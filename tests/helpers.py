@@ -2,8 +2,9 @@
 kink-stencil detection, brute-force metric oracles, the per-draw resampling
 reference the block engine is tested against, the loop-based operating-point
 selection the array version is tested against, the copying nncore kernels and
-the serial corpus set-up the copy-free ones must match bit for bit, and small
-helpers only the tests use."""
+the serial corpus set-up the copy-free ones must match bit for bit, the
+unfolded conv -> normalisation eval layer the folded one must match, and
+small helpers only the tests use."""
 
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from kwslab.corpus import STD_FLOOR, ChannelConfig, Normalizer, Session, WordEve
 from kwslab.errors import UndefinedMetricError, UndefinedOperatingPointError
 from kwslab.fixtures import load_reference_tables
 from kwslab.losses import total_loss
-from kwslab.model import ModelConfig, parameter_shapes
+from kwslab.model import DetectorModel, ModelConfig, parameter_shapes
 from kwslab.operate import _as_operating_point
 
 
@@ -295,7 +296,9 @@ def reference_conv1d(x, w, b=None, stride=1, padding=0):
     return nct._result(out_values, (x, w) if b is None else (x, w, b), _bw)
 
 
-def reference_batch_norm(x, scale, shift, state, training, momentum=0.1, eps=1e-5):
+def reference_batch_norm(x, scale, shift, state, training=True, momentum=0.1, eps=1e-5):
+    """Train mode stands in for `nc.batch_norm`; eval mode is the separate
+    running-statistics pass the model ran before eval folded it into the conv."""
     x, scale, shift = nc.as_tensor(x), nc.as_tensor(scale), nc.as_tensor(shift)
     batch, _, t = x.shape
     if training:
@@ -348,6 +351,27 @@ def reference_augment_window(signal, start, n_samples, jitter_samples,
         scale = (noise_std_fraction * np.asarray(channel_std, dtype=np.float32))[:, None]
         return window + noise * scale
     return np.array(window, dtype=np.float32)
+
+
+def reference_conv_norm(model, x, conv, norm, stride, padding, training):
+    """`DetectorModel._conv_norm` as two passes: the reference conv1d, then the
+    reference normalisation in either mode (the unfolded eval forward)."""
+    h = reference_conv1d(x, model.params[f"{conv}.w"], model.params[f"{conv}.b"],
+                         stride=stride, padding=padding)
+    return reference_batch_norm(h, model.params[f"{norm}.scale"],
+                                model.params[f"{norm}.shift"], model.norm_states[norm],
+                                training=training)
+
+
+@contextmanager
+def unfolded_eval():
+    """Run every `DetectorModel` forward through `reference_conv_norm`."""
+    saved = DetectorModel._conv_norm
+    DetectorModel._conv_norm = reference_conv_norm
+    try:
+        yield
+    finally:
+        DetectorModel._conv_norm = saved
 
 
 @contextmanager

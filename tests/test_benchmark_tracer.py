@@ -2,7 +2,7 @@
 such as `nncore.sum_all`, `training.prepare_task` or
 `metrics.permutation_pvalue`. Entering one of its blocks here makes a rename
 or removal of any of those names fail this suite, not only the benchmark's
-own tests."""
+own tests. The `score` workload's checks run here too, at a tiny size."""
 
 import os
 import sys
@@ -28,17 +28,23 @@ def test_tracer_wraps_and_restores_every_name():
     assert tracer.per_layer()["metrics.scoredsets_built"] == 1
 
 
+def _tiny_size(**fields):
+    from perfbench.workloads import Size
+
+    return Size(synth={"n_sessions": 4, "session_minutes": 1.5, "vocab_size": 12,
+                       "zipf_exponent": 0.7, "word_duration_range_s": (0.20, 0.35),
+                       "gap_range_s": (0.25, 0.45), "snr": 1.2, "n_channels": 8,
+                       "sample_rate_hz": 100.0},
+                keyword="ri", beta_pos_s=0.2, **fields)
+
+
 def test_traced_corpus_setup_times_every_stage(tmp_path):
     # the tracer keeps one span stack for the calling thread, so a set-up
     # stage that ran a wrapped function on a worker thread would misnest
     from perfbench import checks
-    from perfbench.workloads import Size, corpus_setup
+    from perfbench.workloads import corpus_setup
 
-    size = Size(synth={"n_sessions": 4, "session_minutes": 1.5, "vocab_size": 12,
-                       "zipf_exponent": 0.7, "word_duration_range_s": (0.20, 0.35),
-                       "gap_range_s": (0.25, 0.45), "snr": 1.2, "n_channels": 8,
-                       "sample_rate_hz": 100.0},
-                keyword="ri", beta_pos_s=0.2)
+    size = _tiny_size()
     chk = checks.Checks()
     tracer = Tracer()
     with tracer.active("setup"):
@@ -54,3 +60,14 @@ def test_traced_corpus_setup_times_every_stage(tmp_path):
     assert len(root) == 1
     assert all(s[4] >= s[3] > 0 for s in tracer.spans)  # every span closed
     assert sorted(s[0] for s in tracer.spans if s[5] == root[0]) == sorted(stages)
+
+
+def test_score_workload_matches_the_float64_oracle(tmp_path):
+    # every score within SCORE_TOL of the benchmark's plain-numpy float64
+    # forward, and equal at batch sizes 64 and 17 within BATCH_SIZE_TOL
+    from perfbench.workloads import run
+
+    result = run("score", seed=3, seconds=0.0, trace=False, workdir=str(tmp_path),
+                 size=_tiny_size(calibration_batches=4))
+    assert result["correct"] and result["failed"] == 0
+    assert result["attempted"] == 1

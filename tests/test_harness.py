@@ -121,6 +121,18 @@ class TestConfigLoading:
         assert main(["synth", "--config", str(path), "--out", str(tmp_path / "d")]) == 1
         assert "vocab_size" in capsys.readouterr().err
 
+    def test_synth_rate_under_one_sample_per_token_is_invalid_input(self, tmp_path, capsys):
+        # used to fail in numpy with a bare ValueError: "runtime failure", exit 2
+        synth = {"seed": 11, "n_sessions": 2, "session_minutes": 3.0, "vocab_size": 16,
+                 "word_duration_range_s": [0.2, 0.35], "gap_range_s": [0.2, 0.4],
+                 "n_channels": 6, "sample_rate_hz": 0.1}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"corpus": {"root": str(tmp_path / "d"), "synth": synth},
+                                    "task": {"keywords": ["ri"]}}))
+        assert main(["synth", "--config", str(path)]) == 1
+        assert "sample_rate_hz" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     @pytest.mark.parametrize("command,override,message", [
         ("train", "training.seed=-1", "config.training: seed must be >= 0"),
         ("train", "seeds=[0,-1]", "seeds must all be >= 0"),
@@ -243,6 +255,38 @@ class TestTrainEvaluateCommands:
         assert main(["evaluate", "--config", config_path,
                      "--workdir", str(tmp_path)]) == 1
         assert "model_config" in capsys.readouterr().err
+
+
+    def test_flipped_dtype_in_checkpoint_is_invalid_input(
+            self, corpus_dir, trained_workdir, micro_config_dict, tmp_path, capsys):
+        # one flipped bit turns "<f4" into ",f4", which np.dtype rejects with a
+        # SyntaxError: used to be "runtime failure: SyntaxError", exit 2
+        config_path, _ = corpus_dir
+        for seed in micro_config_dict["seeds"]:
+            name = f"checkpoint_seed{seed}.ckpt"
+            data = open(os.path.join(trained_workdir, name), "rb").read()
+            assert data.count(b'"<f4"') > 1
+            (tmp_path / name).write_bytes(data.replace(b'"<f4"', b'",f4"', 1))
+        assert main(["evaluate", "--config", config_path,
+                     "--workdir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "checkpoint_seed0.ckpt" in err and "SyntaxError" not in err
+
+    def test_nonfinite_checkpoint_is_invalid_input(
+            self, corpus_dir, trained_workdir, micro_config_dict, tmp_path, capsys):
+        # a NaN in head_z.b used to load: evaluate wrote a scores file full of
+        # nan, then failed with "scores must be finite"
+        config_path, _ = corpus_dir
+        for seed in micro_config_dict["seeds"]:
+            name = f"checkpoint_seed{seed}.ckpt"
+            arrays, meta = nc.load_arrays(os.path.join(trained_workdir, name))
+            arrays["head_z.b"][0] = np.nan
+            nc.save_arrays(str(tmp_path / name), arrays, meta)
+        assert main(["evaluate", "--config", config_path,
+                     "--workdir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "head_z.b" in err and "non-finite" in err
+        assert not [f for f in os.listdir(tmp_path) if f.startswith("scores")]
 
 
 class TestScalingSweep:

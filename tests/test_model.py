@@ -5,11 +5,15 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import kwslab.nncore as nc
-from helpers import count_parameters, downsampled_length
+from helpers import count_parameters, downsampled_length, unfolded_eval
 from kwslab.errors import CheckpointError, DimensionError, ValidationError
+from kwslab.losses import LossConfig, total_loss
 from kwslab.model import (
+    POOLING_MODES,
     DetectorModel,
     ModelConfig,
     config_hash,
@@ -108,6 +112,43 @@ class TestTopkPooling:
             top = np.sort(z[row])[-k:]
             np.testing.assert_allclose(np.sort(z[row, nonzero]), top)
             assert out.logit.values[row] == pytest.approx(top.mean(), rel=1e-6)
+
+
+class TestFoldedEval:
+    """The eval forward, whose normalisations are folded into their convs,
+    against the same model run through the unfolded conv -> normalisation
+    reference, with every parameter and running statistic moved off its
+    initial value (zero biases and shifts would hide a dropped term)."""
+
+    @staticmethod
+    def _calibrated(dtype, pooling):
+        config = ModelConfig(in_channels=32, trunk_channels=16, proj_channels=32,
+                             pooling=pooling)
+        model = DetectorModel.initialize(config, seed=4, dtype=dtype)
+        rng = np.random.default_rng(8)
+        for p in model.params.values():
+            p.values += (0.1 * rng.standard_normal(p.shape)).astype(dtype)
+        for _ in range(3):
+            model.forward(rng.standard_normal((8, 32, 224)) + 0.5, training=True)
+        return model, rng.standard_normal((8, 32, 224))
+
+    @pytest.mark.parametrize("pooling", POOLING_MODES)
+    def test_float64_matches_unfolded_to_rounding(self, pooling):
+        model, x = self._calibrated(np.float64, pooling)
+        got = model.forward(x)
+        with unfolded_eval():
+            want = model.forward(x)
+        for name in ("logit", "prob", "per_time_logits", "attention"):
+            a, r = getattr(got, name).values, getattr(want, name).values
+            assert np.abs(a - r).max() <= 1e-12 * np.abs(r).max(), name
+
+    def test_float32_probabilities_within_1e6(self):
+        model, x = self._calibrated(np.float32, "attention")
+        got = model.forward(x).prob.values
+        with unfolded_eval():
+            want = model.forward(x).prob.values
+        assert got.dtype == want.dtype == np.float32
+        assert np.abs(got.astype(np.float64) - want).max() <= 1e-6
 
 
 class TestPool:
@@ -226,6 +267,99 @@ class TestCheckpoint:
         nc.save_arrays(path, arrays, meta)
         with pytest.raises(CheckpointError, match=name):
             DetectorModel.load(path)
+
+
+    @pytest.mark.parametrize("name,value", [
+        ("head_z.b", np.nan),
+        ("stem.w", np.inf),
+        ("proj_norm.scale", -np.inf),
+        ("down_norm.running_mean", np.nan),
+        ("res1_norm.running_var", np.inf),
+        ("res2_norm.running_var", -0.5),
+        ("stem_norm.shift", 2.0**64),
+        ("proj.w", -3e38),
+    ])
+    def test_unusable_value_raises_checkpoint_error(self, tmp_path, name, value):
+        # a NaN in head_z.b used to load, and `kwslab evaluate` wrote a scores
+        # file full of nan before failing on it
+        path = str(tmp_path / "model.ckpt")
+        DetectorModel.initialize(SMALL, seed=9).save(path)
+        arrays, meta = nc.load_arrays(path)
+        arrays[name].flat[-1] = value
+        nc.save_arrays(path, arrays, meta)
+        with pytest.raises(CheckpointError, match=name.replace(".", r"\.")):
+            DetectorModel.load(path)
+
+    @pytest.mark.parametrize("name,dtype", [("proj.b", "<i4"), ("stem.w", "<f2"),
+                                            ("stem_norm.running_var", "<f8")])
+    def test_mixed_or_unsupported_dtype_raises_checkpoint_error(self, tmp_path, name, dtype):
+        path = str(tmp_path / "model.ckpt")
+        DetectorModel.initialize(SMALL, seed=9).save(path)
+        arrays, meta = nc.load_arrays(path)
+        arrays[name] = arrays[name].astype(dtype)
+        nc.save_arrays(path, arrays, meta)
+        with pytest.raises(CheckpointError, match="dtype"):
+            DetectorModel.load(path)
+
+    def test_running_stat_of_wrong_shape_raises_checkpoint_error(self, tmp_path):
+        # a one-element statistic used to broadcast silently over the channels
+        path = str(tmp_path / "model.ckpt")
+        DetectorModel.initialize(SMALL, seed=9).save(path)
+        arrays, meta = nc.load_arrays(path)
+        arrays["stem_norm.running_mean"] = arrays["stem_norm.running_mean"][:1]
+        nc.save_arrays(path, arrays, meta)
+        with pytest.raises(CheckpointError, match="stem_norm.running_mean"):
+            DetectorModel.load(path)
+
+
+def _micro_model_after_three_steps():
+    """A micro-config model after three AdamW steps, so biases, norms and
+    running statistics have all moved off their initial values."""
+    model = DetectorModel.initialize(ModelConfig(in_channels=8, trunk_channels=8,
+                                                 proj_channels=16), seed=2)
+    opt = nc.AdamW(model.params, lr=1e-2)
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        out = model.forward(rng.standard_normal((8, 8, 70)).astype(np.float32), training=True)
+        loss, _ = total_loss(out.prob, out.logit, np.array([0, 1] * 4), LossConfig(), rng)
+        nc.backward(loss)
+        opt.step()
+        opt.zero_grad()
+    return model
+
+
+class TestCheckpointFuzz:
+    """A truncated or single-bit-flipped checkpoint raises CheckpointError or
+    loads a model whose eval forward is finite; nothing else escapes."""
+
+    @pytest.fixture(scope="class")
+    def original(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "micro.ckpt"
+        _micro_model_after_three_steps().save(str(path))
+        return path.read_bytes(), str(path.with_name("case.ckpt"))
+
+    @settings(max_examples=1000, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cut=st.one_of(st.none(), st.integers(0, 10**6)), flip=st.integers(0, 10**9))
+    def test_truncation_or_bit_flip(self, original, cut, flip):
+        raw, path = original
+        blob = bytearray(raw)
+        if cut is None:
+            flip %= 8 * len(blob)
+            blob[flip // 8] ^= 1 << (flip % 8)
+        else:
+            del blob[cut % len(blob):]
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        try:
+            model = DetectorModel.load(path)
+        except CheckpointError:
+            return
+        x = np.random.default_rng(6).standard_normal((4, 8, 70)).astype(np.float32)
+        with nc.no_grad():
+            out = model.forward(x)
+        for name in ("logit", "prob", "per_time_logits", "attention"):
+            assert np.all(np.isfinite(getattr(out, name).values)), name
 
 
 class TestInitDeterminism:

@@ -46,6 +46,19 @@ def assert_grad_matches(build_loss, params, tol=1e-4):
         p.grad = None
 
 
+def _conv_norm_layer(w, b, scale, shift, state):
+    """`DetectorModel._conv_norm` over one conv "c" and one normalisation "n"
+    built from the given arrays or tensors: layer(x, training, stride, padding)."""
+    params = {"c.w": nc.as_tensor(w), "c.b": nc.as_tensor(b),
+              "n.scale": nc.as_tensor(scale), "n.shift": nc.as_tensor(shift)}
+    model = DetectorModel(None, params, {"n": state}, dtype=params["c.w"].dtype)
+
+    def layer(x, training, stride=1, padding=0):
+        return model._conv_norm(x, "c", "n", stride, padding, training)
+
+    return layer
+
+
 def naive_conv1d(x, w, bias, stride, padding):
     """The cross-correlation written as its defining loop."""
     b, cin, t = x.shape
@@ -185,7 +198,7 @@ class TestBatchNorm:
         x = nc.Tensor(np.full((4, 3, 5), 2.5))
         scale = nc.Tensor(np.ones(3))
         shift = nc.Tensor(np.array([1.0, -2.0, 0.5]))
-        out = nc.batch_norm(x, scale, shift, state, training=True)
+        out = nc.batch_norm(x, scale, shift, state)
         np.testing.assert_allclose(
             out.values, np.broadcast_to(shift.values[None, :, None], x.shape), atol=1e-3
         )
@@ -197,53 +210,55 @@ class TestBatchNorm:
         x = (x - x.mean(axis=(0, 2), keepdims=True)) / x.std(axis=(0, 2), keepdims=True)
         state = nc.NormState(3, dtype=np.float64)
         out = nc.batch_norm(
-            nc.Tensor(x), nc.Tensor(np.ones(3)), nc.Tensor(np.zeros(3)),
-            state, training=True,
-        )
+            nc.Tensor(x), nc.Tensor(np.ones(3)), nc.Tensor(np.zeros(3)), state)
         assert np.abs(out.values - x).max() < 1e-5
         np.testing.assert_allclose(out.values, x / np.sqrt(1 + 1e-5), atol=1e-12)
 
     def test_eval_matches_train_after_convergence(self):
         # closed-form running stats after n train passes on one fixed batch:
-        # running = (1 - 0.9^n) * batch_stat + 0.9^n * init
+        # running = (1 - 0.9^n) * batch_stat + 0.9^n * init; an identity
+        # conv makes the layer's input the normalisation's input
         x = RNG.standard_normal((6, 2, 9))
-        scale = nc.Tensor(np.array([1.3, 0.7]))
-        shift = nc.Tensor(np.array([0.2, -0.1]))
         state = nc.NormState(2, dtype=np.float64)
+        layer = _conv_norm_layer(np.eye(2)[:, :, None], np.zeros(2), np.array([1.3, 0.7]),
+                                 np.array([0.2, -0.1]), state)
         n = 40
         for _ in range(n):
-            train_out = nc.batch_norm(nc.Tensor(x), scale, shift, state, training=True)
+            train_out = layer(nc.Tensor(x), training=True)
         mean = x.mean(axis=(0, 2))
         var = x.var(axis=(0, 2))
         decay = 0.9**n
         np.testing.assert_allclose(state.running_mean, (1 - decay) * mean, atol=1e-12)
         np.testing.assert_allclose(state.running_var, (1 - decay) * var + decay, atol=1e-12)
-        eval_out = nc.batch_norm(nc.Tensor(x), scale, shift, state, training=False)
+        eval_out = layer(nc.Tensor(x), training=False)
         np.testing.assert_allclose(eval_out.values, train_out.values, atol=2 * decay + 1e-9)
 
     def test_train_needs_multiple_values(self):
         state = nc.NormState(2, dtype=np.float64)
         x = nc.Tensor(RNG.standard_normal((1, 2, 1)))
         with pytest.raises(DimensionError):
-            nc.batch_norm(x, nc.Tensor(np.ones(2)), nc.Tensor(np.zeros(2)), state, True)
+            nc.batch_norm(x, nc.Tensor(np.ones(2)), nc.Tensor(np.zeros(2)), state)
 
     def test_gradients_train_and_eval(self):
-        for training in (True, False):
-            state = nc.NormState(3, dtype=np.float64)
-            state.running_mean[...] = RNG.standard_normal(3) * 0.2
-            state.running_var[...] = np.abs(RNG.standard_normal(3)) + 0.5
-            x = nc.Tensor(RNG.standard_normal((4, 3, 6)), requires_grad=True)
-            scale = nc.Tensor(np.abs(RNG.standard_normal(3)) + 0.5, requires_grad=True)
-            shift = nc.Tensor(RNG.standard_normal(3) * 0.3, requires_grad=True)
-            snap = (state.running_mean.copy(), state.running_var.copy())
+        # train: the normalisation alone; eval: the folded conv + normalisation
+        # layer, differentiated through the fold to the conv kernel and bias
+        state = nc.NormState(3, dtype=np.float64)
+        x = nc.Tensor(RNG.standard_normal((4, 3, 6)), requires_grad=True)
+        scale = nc.Tensor(np.abs(RNG.standard_normal(3)) + 0.5, requires_grad=True)
+        shift = nc.Tensor(RNG.standard_normal(3) * 0.3, requires_grad=True)
 
-            def build():
-                state.running_mean[...], state.running_var[...] = snap
-                return nc.mean_all(
-                    nc.power(nc.batch_norm(x, scale, shift, state, training=training), 3)
-                )
+        assert_grad_matches(
+            lambda: nc.mean_all(nc.power(nc.batch_norm(x, scale, shift, state), 3)),
+            [x, scale, shift])
 
-            assert_grad_matches(build, [x, scale, shift])
+        state.running_mean[...] = RNG.standard_normal(3) * 0.2
+        state.running_var[...] = np.abs(RNG.standard_normal(3)) + 0.5
+        w = nc.Tensor(RNG.standard_normal((3, 3, 3)) * 0.5, requires_grad=True)
+        b = nc.Tensor(RNG.standard_normal(3) * 0.1, requires_grad=True)
+        layer = _conv_norm_layer(w, b, scale, shift, state)
+        assert_grad_matches(
+            lambda: nc.mean_all(nc.power(layer(x, training=False, stride=2, padding=1), 3)),
+            [x, w, b, scale, shift])
 
     @settings(max_examples=5, deadline=None)
     @given(offset=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
@@ -258,7 +273,7 @@ class TestBatchNorm:
         g = nc.Tensor(rng.standard_normal((8, 5, 40)))
 
         def build():
-            return nc.sum_all(nc.mul(nc.batch_norm(x, scale, shift, state, training=True), g))
+            return nc.sum_all(nc.mul(nc.batch_norm(x, scale, shift, state), g))
 
         assert_grad_matches(build, [x, scale, shift], tol=1e-7)
 
@@ -291,13 +306,13 @@ def _assert_conv_bit_identical(b, cin, cout, k, stride, padding, t, with_bias, s
         assert np.array_equal(a, r)
 
 
-def _bn_outputs(norm, x, scale, shift, g, stats, training):
+def _bn_outputs(norm, x, scale, shift, g, stats):
     state = nc.NormState(x.shape[1])
     state.running_mean[...], state.running_var[...] = stats
     x = nc.Tensor(x.copy(), requires_grad=True)
     scale = nc.Tensor(scale.copy(), requires_grad=True)
     shift = nc.Tensor(shift.copy(), requires_grad=True)
-    out = norm(x, scale, shift, state, training=training)
+    out = norm(x, scale, shift, state)
     nc.backward(nc.sum_all(nc.mul(out, nc.Tensor(g))))
     return [out.values, x.grad, scale.grad, shift.grad, state.running_mean, state.running_var]
 
@@ -341,19 +356,18 @@ class TestKernelBitIdentity:
         b=st.integers(1, 4),
         c=st.integers(1, 5),
         t=st.integers(2, 30),
-        training=st.booleans(),
         offset=st.floats(-3.0, 3.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_batch_norm_matches_reference(self, b, c, t, training, offset, seed):
+    def test_batch_norm_matches_reference(self, b, c, t, offset, seed):
         rng = np.random.default_rng(seed)
         x = _float32(rng, (b, c, t), offset)
         scale = rng.uniform(0.5, 1.5, c).astype(np.float32)
         shift = _float32(rng, c)
         g = _float32(rng, (b, c, t))
         stats = (_float32(rng, c), rng.uniform(0.5, 2.0, c).astype(np.float32))
-        got = _bn_outputs(nc.batch_norm, x, scale, shift, g, stats, training)
-        want = _bn_outputs(reference_batch_norm, x, scale, shift, g, stats, training)
+        got = _bn_outputs(nc.batch_norm, x, scale, shift, g, stats)
+        want = _bn_outputs(reference_batch_norm, x, scale, shift, g, stats)
         for a, r in zip(got, want):
             assert a.dtype == r.dtype == np.float32
             assert np.array_equal(a, r)
@@ -474,6 +488,52 @@ class TestGradientHandoff:
         assert got.keys() == want.keys()
         for name in got:
             assert got[name].tobytes() == want[name].tobytes(), name
+
+
+class TestFoldedEval:
+    """Eval folds the running statistics into the conv kernel and bias; in
+    float64 values and gradients agree with the unfolded conv ->
+    normalisation reference to rounding."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        b=st.integers(1, 3),
+        cin=st.integers(1, 4),
+        cout=st.integers(1, 4),
+        k=st.sampled_from([1, 3, 5, 7]),
+        stride=st.integers(1, 3),
+        padding=st.integers(0, 3),
+        extra=st.integers(0, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_layer_matches_unfolded_reference(self, b, cin, cout, k, stride, padding,
+                                              extra, seed):
+        rng = np.random.default_rng(seed)
+        t = max(1, k - 2 * padding) + extra
+        x = rng.standard_normal((b, cin, t))
+        arrays = {"w": 0.5 * rng.standard_normal((cout, cin, k)),
+                  "b": 0.1 * rng.standard_normal(cout),
+                  "scale": rng.uniform(0.5, 1.5, cout),
+                  "shift": rng.standard_normal(cout)}
+        state = nc.NormState(cout, dtype=np.float64)
+        state.running_mean[...] = rng.standard_normal(cout)
+        state.running_var[...] = rng.uniform(0.1, 2.0, cout)
+        g = rng.standard_normal((b, cout, (t + 2 * padding - k) // stride + 1))
+
+        def outputs(layer):
+            ts = {n: nc.Tensor(v.copy(), requires_grad=True) for n, v in arrays.items()}
+            xt = nc.Tensor(x.copy(), requires_grad=True)
+            out = layer(xt, ts)
+            nc.backward(nc.sum_all(nc.mul(out, nc.Tensor(g))))
+            return [out.values, xt.grad] + [ts[n].grad for n in arrays]
+
+        folded = outputs(lambda xt, ts: _conv_norm_layer(
+            ts["w"], ts["b"], ts["scale"], ts["shift"], state)(xt, False, stride, padding))
+        unfolded = outputs(lambda xt, ts: reference_batch_norm(
+            reference_conv1d(xt, ts["w"], ts["b"], stride=stride, padding=padding),
+            ts["scale"], ts["shift"], state, training=False))
+        for got, want in zip(folded, unfolded):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestNoGrad:
@@ -661,7 +721,9 @@ class TestCheckpointFormat:
         ("nbytes", 4),
         ("dtype", "not-a-dtype"),
         ("dtype", "|O"),
+        ("dtype", ",f4"),  # one bit off "<f4"; np.dtype raises SyntaxError
         ("shape", [-1, 4]),
+        ("shape", [float("inf")]),  # a JSON Infinity; int() raises OverflowError
         ("name", None),
     ])
     def test_bad_array_entry_raises_checkpoint_error(self, tmp_path, field, value):
@@ -677,6 +739,25 @@ class TestCheckpointFormat:
         path = tmp_path / "bad.bin"
         path.write_bytes(data[:8] + struct.pack("<Q", len(new)) + new + data[16 + n :])
         with pytest.raises(CheckpointError):
+            nc.load_arrays(str(path))
+
+    @pytest.mark.parametrize("shift", [-4, -1, 1, 4])
+    def test_offset_off_the_layout_raises_checkpoint_error(self, tmp_path, shift):
+        # arrays lie back to back; a shifted offset read misaligned bytes
+        data = self._saved(tmp_path).read_bytes()
+        (n,) = struct.unpack("<Q", data[8:16])
+        header = json.loads(data[16 : 16 + n])
+        header["arrays"][shift < 0]["offset"] += shift
+        new = json.dumps(header).encode()
+        path = tmp_path / "bad.bin"
+        path.write_bytes(data[:8] + struct.pack("<Q", len(new)) + new + data[16 + n :])
+        with pytest.raises(CheckpointError, match="start"):
+            nc.load_arrays(str(path))
+
+    def test_trailing_bytes_raise_checkpoint_error(self, tmp_path):
+        path = self._saved(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\0" * 4)
+        with pytest.raises(CheckpointError, match="follow the last array"):
             nc.load_arrays(str(path))
 
     def test_undecodable_header_raises_checkpoint_error(self, tmp_path):
