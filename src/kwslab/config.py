@@ -113,6 +113,9 @@ def _coerce(cls, key, value, path):
         (RunConfig, "evaluation"): EvaluationConfig,
     }
     target = nested.get((cls, key))
+    if target is TrainConfig and isinstance(value, dict) and "seed" in value:
+        # each run sets it from an entry of `seeds`, so a value here is never read
+        raise ConfigError(f"{path}.seed is not a config key: list the training seeds in `seeds`")
     if target is not None and value is not None:
         return _build_dataclass(target, value, path)
     if cls is EvaluationConfig and key == "scenarios":

@@ -12,7 +12,7 @@ import json
 from functools import lru_cache
 from importlib import resources
 
-from ..metrics import PRPoint
+from ..metrics import PRCurve, PRPoint
 
 
 @lru_cache(maxsize=1)
@@ -22,15 +22,7 @@ def load_reference_tables() -> dict:
         return json.load(fh)
 
 
-def reference_operating_curves() -> list[list[PRPoint]]:
+def reference_operating_curves() -> list[PRCurve]:
     """Per-seed PR curves from the operating-point snapshot fixture."""
-    tables = load_reference_tables()
-    curves = []
-    for curve in tables["operating_points"]["per_seed_curves"]:
-        curves.append(
-            [
-                PRPoint(threshold=p["threshold"], precision=p["precision"], recall=p["recall"])
-                for p in curve
-            ]
-        )
-    return curves
+    return [PRCurve.of(PRPoint(p["threshold"], p["precision"], p["recall"]) for p in curve)
+            for curve in load_reference_tables()["operating_points"]["per_seed_curves"]]

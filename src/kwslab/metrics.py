@@ -58,6 +58,33 @@ class PRPoint:
     recall: float
 
 
+@dataclass(frozen=True, eq=False)
+class PRCurve:
+    """PR curve points as three float64 arrays in curve order; the curve
+    indexes and iterates as PRPoints."""
+
+    threshold: np.ndarray
+    precision: np.ndarray
+    recall: np.ndarray
+
+    @classmethod
+    def of(cls, points) -> PRCurve:
+        """The curve through the given points, in their order."""
+        points = list(points)
+        return cls(*(np.array([getattr(p, f) for p in points], dtype=np.float64)
+                     for f in ("threshold", "precision", "recall")))
+
+    def __len__(self) -> int:
+        return self.threshold.size
+
+    def __getitem__(self, i: int) -> PRPoint:
+        return PRPoint(float(self.threshold[i]), float(self.precision[i]), float(self.recall[i]))
+
+    def __iter__(self):
+        return map(PRPoint, self.threshold.tolist(), self.precision.tolist(),
+                   self.recall.tolist())
+
+
 def _presort(scored: ScoredSet):
     """The item order by descending score (stable), and the scores and
     labels in that order."""
@@ -71,7 +98,7 @@ def _tie_ends(sorted_scores: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.append(sorted_scores[1:] != sorted_scores[:-1], True))
 
 
-def pr_curve(scored: ScoredSet) -> list[PRPoint]:
+def pr_curve(scored: ScoredSet) -> PRCurve:
     """One point per distinct score, descending; recall is non-decreasing."""
     k = scored.n_positive
     if k == 0:
@@ -79,11 +106,7 @@ def pr_curve(scored: ScoredSet) -> list[PRPoint]:
     _, sorted_scores, ordered = _presort(scored)
     ends = _tie_ends(sorted_scores)
     tp = np.cumsum(ordered)[ends]
-    return [
-        PRPoint(threshold=t, precision=p, recall=r)
-        for t, p, r in zip(sorted_scores[ends].tolist(), (tp / (ends + 1.0)).tolist(),
-                           (tp / k).tolist())
-    ]
+    return PRCurve(threshold=sorted_scores[ends], precision=tp / (ends + 1.0), recall=tp / k)
 
 
 def auprc(scored: ScoredSet) -> float:
@@ -211,7 +234,6 @@ class _Engine:
         self.position = np.empty(self.n, dtype=np.int64)
         self.position[order] = np.arange(self.n)
         self.ends = _tie_ends(sorted_scores)
-        self.edges = np.append(0, self.ends + 1)  # group g spans edges[g]:edges[g + 1]
         self.group = np.searchsorted(self.ends, np.arange(self.n))  # of each position
         self.n_pred = int(np.sum(sorted_scores >= tau))  # predictions: a prefix
         self.positives = np.flatnonzero(sorted_labels)  # positions, ascending
@@ -241,46 +263,75 @@ class _Engine:
                                        self.ends[group] + 1, group, np.full(rows, self.ends.size))
         return out
 
+    def bin_items(self):
+        """The bootstrap table: each item's bin among the sorted cut points a
+        resample's metrics read (0, n_pred and n, each positive's position
+        and the next, both edges of each positive's tie group), so that the
+        draws above every cut point are a cumulative sum over a few bins, and
+        each item's tie group, for the groups a resample draws from."""
+        g = self.positive_group
+        edges = np.append(0, self.ends + 1)  # group g spans edges[g]:edges[g + 1]
+        cuts = np.unique(np.concatenate(([0, self.n_pred, self.n], self.positives,
+                                         self.positives + 1, edges[g], edges[g + 1])))
+        self.n_bins = cuts.size - 1
+        self.bin = (np.searchsorted(cuts, np.arange(self.n), side="right") - 1)[self.position]
+        self.hit_bin = np.searchsorted(cuts, self.positives)  # a positive's own bin
+        self.pred_cut, self.lo_cut, self.hi_cut = (np.searchsorted(cuts, c) for c in (
+            self.n_pred, edges[g], edges[g + 1]))
+        self.item_group = self.group[self.position]
+        groups = np.unique(g)  # the positives' groups, ascending
+        self.group_starts = np.append(0, groups + 1)
+        self.group_rank = np.searchsorted(groups, g)  # of each positive's group among them
+
     def on_resamples(self, block, taken: dict) -> dict:
         """Rows of bootstrap indices, and the rows of the block each
         acceptance class takes; the draw counts are shared by the classes."""
-        rows, n = block.shape
-        flat = (self.position[block] + n * np.arange(rows)[:, None]).ravel()
-        counts = np.bincount(flat, minlength=rows * n).reshape(rows, n)
-        prefix = np.zeros((rows, n + 1), dtype=np.int64)  # items drawn above each position
-        np.cumsum(counts, axis=1, out=prefix[:, 1:])
-        hits = counts[:, self.positives]  # draws of each positive, in score order
+        rows, bins = len(block), self.n_bins
+        flat = self.bin[block]
+        flat += bins * np.arange(rows)[:, None]  # in place: a fresh sum costs ~4x as much
+        counts = np.bincount(flat.ravel(), minlength=rows * bins).reshape(rows, bins)
+        drawn = np.zeros((rows, bins + 1), dtype=np.int64)  # items drawn above each cut point
+        np.cumsum(counts, axis=1, out=drawn[:, 1:])
+        hits = counts[:, self.hit_bin]  # draws of each positive, in score order
         k = hits.sum(axis=1)
         if taken.keys() - {"thresholded"}:
             tp = np.cumsum(hits, axis=1)  # positives drawn down to each positive
-            edges = prefix[:, self.edges]  # items drawn above each group, and in all
+            # items drawn down to each positive's group's end, and above its start
+            seen, seen_above = drawn[:, self.hi_cut], drawn[:, self.lo_cut]
         out = {}
         for c, r in taken.items():
             if c == "thresholded":
                 hit = hits[r, : self.n_pred_positives].sum(axis=1)
-                out.update(self._thresholded(hit, prefix[r, self.n_pred], k[r]))
+                out.update(self._thresholded(hit, drawn[r, self.pred_cut], k[r]))
+            elif c == "auroc":
+                out[c] = self._resampled_auroc(tp[r], seen[r], seen_above[r])
             else:
-                resampled = self._resampled_auroc if c == "auroc" else self._resampled_auprc
-                out[c] = resampled(tp[r], edges[r])
+                out[c] = self._resampled_auprc(block[r], tp[r], seen[r])
         return out
 
-    def _resampled_auroc(self, tp, edges) -> np.ndarray:
+    def _resampled_auroc(self, tp, seen, seen_above) -> np.ndarray:
         """Twice the Mann-Whitney U, exact in integers: a group's positives
         beat the negatives below it and tie with the negatives inside it.
         Groups without a positive add no pairs."""
-        g = self.positive_group
-        last, tp_above = _by_group(g, tp)
-        seen, seen_above = edges[:, g + 1], edges[:, g]
+        last, tp_above = _by_group(self.positive_group, tp)
         k = tp[:, -1]
         m = self.n - k
         pairs = (tp - tp_above) * (2 * m[:, None] - (seen - tp) - (seen_above - tp_above))
         return np.where(last, pairs, 0).sum(axis=1) / 2.0 / (k * m)
 
-    def _resampled_auprc(self, tp, edges) -> np.ndarray:
-        """`_auprc` of resamples, each placing its terms among the groups it draws from."""
-        g = self.positive_group
-        slot = np.cumsum(edges[:, 1:] > edges[:, :-1], axis=1)  # drawn groups down to each
-        return self._auprc(g, tp, edges[:, g + 1], slot[:, g] - 1, slot[:, -1])
+    def _resampled_auprc(self, block, tp, seen) -> np.ndarray:
+        """`_auprc` of resamples, each placing its terms among the groups it
+        draws from: a mark per drawn group, summed between the positives'
+        groups, counts the drawn groups down to each."""
+        rows, width = len(block), self.ends.size + 1  # one spare group, never drawn
+        flat = self.item_group[block]
+        flat += width * np.arange(rows)[:, None]
+        drawn = np.zeros(rows * width, dtype=bool)
+        drawn[flat.ravel()] = True
+        slot = np.cumsum(np.add.reduceat(drawn.reshape(rows, width), self.group_starts, axis=1,
+                                         dtype=np.int64), axis=1)
+        return self._auprc(self.positive_group, tp, seen, slot[:, self.group_rank] - 1,
+                           slot[:, -1])
 
     def _auprc(self, group, tp, seen, slot, lengths) -> np.ndarray:
         """Sum of (R_g - R_{g-1}) * P_g over the tie groups each row draws
@@ -367,6 +418,8 @@ def _bootstrap(engines: list[_Engine], n_resamples: int, seed: int) -> list[dict
     first = engines[0]
     n = first.n
     rows = max(1, _BLOCK_ELEMENTS // n)
+    for engine in engines:
+        engine.bin_items()
     cursors = {c: _Cursor(n_resamples) for c in first.class_of.values()}
     values = [{m: np.empty(n_resamples, dtype=np.float64) for m in e.names} for e in engines]
     while need := max(cur.left for cur in cursors.values()):

@@ -301,11 +301,10 @@ def sum_axis(a, axis: int) -> Tensor:
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    mask = a.values > 0
 
-    def _bw(g):
+    def _bw(g):  # the mask comes from a.values, which no op changes in place
         if a.requires_grad:
-            _accumulate(a, g * mask, owned=True)
+            _accumulate(a, g * (a.values > 0), owned=True)
 
     return _result(np.maximum(a.values, 0), (a,), _bw)
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedOperatingPointError, ValidationError
-from .metrics import PRPoint
+from .metrics import PRCurve, PRPoint
 
 
 @dataclass(frozen=True)
@@ -98,22 +98,19 @@ def _as_operating_point(point: PRPoint, scenario: Scenario, feasible: bool) -> O
     )
 
 
-def _translatable(curve):
+def _translatable(curve: PRCurve):
     """The indices of the curve points with nonzero precision, and their
     recall, precision, threshold and FA/h per unit lambda, in curve order."""
-    recall = np.array([p.recall for p in curve], dtype=np.float64)
-    precision = np.array([p.precision for p in curve], dtype=np.float64)
-    threshold = np.array([p.threshold for p in curve], dtype=np.float64)
-    keep = np.flatnonzero(precision > 0)
+    keep = np.flatnonzero(curve.precision > 0)
     if not keep.size:
         raise UndefinedOperatingPointError("no curve point has nonzero precision")
-    recall, precision, threshold = recall[keep], precision[keep], threshold[keep]
+    recall, precision, threshold = curve.recall[keep], curve.precision[keep], curve.threshold[keep]
     fa = np.multiply(recall, 1.0 / precision - 1.0, out=np.zeros_like(recall),
                      where=recall != 0)
     return keep, recall, precision, threshold, fa
 
 
-def _pick(curve, kept, scenario: Scenario, qualifying, best, fallback) -> OperatingPoint:
+def _pick(curve: PRCurve, kept, scenario: Scenario, qualifying, best, fallback) -> OperatingPoint:
     """The first qualifying point with the lexicographically least `best`
     keys (most significant first); with none qualifying, the first point
     with the least `fallback` keys, flagged infeasible."""
@@ -124,7 +121,8 @@ def _pick(curve, kept, scenario: Scenario, qualifying, best, fallback) -> Operat
     return _as_operating_point(curve[kept[order[0]]], scenario, feasible)
 
 
-def select_threshold_max_recall(curve, scenario: Scenario, fa_budget: float) -> OperatingPoint:
+def select_threshold_max_recall(curve: PRCurve, scenario: Scenario,
+                                fa_budget: float) -> OperatingPoint:
     """Max recall subject to FA/h <= budget; ties prefer higher precision,
     then higher threshold. With no qualifying point, the minimal-FA/h point
     is returned flagged infeasible."""
@@ -133,7 +131,8 @@ def select_threshold_max_recall(curve, scenario: Scenario, fa_budget: float) -> 
                  (-recall, -precision, -threshold), (fa, -recall, -threshold))
 
 
-def select_threshold_min_fa(curve, scenario: Scenario, target_recall: float) -> OperatingPoint:
+def select_threshold_min_fa(curve: PRCurve, scenario: Scenario,
+                            target_recall: float) -> OperatingPoint:
     """Min FA/h subject to recall >= target; ties prefer higher threshold.
     With no qualifying point, the max-recall point is returned flagged
     infeasible."""
@@ -156,7 +155,7 @@ def empirical_fp_per_hour(scores, labels, tau: float, window_s: float) -> float:
     return fp / hours
 
 
-def recall_vs_fa_curve(curve, scenario: Scenario) -> list[tuple[float, float]]:
+def recall_vs_fa_curve(curve: PRCurve, scenario: Scenario) -> list[tuple[float, float]]:
     """Translated (FA/h, recall) points sorted by FA/h, recall forced
     non-decreasing by the upper envelope."""
     _, recall, _, _, fa = _translatable(curve)

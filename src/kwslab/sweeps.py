@@ -176,12 +176,19 @@ def run_scaling_sweep(config, sessions, default_split, fractions, workdir: str) 
 # ---------------------------------------------------------------------------
 
 
+def _row_blocks(count: int, m: int):
+    """Row counts of the blocks that draw `count` rows of m values, at most
+    `mx._BLOCK_ELEMENTS` values (and at least one row) a block. A block
+    draw gives the values of its rows drawn one call at a time."""
+    rows = max(1, mx._BLOCK_ELEMENTS // m)
+    return [min(rows, count - start) for start in range(0, count, rows)]
+
+
 def _bootstrap_mean_ci(values, n_resamples=4000, seed=0):
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed,))))
+    rng = mx._rng(seed)
     arr = np.asarray(values, dtype=np.float64)
-    means = np.empty(n_resamples)
-    for i in range(n_resamples):
-        means[i] = arr[rng.integers(0, arr.size, size=arr.size)].mean()
+    means = np.concatenate([arr[rng.integers(0, arr.size, size=(rows, arr.size))].mean(axis=1)
+                            for rows in _row_blocks(n_resamples, arr.size)])
     lo, hi = np.percentile(means, [2.5, 97.5])
     return float(lo), float(hi), mx.se_from_ci(lo, hi)
 
@@ -191,12 +198,11 @@ def sign_flip_pvalue(deltas, n_draws=10000, seed=0) -> float:
     reaching the observed mean."""
     arr = np.asarray(deltas, dtype=np.float64)
     observed = arr.mean()
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed,))))
+    rng = mx._rng(seed)
     hits = 0
-    for _ in range(n_draws):
-        signs = rng.integers(0, 2, size=arr.size) * 2 - 1
-        if (arr * signs).mean() >= observed:
-            hits += 1
+    for rows in _row_blocks(n_draws, arr.size):
+        signs = rng.integers(0, 2, size=(rows, arr.size)) * 2 - 1
+        hits += int(np.sum((arr * signs).mean(axis=1) >= observed))
     return (1.0 + hits) / (n_draws + 1.0)
 
 
@@ -313,14 +319,10 @@ def lexicon_length_frequency_spearman(sessions) -> tuple[float, float]:
 
 
 def best_f1_over_thresholds(scored) -> float:
-    best = 0.0
-    for point in mx.pr_curve(scored):
-        if point.precision + point.recall > 0:
-            best = max(
-                best,
-                2 * point.precision * point.recall / (point.precision + point.recall),
-            )
-    return best
+    curve = mx.pr_curve(scored)
+    both = curve.precision + curve.recall
+    ok = both > 0
+    return float(np.max(2 * curve.precision[ok] * curve.recall[ok] / both[ok], initial=0.0))
 
 
 def _skipped_keyword(axis: dict, exc: Exception) -> dict:

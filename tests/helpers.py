@@ -1,10 +1,11 @@
 """Shared test utilities: finite-difference gradient checking with
 kink-stencil detection, brute-force metric oracles, the per-draw resampling
-reference the block engine is tested against, the loop-based operating-point
-selection the array version is tested against, the copying nncore kernels and
-the serial corpus set-up the copy-free ones must match bit for bit, the
-unfolded conv -> normalisation eval layer the folded one must match, and
-small helpers only the tests use."""
+reference the block engine is tested against, the one-draw-per-call sweep
+resampling loops the block draws are tested against, the loop-based
+operating-point selection the array version is tested against, the copying
+nncore kernels and the serial corpus set-up the copy-free ones must match bit
+for bit, the unfolded conv -> normalisation eval layer the folded one must
+match, and small helpers only the tests use."""
 
 from __future__ import annotations
 
@@ -138,6 +139,17 @@ def brute_force_auroc(scores, labels) -> float:
     return total / (len(pos) * len(neg))
 
 
+def list_pr_curve(scored) -> list:
+    """`mx.pr_curve` as the list of points it was built as before it held
+    arrays: one point per distinct score, descending."""
+    _, sorted_scores, ordered = mx._presort(scored)
+    ends = mx._tie_ends(sorted_scores)
+    tp = np.cumsum(ordered)[ends]
+    return [mx.PRPoint(threshold=t, precision=p, recall=r)
+            for t, p, r in zip(sorted_scores[ends].tolist(), (tp / (ends + 1.0)).tolist(),
+                               (tp / scored.n_positive).tolist())]
+
+
 # ---------------------------------------------------------------------------
 # the per-draw resampling reference: a metric callable on a validated
 # ScoredSet, one draw at a time, from the same RNG calls as the engine
@@ -190,6 +202,30 @@ def reference_seed_mean_permutation_pvalue(scored_sets, fn, n_draws, seed):
 
 def reference_permutation_pvalue(scored, fn, n_draws, seed):
     return reference_seed_mean_permutation_pvalue([scored], fn, n_draws, seed)
+
+
+def loop_bootstrap_mean_ci(values, n_resamples=4000, seed=0):
+    """`sweeps._bootstrap_mean_ci` drawing one resample per call."""
+    rng = mx._rng(seed)
+    arr = np.asarray(values, dtype=np.float64)
+    means = np.empty(n_resamples)
+    for i in range(n_resamples):
+        means[i] = arr[rng.integers(0, arr.size, size=arr.size)].mean()
+    lo, hi = np.percentile(means, [2.5, 97.5])
+    return float(lo), float(hi), mx.se_from_ci(lo, hi)
+
+
+def loop_sign_flip_pvalue(deltas, n_draws=10000, seed=0) -> float:
+    """`sweeps.sign_flip_pvalue` drawing one sign vector per call."""
+    arr = np.asarray(deltas, dtype=np.float64)
+    observed = arr.mean()
+    rng = mx._rng(seed)
+    hits = 0
+    for _ in range(n_draws):
+        signs = rng.integers(0, 2, size=arr.size) * 2 - 1
+        if (arr * signs).mean() >= observed:
+            hits += 1
+    return (1.0 + hits) / (n_draws + 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 such as `nncore.sum_all`, `training.prepare_task` or
 `metrics.permutation_pvalue`. Entering one of its blocks here makes a rename
 or removal of any of those names fail this suite, not only the benchmark's
-own tests. The `score` workload's checks run here too, at a tiny size."""
+own tests. The `score` and `evaluate` workloads' checks run here too, at a
+tiny size."""
 
 import os
 import sys
@@ -69,5 +70,17 @@ def test_score_workload_matches_the_float64_oracle(tmp_path):
 
     result = run("score", seed=3, seconds=0.0, trace=False, workdir=str(tmp_path),
                  size=_tiny_size(calibration_batches=4))
+    assert result["correct"] and result["failed"] == 0
+    assert result["attempted"] == 1
+
+
+def test_evaluate_workload_matches_the_oracles(tmp_path):
+    # bootstrap CIs, permutation nulls, seed-mean tests and operating points
+    # of three score vectors, each checked against the benchmark's oracles
+    from perfbench.workloads import run
+
+    result = run("evaluate", seed=3, seconds=0.0, trace=False, workdir=str(tmp_path),
+                 size=_tiny_size(eval_windows=400, eval_positives=8, resamples=30, draws=50,
+                                 eval_setups=2))
     assert result["correct"] and result["failed"] == 0
     assert result["attempted"] == 1

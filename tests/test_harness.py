@@ -5,10 +5,17 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kwslab.metrics as mx
 import kwslab.nncore as nc
-from helpers import read_rows_csv, reference_offset_grid
+from helpers import (
+    loop_bootstrap_mean_ci,
+    loop_sign_flip_pvalue,
+    read_rows_csv,
+    reference_offset_grid,
+)
 from kwslab.cli import main
 from kwslab.config import (
     DATA_ROOT_ENV,
@@ -21,6 +28,7 @@ from kwslab.fixtures import load_reference_tables
 from kwslab.model import config_hash
 from kwslab.reports import provenance_block, read_json_report
 from kwslab.sweeps import (
+    _bootstrap_mean_ci,
     auto_keywords_by_length,
     lexicon_length_frequency_spearman,
     paired_offset_improvement,
@@ -105,6 +113,17 @@ class TestConfigLoading:
         err = capsys.readouterr().err
         assert "unknown keys" in err and key in err
 
+    @pytest.mark.parametrize("value", [7, -1])
+    def test_training_seed_key_names_seeds(self, corpus_dir, tmp_path, capsys, value):
+        # every run takes its seed from `seeds`, so a training.seed would be
+        # validated and hashed but never read
+        config_path, _ = corpus_dir
+        assert main(["train", "--config", config_path, "--workdir", str(tmp_path / "w"),
+                     "--set", f"training.seed={value}"]) == 1
+        err = capsys.readouterr().err
+        assert "config.training.seed" in err and "`seeds`" in err
+        assert not (tmp_path / "w" / "train_report.json").exists()
+
     def test_provenance_hash_is_the_config_hash(self, micro_config_dict):
         config = copy.deepcopy(micro_config_dict)
         config["corpus"]["root"] = "unused"
@@ -134,7 +153,6 @@ class TestConfigLoading:
         assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("command,override,message", [
-        ("train", "training.seed=-1", "config.training: seed must be >= 0"),
         ("train", "seeds=[0,-1]", "seeds must all be >= 0"),
         ("synth", "corpus.synth.seed=-3", "config.corpus.synth: seed must be >= 0"),
         ("evaluate", "evaluation.stat_seed=-2", "evaluation.stat_seed must be >= 0"),
@@ -399,6 +417,18 @@ class TestOffsetsSweep:
     def test_sign_flip_pvalue_extremes(self):
         assert sign_flip_pvalue([1.0] * 12, n_draws=2000, seed=0) < 0.01
         assert sign_flip_pvalue([-1.0] * 12, n_draws=2000, seed=0) > 0.99
+
+    @given(values=st.lists(st.floats(-1, 1), min_size=1, max_size=300), count=st.integers(1, 60),
+           rows=st.integers(1, 70), seed=st.integers(0, 2**16))
+    @settings(max_examples=150, deadline=None)
+    def test_block_draws_equal_one_draw_per_call(self, values, count, rows, seed):
+        # blocks of `rows` draws, so most counts leave a partial last block
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mx, "_BLOCK_ELEMENTS", rows * len(values))
+            assert _bootstrap_mean_ci(values, count, seed) == loop_bootstrap_mean_ci(
+                values, count, seed)
+            assert sign_flip_pvalue(values, count, seed) == loop_sign_flip_pvalue(
+                values, count, seed)
 
     def test_published_offset_grid_consistency(self):
         # linearity identity: the paired per-seed mean equals the mean of the

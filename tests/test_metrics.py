@@ -12,6 +12,7 @@ import kwslab.metrics as mx
 from helpers import (
     brute_force_auroc,
     brute_force_average_precision,
+    list_pr_curve,
     make_thresholded_metric,
     per_draw_metric,
     reference_bootstrap_ci,
@@ -25,6 +26,51 @@ RNG = np.random.default_rng(99)
 
 def scored(scores, labels):
     return mx.ScoredSet(np.asarray(scores, float), np.asarray(labels))
+
+
+@st.composite
+def scored_sets(draw):
+    """Both classes present, often k = 1; scores from a few levels (heavy
+    ties) or continuous."""
+    n = draw(st.integers(2, 30))
+    k = draw(st.one_of(st.just(1), st.integers(1, n - 1)))
+    labels = np.zeros(n, int)
+    labels[draw(st.permutations(range(n)))[:k]] = 1
+    levels = draw(st.one_of(st.integers(1, 4), st.just(None)))
+    if levels is None:
+        scores = draw(st.lists(st.floats(0, 1), min_size=n, max_size=n))
+    else:
+        scores = np.array(draw(st.lists(st.integers(0, levels), min_size=n, max_size=n))) / levels
+    return scored(scores, labels)
+
+
+@st.composite
+def cut_edge_sets(draw):
+    """Sets at the cut points the bootstrap counts its draws between: a
+    positive first or last in score order, several positives in one tie
+    group, k = n - 1, and no score or every score at or above tau = 0.5."""
+    n = draw(st.integers(2, 30))
+    k = draw(st.one_of(st.just(1), st.just(n - 1), st.integers(1, n - 1)))
+    levels = draw(st.one_of(st.integers(1, 4), st.just(None)))
+    if levels is None:
+        scores = np.array(draw(st.lists(st.floats(0, 1), min_size=n, max_size=n)))
+    else:
+        scores = np.array(draw(st.lists(st.integers(0, levels), min_size=n, max_size=n))) / levels
+    positions = list(draw(st.permutations(range(n)))[:k])  # of the positives, in score order
+    for end in draw(st.sampled_from([(), (0,), (n - 1,), (0, n - 1)])):
+        if end not in positions:
+            positions[draw(st.integers(0, k - 1))] = end
+    items = np.argsort(-scores, kind="stable")[positions]
+    labels = np.zeros(n, int)
+    labels[items] = 1
+    if k > 1 and draw(st.booleans()):  # one tie group holds every positive
+        scores[items] = scores[items[draw(st.integers(0, k - 1))]]
+    shift = draw(st.sampled_from(["none", "all below tau", "all at or above tau"]))
+    if shift == "all below tau":
+        scores = 0.4 * scores
+    elif shift == "all at or above tau":
+        scores = 0.5 + 0.5 * scores
+    return scored(scores, labels)
 
 
 class TestScoredSet:
@@ -58,7 +104,7 @@ class TestPrCurve:
     def test_perfect_separation_prefix_precision_one(self):
         s = scored([0.9, 0.8, 0.7, 0.3, 0.2], [1, 1, 1, 0, 0])
         points = mx.pr_curve(s)
-        assert all(p.precision == 1.0 for p in points[:3])
+        assert (points.precision[:3] == 1.0).all()
 
     def test_total_tie_single_point(self):
         points = mx.pr_curve(scored([0.5] * 8, [1, 0, 0, 0, 1, 0, 0, 0]))
@@ -73,6 +119,21 @@ class TestPrCurve:
     def test_no_positives_undefined(self):
         with pytest.raises(UndefinedMetricError):
             mx.pr_curve(scored([0.1, 0.2], [0, 0]))
+
+    @given(s=scored_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_arrays_equal_the_point_list(self, s):
+        """The arrays hold exactly the floats of the list of points the
+        curve was built as, and indexing and iteration give those points."""
+        curve = mx.pr_curve(s)
+        points = list_pr_curve(s)
+        for f in ("threshold", "precision", "recall"):
+            array = getattr(curve, f)
+            assert array.dtype == np.float64 and array.tolist() == [getattr(p, f) for p in points]
+        assert len(curve) == len(points) and list(curve) == points
+        assert [curve[i] for i in range(len(curve))] == points
+        assert all(type(p) is mx.PRPoint and type(p.recall) is float for p in curve)
+        assert list(mx.PRCurve.of(points)) == points
 
 
 class TestAuprc:
@@ -377,22 +438,6 @@ def test_auprc_bounds_property(values):
 # ---------------------------------------------------------------------------
 
 
-@st.composite
-def scored_sets(draw):
-    """Both classes present, often k = 1; scores from a few levels (heavy
-    ties) or continuous."""
-    n = draw(st.integers(2, 30))
-    k = draw(st.one_of(st.just(1), st.integers(1, n - 1)))
-    labels = np.zeros(n, int)
-    labels[draw(st.permutations(range(n)))[:k]] = 1
-    levels = draw(st.one_of(st.integers(1, 4), st.just(None)))
-    if levels is None:
-        scores = draw(st.lists(st.floats(0, 1), min_size=n, max_size=n))
-    else:
-        scores = np.array(draw(st.lists(st.integers(0, levels), min_size=n, max_size=n))) / levels
-    return scored(scores, labels)
-
-
 def assert_same_result(name, engine, reference):
     """Field by field: exact, except that AUPRC values may differ by 1e-15
     relative."""
@@ -404,8 +449,8 @@ def assert_same_result(name, engine, reference):
             assert a == b, f.name
 
 
-@given(s=scored_sets(), name=st.sampled_from(mx.REPORT_METRICS), count=st.integers(1, 40),
-       rows=st.integers(1, 6), seed=st.integers(0, 2**16))
+@given(s=st.one_of(scored_sets(), cut_edge_sets()), name=st.sampled_from(mx.REPORT_METRICS),
+       count=st.integers(1, 40), rows=st.integers(1, 6), seed=st.integers(0, 2**16))
 @settings(max_examples=200, deadline=None)
 def test_engine_matches_per_draw_reference(s, name, count, rows, seed):
     reference = per_draw_metric(name)
@@ -485,8 +530,8 @@ def assert_one_pass_equals_one_name_calls(s, resamples, draws, seed):
             perm.p_value, perm.null_mean, perm.null_median), name
 
 
-@given(s=scored_sets(), count=st.integers(1, 40), rows=st.integers(1, 6),
-       seed=st.integers(0, 2**16))
+@given(s=st.one_of(scored_sets(), cut_edge_sets()), count=st.integers(1, 40),
+       rows=st.integers(1, 6), seed=st.integers(0, 2**16))
 @settings(max_examples=100, deadline=None)
 def test_one_pass_matches_one_name_calls(s, count, rows, seed):
     with pytest.MonkeyPatch.context() as mp:
