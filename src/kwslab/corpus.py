@@ -67,10 +67,10 @@ class WordEvent:
     kind: str = "word"
 
     def __post_init__(self):
-        if self.onset_s < 0:
-            raise ValidationError(f"event onset must be >= 0, got {self.onset_s}")
-        if self.duration_s <= 0:
-            raise ValidationError(f"event duration must be > 0, got {self.duration_s}")
+        if not (math.isfinite(self.onset_s) and self.onset_s >= 0):
+            raise ValidationError(f"event onset must be finite and >= 0, got {self.onset_s}")
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+            raise ValidationError(f"event duration must be finite and > 0, got {self.duration_s}")
         if self.kind not in EVENT_KINDS:
             raise ValidationError(f"unknown event kind {self.kind!r}")
         if self.kind == "word" and not self.word:

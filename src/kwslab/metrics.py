@@ -423,7 +423,7 @@ def _bootstrap(engines: list[_Engine], n_resamples: int, seed: int) -> list[dict
     cursors = {c: _Cursor(n_resamples) for c in first.class_of.values()}
     values = [{m: np.empty(n_resamples, dtype=np.float64) for m in e.names} for e in engines]
     while need := max(cur.left for cur in cursors.values()):
-        block = np.stack([rng.integers(0, n, size=n) for _ in range(min(rows, need))])
+        block = rng.integers(0, n, size=(min(rows, need), n))  # = one size-n draw a row (PCG64)
         k = first.labels[block].sum(axis=1)  # positives drawn per row
         taken = {c: cur.take(_defined(c, k, n)) for c, cur in cursors.items() if cur.left}
         for engine, vals in zip(engines, values):

@@ -360,16 +360,18 @@ def softmax_time(a) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _tap_range(kk: int, t: int, t_out: int, stride: int, padding: int):
-    """Output columns [lo, hi) whose tap kk reads inside the unpadded input,
-    and the slice of the input they read (column j reads kk + j*stride - padding).
-    A tap that reads only padding has lo == hi and an empty slice."""
-    lo = min(t_out, max(0, -((kk - padding) // stride)))
-    hi = max(lo, min(t_out, (t - 1 + padding - kk) // stride + 1))
-    if hi == lo:
-        return lo, hi, slice(0, 0)
-    start = kk + lo * stride - padding
-    return lo, hi, slice(start, start + (hi - lo - 1) * stride + 1, stride)
+def _taps(k: int, t: int, t_out: int, stride: int, padding: int) -> list[tuple]:
+    """(kk, lo, hi, src) for each tap kk that reads the unpadded input: output
+    columns [lo, hi) read the input slice src (column j reads kk + j*stride -
+    padding). A tap that reads only padding is left out."""
+    taps = []
+    for kk in range(k):
+        lo = min(t_out, max(0, -((kk - padding) // stride)))
+        hi = min(t_out, (t - 1 + padding - kk) // stride + 1)
+        if lo < hi:
+            start = kk + lo * stride - padding
+            taps.append((kk, lo, hi, slice(start, start + (hi - lo - 1) * stride + 1, stride)))
+    return taps
 
 
 def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
@@ -394,46 +396,38 @@ def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
     if b is not None and b.shape != (c_out,):
         raise DimensionError(f"bias shape {b.shape} != ({c_out},)")
 
+    # a tap sum, one GEMM per tap and no im2col: tap kk adds w[:, :, kk] @ x[:, :, src]
+    # to output columns [lo, hi). A tap that covers every column starts the sum, so a
+    # pointwise conv is one matmul; without one the sum starts from zeros. Grad-x likewise.
     xv = x.values
     t_out = (t + 2 * padding - k) // stride + 1
-    pointwise = k == 1 and stride == 1 and padding == 0
-    if pointwise:
-        cols = np.ascontiguousarray(xv)  # (B, Cin, T) is already the im2col matrix
-    else:
-        # channel-major im2col: row (ci, kk) of cols is input channel ci shifted by tap kk;
-        # columns whose tap falls in the padding are zeroed, the rest read straight from x
-        taps = [_tap_range(kk, t, t_out, stride, padding) for kk in range(k)]
-        cols = np.empty((batch, c_in, k, t_out), dtype=xv.dtype)
-        for kk, (lo, hi, src) in enumerate(taps):
-            cols[:, :, kk, :lo] = 0
-            cols[:, :, kk, hi:] = 0
-            cols[:, :, kk, lo:hi] = xv[:, :, src]
-        cols = cols.reshape(batch, c_in * k, t_out)
-    w2 = w.values.reshape(c_out, c_in * k)
-    out_values = w2 @ cols  # (B, Cout, T')
+    w_taps = np.ascontiguousarray(w.values.transpose(2, 0, 1))  # (K, Cout, Cin), BLAS-ready
+    taps = _taps(k, t, t_out, stride, padding)
+    first = next((tap for tap in taps if tap[2] - tap[1] == t_out), None)
+    out_values = (np.zeros((batch, c_out, t_out), dtype=np.result_type(xv, w_taps))
+                  if first is None else w_taps[first[0]] @ xv[:, :, first[3]])
+    for kk, lo, hi, src in (tap for tap in taps if tap is not first):
+        out_values[:, :, lo:hi] += w_taps[kk] @ xv[:, :, src]
     if b is not None:
         out_values += b.values[None, :, None]
-
-    parents = (x, w) if b is None else (x, w, b)
 
     def _bw(g):
         if b is not None and b.requires_grad:
             _accumulate(b, g.sum(axis=(0, 2)), owned=True)
         if w.requires_grad:
-            gw = (g @ cols.transpose(0, 2, 1)).sum(axis=0)  # (Cout, Cin*K)
-            _accumulate(w, gw.reshape(c_out, c_in, k), owned=True)
+            gw = np.zeros_like(w.values)
+            for kk, lo, hi, src in taps:
+                gw[:, :, kk] = (g[:, :, lo:hi] @ xv[:, :, src].transpose(0, 2, 1)).sum(0)
+            _accumulate(w, gw, owned=True)
         if x.requires_grad:
-            gcols = w2.T @ g  # (B, Cin*K, T')
-            if pointwise:
-                gx = gcols
-            else:
-                gcols = gcols.reshape(batch, c_in, k, t_out)
-                gx = np.zeros_like(xv)
-                for kk, (lo, hi, src) in enumerate(taps):
-                    gx[:, :, src] += gcols[:, :, kk, lo:hi]
+            whole = next((tap for tap in taps if stride == 1 and tap[2] - tap[1] == t), None)
+            gx = (np.zeros_like(xv) if whole is None
+                  else w_taps[whole[0]].T @ g[:, :, whole[1]:whole[2]])
+            for kk, lo, hi, src in (tap for tap in taps if tap is not whole):
+                gx[:, :, src] += w_taps[kk].T @ g[:, :, lo:hi]
             _accumulate(x, gx, owned=True)
 
-    return _result(out_values, parents, _bw)
+    return _result(out_values, (x, w) if b is None else (x, w, b), _bw)
 
 
 # ---------------------------------------------------------------------------

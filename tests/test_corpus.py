@@ -3,10 +3,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import reference_fit_normalizer, reference_normalizer_apply
 
 from kwslab.corpus import (
+    EVENT_KINDS,
+    EVENTS_HEADER,
     ChannelConfig,
     Normalizer,
     Session,
@@ -96,10 +100,72 @@ class TestParseEventsTsv:
         with pytest.raises(EventsParseError):
             parse_events_tsv("time\tlen\tkind\tword\n")
 
+    @pytest.mark.parametrize("onset,duration", [
+        ("nan", "0.1"), ("inf", "0.1"), ("1.0", "nan"), ("1.0", "inf"), ("1.0", "-inf"),
+    ])
+    def test_non_finite_time_rejected_with_line(self, onset, duration):
+        # float() accepts these spellings, and NaN passes every `< 0` / `<= 0` check
+        text = f"onset\tduration\tkind\tword\n1.0\t0.1\tword\ta\n{onset}\t{duration}\tword\tb"
+        with pytest.raises(ValidationError, match="line 3: .*finite"):
+            parse_events_tsv(text)
+
     def test_non_word_kinds_allow_empty_word(self):
         text = "onset\tduration\tkind\tword\n0.0\t2.5\tspeech\t"
         events = parse_events_tsv(text)
         assert events[0].kind == "speech" and events[0].word == ""
+
+
+@st.composite
+def word_events(draw):
+    kind = draw(st.sampled_from(EVENT_KINDS))
+    word = draw(st.text("abcdefghijklmnopqrstuvwxyz'-", min_size=kind == "word", max_size=8))
+    onset = draw(st.floats(0.0, 1e5, allow_nan=False, allow_infinity=False))
+    duration = draw(st.floats(0.0, 1e3, exclude_min=True, allow_nan=False,
+                              allow_infinity=False))
+    return WordEvent(onset, duration, word, kind)
+
+
+class TestEventsTsvProperties:
+    """format_events_tsv -> parse_events_tsv round-trips valid events
+    exactly, and a malformed row raises EventsParseError naming its line."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(events=st.lists(word_events(), max_size=12))
+    def test_round_trip(self, events):
+        # float repr round-trips, and the parser's sort is stable
+        assert parse_events_tsv(format_events_tsv(events)) == sorted(
+            events, key=lambda ev: ev.onset_s)
+
+    @settings(max_examples=100, deadline=None)
+    @given(events=st.lists(word_events(), min_size=1, max_size=8), data=st.data())
+    def test_malformed_row_names_its_line(self, events, data):
+        lines = format_events_tsv(events).splitlines()
+        row = data.draw(st.integers(1, len(events)))
+        fields = lines[row].split("\t")
+        fault = data.draw(st.sampled_from(["short", "onset", "duration"]))
+        if fault == "short":
+            fields = fields[: data.draw(st.integers(1, len(fields) - 1))]
+        else:  # no digits, so float() rejects it
+            fields[EVENTS_HEADER.index(fault)] = data.draw(st.text("xyz.,;+-e", max_size=4))
+        lines[row] = "\t".join(fields)
+        with pytest.raises(EventsParseError) as info:
+            parse_events_tsv("\n".join(lines))
+        assert info.value.line_number == row + 1
+
+    @settings(max_examples=50, deadline=None)
+    @given(events=st.lists(word_events(), max_size=4), data=st.data())
+    def test_bad_header_is_line_one(self, events, data):
+        lines = format_events_tsv(events).splitlines()
+        header = list(EVENTS_HEADER)
+        missing = data.draw(st.integers(0, len(header) - 1))
+        if data.draw(st.booleans()):
+            header[missing] = data.draw(st.sampled_from(["time", "len", "type", "token", ""]))
+        else:
+            del header[missing]
+        lines[0] = "\t".join(header)
+        with pytest.raises(EventsParseError) as info:
+            parse_events_tsv("\n".join(lines))
+        assert info.value.line_number == 1
 
 
 class TestDmaxAndTaskSpec:

@@ -2,12 +2,16 @@ import copy
 import json
 import os
 import shutil
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kwslab
 import kwslab.metrics as mx
 import kwslab.nncore as nc
 from helpers import (
@@ -56,6 +60,35 @@ def trained_workdir(tmp_path_factory, corpus_dir):
     workdir = str(tmp_path_factory.mktemp("work"))
     assert main(["train", "--config", config_path, "--workdir", workdir]) == 0
     return workdir
+
+
+# Runs the CLI with `save_arrays` signalling its own process (signal number
+# argv[1]) after the first bytes of a checkpoint reach the temp file.
+INTERRUPTING_TRAIN = """
+import os, sys
+from contextlib import contextmanager
+import kwslab.nncore.checkpoint as checkpoint
+from kwslab.cli import main
+
+signum, real_open = int(sys.argv[1]), checkpoint.atomic_open
+
+class Interrupting:
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        self.fh.write(data)
+        self.fh.flush()
+        os.kill(os.getpid(), signum)
+
+@contextmanager
+def interrupting_open(path, mode="w", **kwargs):
+    with real_open(path, mode, **kwargs) as fh:
+        yield Interrupting(fh)
+
+checkpoint.atomic_open = interrupting_open
+sys.exit(main(sys.argv[2:]))
+"""
 
 
 class TestConfigLoading:
@@ -262,6 +295,30 @@ class TestTrainEvaluateCommands:
                      "--workdir", str(tmp_path / "w")]) == 1
         assert "s001.f32" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column,word", [("onset", None), ("duration", "ri")])
+    def test_non_finite_event_time_is_invalid_input(self, corpus_dir, micro_config_dict,
+                                                    tmp_path, capsys, column, word):
+        # a NaN onset used to exit 2 ("cannot convert float NaN to integer"); a NaN
+        # duration on a keyword token trained, exited 0 and reported a val AUPRC
+        _, root = corpus_dir
+        shutil.copytree(root, tmp_path / "data")
+        events = tmp_path / "data" / "s000_events.tsv"
+        lines = events.read_text().splitlines()
+        header = lines[0].split("\t")
+        row = next(i for i, line in enumerate(lines[1:], start=1)
+                   if word is None or line.split("\t")[header.index("word")] == word)
+        fields = lines[row].split("\t")
+        fields[header.index(column)] = "nan"
+        lines[row] = "\t".join(fields)
+        events.write_text("\n".join(lines) + "\n")
+        config = copy.deepcopy(micro_config_dict)
+        config["corpus"]["root"] = str(tmp_path / "data")
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        assert main(["train", "--config", str(tmp_path / "c.json"),
+                     "--workdir", str(tmp_path / "w")]) == 1
+        err = capsys.readouterr().err
+        assert f"line {row + 1}: event {column} must be finite" in err
+
     def test_checkpoint_without_model_config_is_invalid_input(
             self, corpus_dir, trained_workdir, micro_config_dict, tmp_path, capsys):
         config_path, _ = corpus_dir
@@ -274,6 +331,31 @@ class TestTrainEvaluateCommands:
                      "--workdir", str(tmp_path)]) == 1
         assert "model_config" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGKILL], ids=["INT", "KILL"])
+    def test_interrupted_checkpoint_rewrite_keeps_the_old_one(
+            self, corpus_dir, trained_workdir, tmp_path, signum):
+        # a second `kwslab train` into the first run's workdir gets `signum`
+        # right after its first checkpoint write has put bytes in the temp file
+        config_path, _ = corpus_dir
+        workdir = tmp_path / "work"
+        shutil.copytree(trained_workdir, workdir)
+        before = {f: (workdir / f).read_bytes() for f in os.listdir(workdir)}
+        assert any(f.endswith(".ckpt") for f in before)
+        result = subprocess.run(
+            [sys.executable, "-c", INTERRUPTING_TRAIN, str(int(signum)),
+             "train", "--config", config_path, "--workdir", str(workdir)],
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(kwslab.__file__))},
+            capture_output=True, timeout=300)
+        assert result.returncode == -signum, result.stderr.decode()
+        after = {f: (workdir / f).read_bytes() for f in os.listdir(workdir)}
+        left = sorted(set(after) - set(before))
+        assert {f: after[f] for f in before} == before
+        if signum == signal.SIGINT:  # the write's clean-up runs and removes its temp file
+            assert left == []
+        else:  # nothing runs after SIGKILL: the hidden temp file stays, the checkpoint is whole
+            assert len(left) == 1 and left[0].startswith(".checkpoint_seed0.ckpt.")
+            assert left[0].endswith(".tmp")
 
     def test_flipped_dtype_in_checkpoint_is_invalid_input(
             self, corpus_dir, trained_workdir, micro_config_dict, tmp_path, capsys):

@@ -569,7 +569,7 @@ def test_seed_mean_pvalues_match_one_name_calls(s, count, seed):
 
 def test_reports_draw_each_bootstrap_resample_once(monkeypatch):
     """The per-seed reports share one stream of resamples: three seeds take
-    as many `integers` calls as one."""
+    as many `integers` calls as one, each a block of whole resamples."""
     calls = []
     real_rng = mx._rng
 
@@ -577,21 +577,49 @@ def test_reports_draw_each_bootstrap_resample_once(monkeypatch):
         def __init__(self, seed):
             self.rng = real_rng(seed)
 
-        def integers(self, *args, **kwargs):
-            calls.append(1)
-            return self.rng.integers(*args, **kwargs)
+        def integers(self, low, high, size):
+            calls.append(size)
+            return self.rng.integers(low, high, size=size)
 
         def permutation(self, x):
             return self.rng.permutation(x)
 
     monkeypatch.setattr(mx, "_rng", Counting)
+    monkeypatch.setattr(mx, "_BLOCK_ELEMENTS", 40 * 64)  # 64 rows a block
     labels = np.arange(40) % 7 == 0
     sets = [scored(np.random.default_rng(i).random(40), labels) for i in range(3)]
     mx.build_metrics_reports(sets[:1], n_resamples=300, n_draws=5, seed=2)
-    one = len(calls)
+    one = list(calls)
     calls.clear()
     mx.build_metrics_reports(sets, n_resamples=300, n_draws=5, seed=2)
-    assert one >= 300 and len(calls) == one
+    assert all(len(size) == 2 and 1 <= size[0] <= 64 and size[1] == 40 for size in one)
+    assert len(one) >= 5 and sum(rows for rows, _ in one) >= 300
+    assert calls == one
+
+
+@pytest.mark.parametrize("n,block", [(7, 5), (145, 64), (543, 7), (4660, 7)])
+def test_bootstrap_blocks_equal_the_per_row_stack(monkeypatch, n, block):
+    """A block draw `integers(0, n, size=(rows, n))` gives, on PCG64, the
+    integers of `rows` successive `integers(0, n, size=n)` calls and leaves
+    the stream where they leave it: the bootstrap values are those of the
+    per-row draws, block size and all."""
+    labels = np.arange(n) % 5 == 0
+    sets = [scored(np.random.default_rng(i).random(n).round(2), labels) for i in range(2)]
+    real_rng = mx._rng
+
+    class PerRow:  # one `integers(0, n, size=n)` call per resample, stacked
+        def __init__(self, seed):
+            self.rng = real_rng(seed)
+
+        def integers(self, low, high, size):
+            return np.stack([self.rng.integers(low, high, size=high) for _ in range(size[0])])
+
+    monkeypatch.setattr(mx, "_BLOCK_ELEMENTS", n * block)
+    engines = mx._engines(sets, mx.REPORT_METRICS, 0.5)
+    got = mx._bootstrap(engines, 150, seed=3)
+    monkeypatch.setattr(mx, "_rng", PerRow)
+    want = mx._bootstrap(mx._engines(sets, mx.REPORT_METRICS, 0.5), 150, seed=3)
+    assert got == want
 
 
 def test_zero_draws_rejected():
