@@ -456,7 +456,12 @@ def _read_session(root: str, session_id: str, sidecar: dict, signal: np.ndarray)
         channel_names=tuple(names) if names else None,
     )
     with open(base + "_events.tsv", encoding="utf-8") as fh:
-        events = parse_events_tsv(fh.read())
+        try:
+            events = parse_events_tsv(fh.read())
+        except (EventsParseError, ValidationError) as exc:  # its message names the line
+            located = EventsParseError(f"{fh.name}: {exc}")
+            located.line_number = getattr(exc, "line_number", None)
+            raise located from None
     return Session(session_id=session_id, signal=signal, events=events, channel_config=config)
 
 

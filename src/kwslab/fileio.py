@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import glob
 import os
 from contextlib import contextmanager
 
@@ -10,10 +11,10 @@ from contextlib import contextmanager
 def atomic_open(path: str, mode: str = "w", **kwargs):
     """Open a new temp file next to `path` for writing (`mode` "w" or "wb").
     When the block completes, the temp file replaces `path` in one step
-    (`os.replace`); when it raises, the temp file is removed, so `path` is
-    never left half-written."""
-    head, tail = os.path.split(path)
-    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    (`os.replace`) and the temp files that hard-killed writes to `path` left go;
+    when it raises, the temp file is removed, so `path` is never left half-written."""
+    prefix = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.")
+    tmp = f"{prefix}{os.urandom(4).hex()}.tmp"
     try:
         with open(tmp, "x" + mode[1:], **kwargs) as fh:
             yield fh
@@ -22,3 +23,5 @@ def atomic_open(path: str, mode: str = "w", **kwargs):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    for stale in glob.glob(glob.escape(prefix) + "[0-9a-f]" * 8 + ".tmp"):
+        os.unlink(stale)

@@ -63,10 +63,7 @@ def as_tensor(x) -> Tensor:
 def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False):
     """Add g into t.grad; a first g is copied unless owned (module docstring)."""
     if t.grad is None:
-        if owned and g.dtype == t.values.dtype:
-            t.grad = g
-        else:
-            t.grad = g.astype(t.values.dtype, copy=True)
+        t.grad = g if owned and g.dtype == t.values.dtype else g.astype(t.values.dtype, copy=True)
     else:
         t.grad += g
 
@@ -396,9 +393,10 @@ def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
     if b is not None and b.shape != (c_out,):
         raise DimensionError(f"bias shape {b.shape} != ({c_out},)")
 
-    # a tap sum, one GEMM per tap and no im2col: tap kk adds w[:, :, kk] @ x[:, :, src]
-    # to output columns [lo, hi). A tap that covers every column starts the sum, so a
-    # pointwise conv is one matmul; without one the sum starts from zeros. Grad-x likewise.
+    # a tap sum, one GEMM per tap and no im2col. A tap covering every output column starts
+    # the sum (a pointwise conv is one matmul), else zeros do; each other tap fills its columns
+    # [lo, hi) of a full-width buffer, zeroes the rest and adds it whole: adding zeros changes
+    # no bit, and a contiguous add is several times faster than a column-slice one. Grad-x too.
     xv = x.values
     t_out = (t + 2 * padding - k) // stride + 1
     w_taps = np.ascontiguousarray(w.values.transpose(2, 0, 1))  # (K, Cout, Cin), BLAS-ready
@@ -406,8 +404,11 @@ def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
     first = next((tap for tap in taps if tap[2] - tap[1] == t_out), None)
     out_values = (np.zeros((batch, c_out, t_out), dtype=np.result_type(xv, w_taps))
                   if first is None else w_taps[first[0]] @ xv[:, :, first[3]])
+    tap_out = np.empty_like(out_values) if len(taps) > 1 or first is None else None
     for kk, lo, hi, src in (tap for tap in taps if tap is not first):
-        out_values[:, :, lo:hi] += w_taps[kk] @ xv[:, :, src]
+        np.matmul(w_taps[kk], xv[:, :, src], out=tap_out[:, :, lo:hi])
+        tap_out[:, :, :lo] = tap_out[:, :, hi:] = 0
+        out_values += tap_out
     if b is not None:
         out_values += b.values[None, :, None]
 
@@ -423,8 +424,14 @@ def conv1d(x, w, b=None, stride: int = 1, padding: int = 0) -> Tensor:
             whole = next((tap for tap in taps if stride == 1 and tap[2] - tap[1] == t), None)
             gx = (np.zeros_like(xv) if whole is None
                   else w_taps[whole[0]].T @ g[:, :, whole[1]:whole[2]])
+            tap_gx = np.empty_like(gx) if stride == 1 and (len(taps) > 1 or whole is None) else None
             for kk, lo, hi, src in (tap for tap in taps if tap is not whole):
-                gx[:, :, src] += w_taps[kk].T @ g[:, :, lo:hi]
+                if tap_gx is None:  # at stride > 1 a whole-buffer add loses to the strided one
+                    gx[:, :, src] += w_taps[kk].T @ g[:, :, lo:hi]
+                    continue
+                np.matmul(w_taps[kk].T, g[:, :, lo:hi], out=tap_gx[:, :, src])
+                tap_gx[:, :, :src.start] = tap_gx[:, :, src.stop:] = 0
+                gx += tap_gx
             _accumulate(x, gx, owned=True)
 
     return _result(out_values, (x, w) if b is None else (x, w, b), _bw)

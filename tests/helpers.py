@@ -288,7 +288,8 @@ def loop_recall_vs_fa_curve(curve, scenario):
 # library's batch_norm and augment_window run the same float32 operations in
 # the same order on fewer fresh arrays, so they must agree bit for bit. The
 # library's conv1d sums one matmul per tap instead, so it agrees bit for bit
-# only on pointwise convs and to float32 rounding otherwise.
+# only on pointwise convs and to float32 rounding otherwise. The column-add
+# conv1d is the library's tap sum as it stood before its whole-row adds.
 # ---------------------------------------------------------------------------
 
 
@@ -330,6 +331,46 @@ def reference_conv1d(x, w, b=None, stride=1, padding=0):
             for kk in range(k):
                 gxp[:, :, kk : kk + span : stride] += gcols[:, :, kk, :]
             copy_accumulate(x, gxp[:, :, padding : padding + t] if padding else gxp)
+
+    return nct._result(out_values, (x, w) if b is None else (x, w, b), _bw)
+
+
+def column_add_conv1d(x, w, b=None, stride=1, padding=0):
+    """The tap-sum conv1d as it was before the whole-row adds: each tap's
+    product is added into its column slice of the output (grad-x: of the input
+    gradient). The library's conv1d must match it bit for bit."""
+    x, w = nc.as_tensor(x), nc.as_tensor(w)
+    if b is not None:
+        b = nc.as_tensor(b)
+    batch, _, t = x.shape
+    c_out, _, k = w.shape
+    xv = x.values
+    t_out = (t + 2 * padding - k) // stride + 1
+    w_taps = np.ascontiguousarray(w.values.transpose(2, 0, 1))
+    taps = nct._taps(k, t, t_out, stride, padding)
+    first = next((tap for tap in taps if tap[2] - tap[1] == t_out), None)
+    out_values = (np.zeros((batch, c_out, t_out), dtype=np.result_type(xv, w_taps))
+                  if first is None else w_taps[first[0]] @ xv[:, :, first[3]])
+    for kk, lo, hi, src in (tap for tap in taps if tap is not first):
+        out_values[:, :, lo:hi] += w_taps[kk] @ xv[:, :, src]
+    if b is not None:
+        out_values += b.values[None, :, None]
+
+    def _bw(g):
+        if b is not None and b.requires_grad:
+            copy_accumulate(b, g.sum(axis=(0, 2)))
+        if w.requires_grad:
+            gw = np.zeros_like(w.values)
+            for kk, lo, hi, src in taps:
+                gw[:, :, kk] = (g[:, :, lo:hi] @ xv[:, :, src].transpose(0, 2, 1)).sum(0)
+            copy_accumulate(w, gw)
+        if x.requires_grad:
+            whole = next((tap for tap in taps if stride == 1 and tap[2] - tap[1] == t), None)
+            gx = (np.zeros_like(xv) if whole is None
+                  else w_taps[whole[0]].T @ g[:, :, whole[1]:whole[2]])
+            for kk, lo, hi, src in (tap for tap in taps if tap is not whole):
+                gx[:, :, src] += w_taps[kk].T @ g[:, :, lo:hi]
+            copy_accumulate(x, gx)
 
     return nct._result(out_values, (x, w) if b is None else (x, w, b), _bw)
 

@@ -1,6 +1,7 @@
 """Checkpoints, reports, scores files and corpus files are replaced all at
 once: a write that fails midway leaves the previous file intact and no temp
-file."""
+file, and a write that completes removes the temp files hard-killed writes
+to the same file left."""
 
 import builtins
 import os
@@ -11,6 +12,7 @@ import pytest
 
 import kwslab.nncore.checkpoint as checkpoint
 from kwslab.corpus import ChannelConfig, Session, SplitAssignment, WordEvent, save_corpus
+from kwslab.fileio import atomic_open
 from kwslab.reports import write_json_report, write_rows_csv
 from kwslab.training import ScoreRow, write_scores_csv
 
@@ -60,6 +62,35 @@ def test_failed_first_write_leaves_nothing(tmp_path, monkeypatch, write):
     with pytest.raises((OSError, TypeError)):
         write(str(tmp_path / "out"), True, monkeypatch)
     assert os.listdir(tmp_path) == []
+
+
+def test_completed_write_removes_only_its_own_stale_temp_files(tmp_path):
+    # a SIGKILL during a write of out.json leaves .out.json.<8 hex>.tmp behind
+    planted = {
+        ".out.json.0f3a9c1e.tmp": True,  # a killed write of out.json
+        ".out.json.0F3A9C1E.tmp": False,  # not os.urandom(4).hex()'s lower-case hex
+        ".out.json.0f3a9c1.tmp": False,  # seven hex digits
+        ".out.json.bak.0f3a9c1e.tmp": False,  # a killed write of out.json.bak
+        ".other.json.0f3a9c1e.tmp": False,  # a killed write of another file
+        ".out.jsonx.0f3a9c1e.tmp": False,
+        "out.json.0f3a9c1e.tmp": False,  # not hidden
+        "scratch.tmp": False,  # an unrelated .tmp
+    }
+    for name in planted:
+        (tmp_path / name).write_text("stale")
+    with atomic_open(str(tmp_path / "out.json")) as fh:
+        fh.write("{}")
+    kept = sorted(name for name, stale in planted.items() if not stale)
+    assert sorted(os.listdir(tmp_path)) == sorted(kept + ["out.json"])
+    assert (tmp_path / "out.json").read_text() == "{}"
+
+
+def test_failed_write_removes_no_stale_temp_file(tmp_path):
+    (tmp_path / ".out.json.0f3a9c1e.tmp").write_text("stale")
+    with pytest.raises(OSError):
+        with atomic_open(str(tmp_path / "out.json")) as fh:
+            raise OSError("no space left on device")
+    assert os.listdir(tmp_path) == [".out.json.0f3a9c1e.tmp"]
 
 
 class DiskFull:

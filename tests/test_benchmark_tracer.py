@@ -3,10 +3,13 @@ such as `nncore.sum_all`, `training.prepare_task` or
 `metrics.permutation_pvalue`. Entering one of its blocks here makes a rename
 or removal of any of those names fail this suite, not only the benchmark's
 own tests. The `score` and `evaluate` workloads' checks run here too, at a
-tiny size."""
+tiny size, and so do traced `train` and `score` runs and the per-layer
+figures they report."""
 
 import os
 import sys
+
+import pytest
 
 import kwslab.metrics as mx
 import kwslab.nncore as nc
@@ -29,14 +32,14 @@ def test_tracer_wraps_and_restores_every_name():
     assert tracer.per_layer()["metrics.scoredsets_built"] == 1
 
 
-def _tiny_size(**fields):
+def _tiny_size(snr=1.2, keyword="ri", **fields):
     from perfbench.workloads import Size
 
     return Size(synth={"n_sessions": 4, "session_minutes": 1.5, "vocab_size": 12,
                        "zipf_exponent": 0.7, "word_duration_range_s": (0.20, 0.35),
-                       "gap_range_s": (0.25, 0.45), "snr": 1.2, "n_channels": 8,
+                       "gap_range_s": (0.25, 0.45), "snr": snr, "n_channels": 8,
                        "sample_rate_hz": 100.0},
-                keyword="ri", beta_pos_s=0.2, **fields)
+                keyword=keyword, beta_pos_s=0.2, **fields)
 
 
 def test_traced_corpus_setup_times_every_stage(tmp_path):
@@ -84,3 +87,22 @@ def test_evaluate_workload_matches_the_oracles(tmp_path):
                                  eval_setups=2))
     assert result["correct"] and result["failed"] == 0
     assert result["attempted"] == 1
+
+
+@pytest.mark.parametrize("workload", ["train", "score"])
+def test_tiny_traced_run_times_every_layer(tmp_path, workload):
+    # validation and scoring run under no_grad, so no op of an eval batch is taped
+    from perfbench.workloads import run
+
+    size = _tiny_size(snr=5.0, keyword="pu", trunk_channels=8, proj_channels=16,
+                      batch_size=16, calibration_batches=4)
+    result = run(workload, seed=3, seconds=0.0, trace=True, workdir=str(tmp_path), size=size)
+    assert result["correct"] and result["failed"] == 0
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    assert metrics["nncore.conv1d.eval_fwd_ms"] > 0
+    assert metrics["nncore.taped_ops_per_batch"] == 0
+    if workload == "train":
+        for layer in ("stem", "res", "down", "proj", "heads"):
+            assert metrics[f"model.{layer}.fwd_ms"] > 0, layer
+            assert metrics[f"model.{layer}.bwd_ms"] > 0, layer
+        assert metrics["nncore.conv1d.gflop_per_step"] > 0

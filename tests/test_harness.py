@@ -295,11 +295,11 @@ class TestTrainEvaluateCommands:
                      "--workdir", str(tmp_path / "w")]) == 1
         assert "s001.f32" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("column,word", [("onset", None), ("duration", "ri")])
-    def test_non_finite_event_time_is_invalid_input(self, corpus_dir, micro_config_dict,
-                                                    tmp_path, capsys, column, word):
-        # a NaN onset used to exit 2 ("cannot convert float NaN to integer"); a NaN
-        # duration on a keyword token trained, exited 0 and reported a val AUPRC
+    @staticmethod
+    def _train_with_bad_event(corpus_dir, micro_config_dict, tmp_path, column, value, word):
+        """`kwslab train` on a copy of the micro corpus whose first event row for
+        `word` (any word if None) in s000_events.tsv has `column` set to `value`.
+        Returns the events path, the edited line's number and the exit code."""
         _, root = corpus_dir
         shutil.copytree(root, tmp_path / "data")
         events = tmp_path / "data" / "s000_events.tsv"
@@ -308,16 +308,36 @@ class TestTrainEvaluateCommands:
         row = next(i for i, line in enumerate(lines[1:], start=1)
                    if word is None or line.split("\t")[header.index("word")] == word)
         fields = lines[row].split("\t")
-        fields[header.index(column)] = "nan"
+        fields[header.index(column)] = value
         lines[row] = "\t".join(fields)
         events.write_text("\n".join(lines) + "\n")
         config = copy.deepcopy(micro_config_dict)
         config["corpus"]["root"] = str(tmp_path / "data")
         (tmp_path / "c.json").write_text(json.dumps(config))
-        assert main(["train", "--config", str(tmp_path / "c.json"),
-                     "--workdir", str(tmp_path / "w")]) == 1
-        err = capsys.readouterr().err
-        assert f"line {row + 1}: event {column} must be finite" in err
+        code = main(["train", "--config", str(tmp_path / "c.json"),
+                     "--workdir", str(tmp_path / "w")])
+        return events, row + 1, code
+
+    @pytest.mark.parametrize("column,word", [("onset", None), ("duration", "ri")])
+    def test_non_finite_event_time_is_invalid_input(self, corpus_dir, micro_config_dict,
+                                                    tmp_path, capsys, column, word):
+        # a NaN onset used to exit 2 ("cannot convert float NaN to integer"); a NaN
+        # duration on a keyword token trained, exited 0 and reported a val AUPRC
+        events, line, code = self._train_with_bad_event(corpus_dir, micro_config_dict,
+                                                        tmp_path, column, "nan", word)
+        assert code == 1
+        # the error names the events file, not only the line
+        assert f"error: {events}: line {line}: event {column} must be finite" in \
+            capsys.readouterr().err
+
+    def test_malformed_event_time_names_its_file_and_line(self, corpus_dir, micro_config_dict,
+                                                          tmp_path, capsys):
+        # the parser's own EventsParseError, re-raised naming the file
+        events, line, code = self._train_with_bad_event(corpus_dir, micro_config_dict,
+                                                        tmp_path, "onset", "xx", None)
+        assert code == 1
+        assert f"error: {events}: line {line}: malformed numeric field" in \
+            capsys.readouterr().err
 
     def test_checkpoint_without_model_config_is_invalid_input(
             self, corpus_dir, trained_workdir, micro_config_dict, tmp_path, capsys):
@@ -356,6 +376,9 @@ class TestTrainEvaluateCommands:
         else:  # nothing runs after SIGKILL: the hidden temp file stays, the checkpoint is whole
             assert len(left) == 1 and left[0].startswith(".checkpoint_seed0.ckpt.")
             assert left[0].endswith(".tmp")
+            # the next run's write of that checkpoint removes the killed run's temp file
+            assert main(["train", "--config", config_path, "--workdir", str(workdir)]) == 0
+            assert not [f for f in os.listdir(workdir) if f.endswith(".tmp")]
 
     def test_flipped_dtype_in_checkpoint_is_invalid_input(
             self, corpus_dir, trained_workdir, micro_config_dict, tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import kwslab.nncore as nc
 from helpers import (
+    column_add_conv1d,
     copying_kernels,
     reference_augment_window,
     reference_batch_norm,
@@ -325,6 +326,23 @@ def _assert_conv_matches_reference(b, cin, cout, k, stride, padding, t, with_bia
         assert np.all(np.abs(a.astype(np.float64) - r) <= 2 * gamma * m)
 
 
+def _assert_conv_equals_column_adds(b, cin, cout, k, stride, padding, t, with_bias, seed,
+                                    dtype=np.float32):
+    """conv1d's output and its three gradients equal the column-add tap sum's,
+    bit for bit."""
+    rng = np.random.default_rng(seed)
+    t_out = (t + 2 * padding - k) // stride + 1
+    x, w, bias, g = (_float32(rng, shape).astype(dtype)
+                     for shape in ((b, cin, t), (cout, cin, k), cout, (b, cout, t_out)))
+    got = _conv_outputs(nc.conv1d, x, w, bias if with_bias else None, g, stride, padding)
+    want = _conv_outputs(column_add_conv1d, x, w, bias if with_bias else None, g, stride,
+                         padding)
+    assert len(got) == len(want) == 3 + with_bias
+    for a, r in zip(got, want):
+        assert a.dtype == r.dtype == dtype and a.shape == r.shape
+        assert np.array_equal(a, r)
+
+
 def _bn_outputs(norm, x, scale, shift, g, stats):
     state = nc.NormState(x.shape[1])
     state.running_mean[...], state.running_var[...] = stats
@@ -383,6 +401,55 @@ class TestKernelBitIdentity:
         for with_bias in (False, True):
             _assert_conv_matches_reference(4, cin, cout, k, stride, padding, t, with_bias,
                                            seed=cin + k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        b=st.integers(1, 3),
+        cin=st.integers(1, 4),
+        cout=st.integers(1, 4),
+        k=st.sampled_from([1, 2, 3, 5, 7]),
+        stride=st.integers(1, 4),
+        padding=st.integers(0, 3),
+        extra=st.integers(0, 12),
+        with_bias=st.booleans(),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_conv1d_equals_column_adds(self, b, cin, cout, k, stride, padding, extra,
+                                       with_bias, dtype, seed):
+        # a tap's product added whole from a full-width buffer whose other columns are
+        # zero sums the same floats in the same tap order as the column-slice add
+        t = max(1, k - 2 * padding) + extra
+        _assert_conv_equals_column_adds(b, cin, cout, k, stride, padding, t, with_bias,
+                                        seed, dtype)
+
+    @pytest.mark.parametrize("k,stride,padding,t", [
+        (7, 1, 3, 1),  # K > T: taps 0-2 and 4-6 read only padding
+        (5, 1, 3, 1),  # padding > K - 1: the outer taps never reach the input
+        (3, 4, 3, 2),  # stride > T: most columns sit in the padding
+        (7, 3, 3, 2),
+        (7, 2, 3, 4),  # K > T at stride 2
+        (3, 1, 0, 3),  # a single output column, no padding
+        (3, 2, 0, 9),  # no padding: every tap covers every column
+        (2, 1, 1, 1),  # no tap covers every column: the sum starts from zeros
+    ])
+    def test_conv1d_column_adds_taps_outside_the_input(self, k, stride, padding, t):
+        for with_bias in (False, True):
+            _assert_conv_equals_column_adds(2, 3, 2, k, stride, padding, t, with_bias,
+                                            seed=k + t)
+
+    @pytest.mark.parametrize("batch", [32, 64])
+    @pytest.mark.parametrize("cin,cout,k,stride,padding,t", [
+        (32, 16, 7, 1, 3, 224),  # stem
+        (16, 16, 3, 1, 1, 224),  # each residual conv
+        (16, 16, 3, 4, 1, 224),  # down
+        (16, 32, 1, 1, 0, 56),  # proj
+        (32, 1, 1, 1, 0, 56),  # head_z and head_a
+    ])
+    def test_conv1d_column_adds_detector_shapes(self, batch, cin, cout, k, stride, padding,
+                                                t):
+        _assert_conv_equals_column_adds(batch, cin, cout, k, stride, padding, t, True,
+                                        seed=batch + cin + k)
 
     @settings(max_examples=40, deadline=None)
     @given(
