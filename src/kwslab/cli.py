@@ -1,7 +1,8 @@
 """Command-line driver: synth, train, evaluate, the three sweeps,
 operating-point translation, and report rendering.
 
-Exit codes: 0 success, 1 validation/config errors, 2 runtime failures.
+Exit codes: 0 success, 1 invalid input (an ``InvalidInputError`` or a missing
+file), 2 runtime failures.
 """
 
 from __future__ import annotations
@@ -14,18 +15,7 @@ import sys
 from . import metrics as mx
 from .config import load_run_config
 from .corpus import build_task_spec, load_corpus, save_corpus, select_splits
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    EventsParseError,
-    InfeasibleSamplerError,
-    InfeasibleTaskError,
-    KwslabError,
-    MissingKeywordError,
-    UndefinedMetricError,
-    UndefinedOperatingPointError,
-    ValidationError,
-)
+from .errors import CheckpointError, ConfigError, InvalidInputError, KwslabError, ValidationError
 from .fixtures import load_reference_tables, reference_operating_curves
 from .operate import (
     empirical_fp_per_hour,
@@ -57,19 +47,6 @@ from .training import (
     scored_set_from_rows,
     train,
     write_scores_csv,
-)
-
-_VALIDATION_ERRORS = (
-    ConfigError,
-    ValidationError,
-    InfeasibleTaskError,
-    InfeasibleSamplerError,
-    MissingKeywordError,
-    EventsParseError,
-    UndefinedMetricError,
-    UndefinedOperatingPointError,
-    CheckpointError,
-    FileNotFoundError,
 )
 
 
@@ -266,9 +243,12 @@ def cmd_operating_points(args) -> int:
     else:
         if not args.scores:
             raise ConfigError("operating-points needs --scores files or --fixture")
-        scored_sets = [scored_set_from_rows(read_scores_csv(path)) for path in args.scores]
-        if any(s.n == 0 for s in scored_sets):
-            raise ValidationError("scores file contains no rows")
+        scored_sets = []
+        for path in args.scores:
+            rows = read_scores_csv(path)
+            if not rows:
+                raise ValidationError(f"{path}: scores file contains no rows")
+            scored_sets.append(scored_set_from_rows(rows))
         curves = [mx.pr_curve(s) for s in scored_sets]
         root = config.resolved_root()
         if root and os.path.exists(os.path.join(root, "manifest.json")):
@@ -416,7 +396,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _VALIDATION_ERRORS as exc:
+    except (InvalidInputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KwslabError as exc:

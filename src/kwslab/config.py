@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError, KwslabError
@@ -80,7 +81,7 @@ class RunConfig:
         return os.environ.get(DATA_ROOT_ENV) or self.corpus.root
 
 
-_TUPLE_FIELDS = {"word_duration_range_s", "gap_range_s", "keywords", "fa_budgets", "seeds", "channel_names"}
+_TUPLE_FIELDS = {"word_duration_range_s", "gap_range_s", "keywords", "fa_budgets", "seeds"}
 
 
 def _build_dataclass(cls, data, path):
@@ -125,42 +126,14 @@ def _coerce(cls, key, value, path):
     return value
 
 
+# a string (kept, even if unterminated), a // comment, or a /* */ block (to the end if open)
+_COMMENT_OR_STRING = re.compile(
+    r'"(?:[^"\\]|\\.)*(?:"|\\?\Z)|//[^\n]*|/\*.*?(?:\*/|\Z)', re.DOTALL)
+
+
 def strip_json_comments(text: str) -> str:
     """Drop // line comments and /* */ blocks outside of strings."""
-    out = []
-    i = 0
-    n = len(text)
-    in_string = False
-    while i < n:
-        ch = text[i]
-        if in_string:
-            out.append(ch)
-            if ch == "\\" and i + 1 < n:
-                out.append(text[i + 1])
-                i += 2
-                continue
-            if ch == '"':
-                in_string = False
-            i += 1
-            continue
-        if ch == '"':
-            in_string = True
-            out.append(ch)
-            i += 1
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "*":
-            i += 2
-            while i + 1 < n and not (text[i] == "*" and text[i + 1] == "/"):
-                i += 1
-            i += 2
-            continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    return _COMMENT_OR_STRING.sub(lambda m: m[0] if m[0][0] == '"' else "", text)
 
 
 def _apply_override(data: dict, dotted: str):

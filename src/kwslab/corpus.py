@@ -432,6 +432,9 @@ def _open_session(root: str, session_id: str) -> tuple[dict, np.ndarray]:
     shape = sidecar["n_channels"], sidecar["n_samples"]
     if not all(type(d) is int and d >= 0 for d in shape):
         raise ValidationError(f"session {session_id}: {path} gives the shape {shape}, not counts")
+    rate = sidecar["sample_rate_hz"]
+    if type(rate) not in (int, float) or not 0 < rate < math.inf:
+        raise ValidationError(f"session {session_id}: {path} gives the sample rate {rate!r}")
     return sidecar, np.empty(shape, dtype="<f4")
 
 
@@ -488,18 +491,27 @@ def save_corpus(sessions, root: str, default_split: SplitAssignment):
 def load_corpus(root: str):
     """Read the manifest and all sessions, one thread per session; returns
     (sessions, default_split)."""
-    with open(os.path.join(root, "manifest.json"), encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    ids = [entry["session_id"] for entry in manifest["sessions"]]
-    opened = [_open_session(root, sid) for sid in ids]  # the signals are allocated here
-    sessions = map_sessions(lambda i: _read_session(root, ids[i], *opened[i]), range(len(ids)))
+    path = os.path.join(root, "manifest.json")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            entries = json.load(fh)["sessions"]
+        except (ValueError, TypeError, KeyError):  # not UTF-8 JSON, not an object, no sessions
+            entries = None
+    if not isinstance(entries, list):
+        raise ValidationError(f"{path} is not a JSON object with a sessions list")
     parts = {"train": [], "validation": [], "test": []}
-    for entry in manifest["sessions"]:
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and isinstance(entry.get("session_id"), str)
+                and entry.get("partition") in ("train", "validation", "test")
+                and isinstance(entry.get("checksum_sha256"), str)):
+            raise ValidationError(f"{path}: sessions[{i}] needs a string session_id, a "
+                                  "train/validation/test partition and a checksum_sha256")
         parts[entry["partition"]].append(entry["session_id"])
     if len(parts["validation"]) != 1 or len(parts["test"]) != 1:
-        raise ValidationError(
-            "manifest must hint exactly one validation and one test session"
-        )
+        raise ValidationError(f"{path} must hint exactly one validation and one test session")
+    ids = [entry["session_id"] for entry in entries]
+    opened = [_open_session(root, sid) for sid in ids]  # the signals are allocated here
+    sessions = map_sessions(lambda i: _read_session(root, ids[i], *opened[i]), range(len(ids)))
     split = SplitAssignment(
         train=sorted(parts["train"]),
         validation=parts["validation"][0],

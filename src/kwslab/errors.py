@@ -2,10 +2,14 @@
 
 
 class KwslabError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; the CLI exits 2 on one."""
 
 
-class EventsParseError(KwslabError):
+class InvalidInputError(KwslabError):
+    """Base class for errors in what the user supplied; the CLI exits 1 on one."""
+
+
+class EventsParseError(InvalidInputError):
     """Malformed events file content; carries the offending line number."""
 
     def __init__(self, message, line_number=None):
@@ -15,11 +19,11 @@ class EventsParseError(KwslabError):
         self.line_number = line_number
 
 
-class ValidationError(KwslabError):
+class ValidationError(InvalidInputError):
     """A domain object violates one of its invariants."""
 
 
-class MissingKeywordError(KwslabError):
+class MissingKeywordError(InvalidInputError):
     """A requested keyword never occurs in the corpus."""
 
     def __init__(self, keyword):
@@ -27,11 +31,11 @@ class MissingKeywordError(KwslabError):
         self.keyword = keyword
 
 
-class InfeasibleTaskError(KwslabError):
+class InfeasibleTaskError(InvalidInputError):
     """The corpus cannot support the requested task (e.g. too few positive sessions)."""
 
 
-class InfeasibleSamplerError(KwslabError):
+class InfeasibleSamplerError(InvalidInputError):
     """Batch construction is impossible (an entire class is empty)."""
 
 
@@ -43,15 +47,15 @@ class GradientStateError(KwslabError):
     """Backward pass requested in an invalid autodiff state."""
 
 
-class CheckpointError(KwslabError):
+class CheckpointError(InvalidInputError):
     """Checkpoint file is malformed or does not match the requesting config."""
 
 
-class UndefinedMetricError(KwslabError):
+class UndefinedMetricError(InvalidInputError):
     """The metric is undefined on the given scored set (e.g. no positives)."""
 
 
-class UndefinedOperatingPointError(KwslabError):
+class UndefinedOperatingPointError(InvalidInputError):
     """Operating-point translation is undefined (precision zero / empty inputs)."""
 
 
@@ -63,5 +67,5 @@ class TrainingDivergedError(KwslabError):
         self.record = record or {}
 
 
-class ConfigError(KwslabError):
+class ConfigError(InvalidInputError):
     """Run configuration is malformed, has unknown keys, or references missing files."""

@@ -3,7 +3,7 @@ false alarms, misses, and detections per hour under an assumed event rate."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,17 +37,8 @@ class OperatingPoint:
     feasible: bool = True
 
     def to_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "precision": self.precision,
-            "recall": self.recall,
-            "scenario": self.scenario.name,
-            "lambda_per_hour": self.scenario.lambda_per_hour,
-            "fa_per_hour": self.fa_per_hour,
-            "misses_per_hour": self.misses_per_hour,
-            "detections_per_hour": self.detections_per_hour,
-            "feasible": self.feasible,
-        }
+        return {**asdict(self), "scenario": self.scenario.name,
+                "lambda_per_hour": self.scenario.lambda_per_hour}
 
 
 def _split_rate(lam: float, detections: float):

@@ -108,6 +108,9 @@ def subsample_train_sessions(train_ids, hours_by_id, fraction: float) -> list[st
 def run_scaling_sweep(config, sessions, default_split, fractions, workdir: str) -> dict:
     """Train/evaluate per (fraction, seed) with validation and test fixed;
     fit the slope of seed-mean AUPRC against log fraction."""
+    bad = next((f for f in fractions if not 0 < f <= 1), None)
+    if bad is not None:
+        raise InfeasibleTaskError(f"fractions must lie in (0, 1], got {bad}")
     os.makedirs(workdir, exist_ok=True)
     spec = build_task_spec(
         sessions, config.task.keywords, config.task.beta_neg_s, config.task.beta_pos_s
@@ -120,8 +123,6 @@ def run_scaling_sweep(config, sessions, default_split, fractions, workdir: str) 
     csv_rows = []
     feasible_points = []
     for fraction in fractions:
-        if not 0 < fraction <= 1:
-            raise InfeasibleTaskError(f"fractions must lie in (0, 1], got {fraction}")
         train_ids = subsample_train_sessions(split.train, hours, fraction)
         sub_split = SplitAssignment(
             train=train_ids, validation=split.validation, test=split.test
@@ -289,11 +290,7 @@ def run_offsets_sweep(config, sessions, default_split, neg_grid, pos_grid, workd
 
 
 def corpus_token_counts(sessions) -> Counter:
-    counts = Counter()
-    for session in sessions:
-        for ev in session.word_events():
-            counts[ev.word] += 1
-    return counts
+    return Counter(ev.word for session in sessions for ev in session.word_events())
 
 
 def auto_keywords_by_length(sessions) -> list[str]:

@@ -94,16 +94,8 @@ def build_lexicon(vocab_size: int) -> list[str]:
     rare words long (the natural-lexicon relation the frequency sweep relies
     on).
     """
-    words = []
-    for rank in range(vocab_size):
-        width = 1 + rank // 10
-        digits = []
-        rest = rank
-        for _ in range(width):
-            digits.append(rest % 10)
-            rest //= 10
-        words.append("".join(_SYLLABLES[d] for d in reversed(digits)))
-    return words
+    return ["".join(_SYLLABLES[int(d)] for d in f"{rank:0{1 + rank // 10}d}")
+            for rank in range(vocab_size)]
 
 
 def zipf_probabilities(vocab_size: int, exponent: float) -> np.ndarray:

@@ -71,13 +71,7 @@ class TrainReport:
     wall_clock_s: float
 
     def to_dict(self) -> dict:
-        return {
-            "records": [asdict(r) for r in self.records],
-            "best_epoch": self.best_epoch,
-            "best_val_auprc": self.best_val_auprc,
-            "checkpoint_path": self.checkpoint_path,
-            "wall_clock_s": self.wall_clock_s,
-        }
+        return asdict(self)
 
     def deterministic_view(self) -> dict:
         """Report content minus the inherently non-reproducible wall clock."""

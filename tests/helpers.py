@@ -5,7 +5,8 @@ resampling loops the block draws are tested against, the loop-based
 operating-point selection the array version is tested against, the copying
 nncore kernels and the serial corpus set-up the copy-free ones must match bit
 for bit, the unfolded conv -> normalisation eval layer the folded one must
-match, and small helpers only the tests use."""
+match, the comment scanner and lexicon loop the library's regex and format
+string must match, and small helpers only the tests use."""
 
 from __future__ import annotations
 
@@ -546,6 +547,64 @@ def reference_normalizer_apply(normalizer, arr):
     mean = normalizer.mean.astype(np.float32)[:, None]
     std = normalizer.std.astype(np.float32)[:, None]
     return ((np.asarray(arr, dtype=np.float32) - mean) / std).astype(np.float32)
+
+
+# ---------------------------------------------------------------------------
+# reference text helpers: the character scanner that stripped config comments
+# and the digit loop that spelled lexicon ranks. The library's one regex and
+# one format string must give the same strings.
+# ---------------------------------------------------------------------------
+
+
+def reference_strip_json_comments(text: str) -> str:
+    """Drop // line comments and /* */ blocks outside of strings."""
+    out = []
+    i = 0
+    n = len(text)
+    in_string = False
+    while i < n:
+        ch = text[i]
+        if in_string:
+            out.append(ch)
+            if ch == "\\" and i + 1 < n:
+                out.append(text[i + 1])
+                i += 2
+                continue
+            if ch == '"':
+                in_string = False
+            i += 1
+            continue
+        if ch == '"':
+            in_string = True
+            out.append(ch)
+            i += 1
+            continue
+        if ch == "/" and i + 1 < n and text[i + 1] == "/":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch == "/" and i + 1 < n and text[i + 1] == "*":
+            i += 2
+            while i + 1 < n and not (text[i] == "*" and text[i + 1] == "/"):
+                i += 1
+            i += 2
+            continue
+        out.append(ch)
+        i += 1
+    return "".join(out)
+
+
+def loop_build_lexicon(vocab_size: int) -> list[str]:
+    words = []
+    for rank in range(vocab_size):
+        width = 1 + rank // 10
+        digits = []
+        rest = rank
+        for _ in range(width):
+            digits.append(rest % 10)
+            rest //= 10
+        words.append("".join(synthgen._SYLLABLES[d] for d in reversed(digits)))
+    return words
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import os
 import shutil
@@ -12,6 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kwslab
+import kwslab.cli
+import kwslab.config
+import kwslab.errors
 import kwslab.metrics as mx
 import kwslab.nncore as nc
 from helpers import (
@@ -19,6 +23,7 @@ from helpers import (
     loop_sign_flip_pvalue,
     read_rows_csv,
     reference_offset_grid,
+    reference_strip_json_comments,
 )
 from kwslab.cli import main
 from kwslab.config import (
@@ -27,7 +32,7 @@ from kwslab.config import (
     run_config_from_dict,
     strip_json_comments,
 )
-from kwslab.errors import ConfigError
+from kwslab.errors import ConfigError, InvalidInputError, KwslabError
 from kwslab.fixtures import load_reference_tables
 from kwslab.model import config_hash
 from kwslab.reports import provenance_block, read_json_report
@@ -101,6 +106,22 @@ class TestConfigLoading:
     def test_comment_stripping(self):
         text = '{"a": 1, // trailing\n /* block "quoted" */ "b": "x//y"}'
         assert json.loads(strip_json_comments(text)) == {"a": 1, "b": "x//y"}
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.text(alphabet='"\\/*\nab', max_size=40))
+    def test_comment_regex_equals_the_scanner(self, text):
+        # strings (terminated or not, with escapes), // lines and /* */ blocks
+        # (closed or open) in any mix
+        assert strip_json_comments(text) == reference_strip_json_comments(text)
+
+    def test_every_tuple_field_is_a_config_field(self):
+        # a list in the JSON becomes a tuple only for these names
+        cfg = kwslab.config
+        config_classes = [cfg.RunConfig, cfg.CorpusConfig, cfg.SynthConfig, cfg.TaskConfig,
+                          cfg.ModelConfig, cfg.LossConfig, cfg.SamplerConfig, cfg.TrainConfig,
+                          cfg.EvaluationConfig, cfg.Scenario]
+        names = {f.name for cls in config_classes for f in dataclasses.fields(cls)}
+        assert cfg._TUPLE_FIELDS <= names
 
     def test_unknown_key_rejected_with_path(self, micro_config_dict):
         config = copy.deepcopy(micro_config_dict)
@@ -295,6 +316,43 @@ class TestTrainEvaluateCommands:
                      "--workdir", str(tmp_path / "w")]) == 1
         assert "s001.f32" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, edit", [
+        ("manifest.json", lambda m: m["sessions"][0].update(partition="dev")),
+        ("manifest.json", lambda m: m["sessions"][0].pop("partition")),
+        ("manifest.json", lambda m: m["sessions"][0].update(partition=["train"])),
+        ("manifest.json", lambda m: m["sessions"][1].pop("checksum_sha256")),
+        ("manifest.json", lambda m: m["sessions"][2].update(session_id=7)),
+        ("manifest.json", lambda m: m.pop("sessions")),
+        ("manifest.json", "not json {"),
+        ("manifest.json", "[]"),
+        ("s001.json", lambda m: m.update(sample_rate_hz="fast")),
+        ("s001.json", lambda m: m.update(sample_rate_hz=0)),
+        ("s001.json", lambda m: m.update(sample_rate_hz=True)),
+        ("s001.json", lambda m: m.update(sample_rate_hz=float("nan"))),
+    ], ids=["unknown-partition", "no-partition", "list-partition", "no-checksum",
+            "numeric-session-id", "no-sessions", "not-json", "not-an-object",
+            "rate-string", "rate-zero", "rate-bool", "rate-nan"])
+    def test_malformed_corpus_metadata_is_invalid_input(self, corpus_dir, micro_config_dict,
+                                                        tmp_path, capsys, name, edit):
+        # all but the zero rate used to escape as KeyError, TypeError or
+        # JSONDecodeError (exit 2); the zero rate exited 1 without naming the file
+        _, root = corpus_dir
+        shutil.copytree(root, tmp_path / "data")
+        path = tmp_path / "data" / name
+        if callable(edit):
+            data = json.loads(path.read_text())
+            edit(data)
+            path.write_text(json.dumps(data))  # a NaN goes out as the NaN literal
+        else:
+            path.write_text(edit)
+        config = copy.deepcopy(micro_config_dict)
+        config["corpus"]["root"] = str(tmp_path / "data")
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        assert main(["train", "--config", str(tmp_path / "c.json"),
+                     "--workdir", str(tmp_path / "w")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+
     @staticmethod
     def _train_with_bad_event(corpus_dir, micro_config_dict, tmp_path, column, value, word):
         """`kwslab train` on a copy of the micro corpus whose first event row for
@@ -454,6 +512,15 @@ class TestScalingSweep:
             assert agg["unique_hours"] > 0
             assert agg["n_train_windows"] > 0
             assert 0 < agg["p_value"] <= 1
+
+    @pytest.mark.parametrize("fractions", ["1.0,2.0", "0.5,0", "0.5,nan"])
+    def test_bad_fraction_trains_nothing(self, corpus_dir, tmp_path, capsys, fractions):
+        # "1.0,2.0" used to train the 1.0 cell and write its checkpoint, then exit 1
+        config_path, _ = corpus_dir
+        assert main(["sweep-scaling", "--config", config_path, "--workdir", str(tmp_path),
+                     "--fractions", fractions, "--set", "seeds=[0]"]) == 1
+        assert "fractions must lie in (0, 1]" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.ckpt"))
 
     def test_subsample_prefix_rule(self):
         hours = {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0}
@@ -675,7 +742,7 @@ class TestOperatingPointsCommand:
             "operating-points", "--config", config_path,
             "--workdir", str(tmp_path), "--scores", str(empty),
         ]) == 1
-        assert "error" in capsys.readouterr().err
+        assert f"error: {empty}: scores file contains no rows" in capsys.readouterr().err
 
 
 class TestReportCommand:
@@ -685,3 +752,40 @@ class TestReportCommand:
         assert main(["report", "--input", eval_report]) == 0
         out = capsys.readouterr().out
         assert "auprc" in out and "Baseline" in out
+
+
+RUNTIME_ERRORS = {"KwslabError", "DimensionError", "GradientStateError", "TrainingDivergedError"}
+ERROR_CLASSES = sorted((c for c in vars(kwslab.errors).values()
+                        if isinstance(c, type) and issubclass(c, KwslabError)),
+                       key=lambda c: c.__name__)
+
+
+class TestExitCodes:
+    @staticmethod
+    def _report_raising(monkeypatch, capsys, exc):
+        """Exit code and stderr of `kwslab report` when reading its input raises `exc`."""
+        def fail(path):
+            raise exc
+        monkeypatch.setattr(kwslab.cli, "read_json_report", fail)
+        code = main(["report", "--input", "report.json"])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+    def test_each_error_class_keeps_its_exit_code(self, monkeypatch, capsys, cls):
+        code, err = self._report_raising(monkeypatch, capsys, cls("boom"))
+        if cls.__name__ in RUNTIME_ERRORS:
+            assert not issubclass(cls, InvalidInputError)
+            assert (code, err) == (2, "runtime failure: boom\n")
+        else:
+            assert issubclass(cls, InvalidInputError)
+            assert code == 1 and err.startswith("error: ") and "boom" in err
+
+    def test_runtime_error_names_exist(self):
+        assert RUNTIME_ERRORS <= {cls.__name__ for cls in ERROR_CLASSES}
+
+    @pytest.mark.parametrize("exc, expected", [
+        (FileNotFoundError("no such file"), (1, "error: no such file\n")),
+        (KeyError("k"), (2, "runtime failure: KeyError: 'k'\n")),
+    ], ids=["FileNotFoundError", "KeyError"])
+    def test_non_package_errors(self, monkeypatch, capsys, exc, expected):
+        assert self._report_raising(monkeypatch, capsys, exc) == expected

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import reference_generate_corpus
+from helpers import loop_build_lexicon, reference_generate_corpus
 from kwslab.corpus import load_corpus, round_half_up, save_corpus
 from kwslab.errors import ValidationError
 from kwslab.metrics import spearman_rank_corr
@@ -117,6 +117,12 @@ class TestLexicon:
         lengths = [len(w) for w in lexicon]
         assert lengths == sorted(lengths)
         assert len(lexicon[0]) == 2 and len(lexicon[63]) == 14
+
+    def test_spelling_equals_the_digit_loop(self):
+        # rank 1229 is spelled with 123 zero-padded digits
+        assert build_lexicon(1230) == loop_build_lexicon(1230)
+        assert build_lexicon(12)[:3] == ["na", "to", "ri"]
+        assert build_lexicon(12)[10:] == ["tona", "toto"]
 
 
 def assert_same_corpus(got, want):
