@@ -4,9 +4,11 @@ with dotted-path overrides from the command line."""
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass
 
 from .errors import ConfigError, KwslabError
 from .losses import LossConfig
@@ -38,8 +40,8 @@ class TaskConfig:
     def __post_init__(self):
         if not self.keywords:
             raise ConfigError("task.keywords must list at least one keyword")
-        if self.beta_neg_s < 0 or self.beta_pos_s < 0:
-            raise ConfigError("task buffers must be >= 0")
+        if not (0 <= self.beta_neg_s < math.inf and 0 <= self.beta_pos_s < math.inf):
+            raise ConfigError("task buffers must be >= 0 and finite")
         object.__setattr__(self, "keywords", tuple(k.lower() for k in self.keywords))
 
 
@@ -60,6 +62,12 @@ class EvaluationConfig:
                 raise ConfigError(f"evaluation.{name} must be an integer >= 1, got {value!r}")
         if self.stat_seed < 0:
             raise ConfigError(f"evaluation.stat_seed must be >= 0, got {self.stat_seed}")
+        if not math.isfinite(self.tau):
+            raise ConfigError(f"evaluation.tau must be finite, got {self.tau}")
+        if not 0 < self.target_recall <= 1:
+            raise ConfigError(f"evaluation.target_recall must lie in (0, 1]: {self.target_recall}")
+        if not all(0 <= budget < math.inf for budget in self.fa_budgets):
+            raise ConfigError(f"evaluation.fa_budgets must be >= 0 and finite: {self.fa_budgets}")
 
 
 @dataclass(frozen=True)
@@ -81,9 +89,6 @@ class RunConfig:
         return os.environ.get(DATA_ROOT_ENV) or self.corpus.root
 
 
-_TUPLE_FIELDS = {"word_duration_range_s", "gap_range_s", "keywords", "fa_budgets", "seeds"}
-
-
 def _build_dataclass(cls, data, path):
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
@@ -103,26 +108,22 @@ def _build_dataclass(cls, data, path):
 
 
 def _coerce(cls, key, value, path):
-    nested = {
-        (CorpusConfig, "synth"): SynthConfig,
-        (RunConfig, "corpus"): CorpusConfig,
-        (RunConfig, "task"): TaskConfig,
-        (RunConfig, "model"): ModelConfig,
-        (RunConfig, "loss"): LossConfig,
-        (RunConfig, "sampler"): SamplerConfig,
-        (RunConfig, "training"): TrainConfig,
-        (RunConfig, "evaluation"): EvaluationConfig,
-    }
-    target = nested.get((cls, key))
+    """`value` as the field's type hint reads it: a tuple field takes a list,
+    and a config class (or an optional one) takes an object."""
+    hint = typing.get_type_hints(cls)[key]
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list, got {type(value).__name__}")
+        item = typing.get_args(hint)[0]
+        if is_dataclass(item):
+            return tuple(_build_dataclass(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+        return tuple(value)
+    target = next((t for t in (hint, *typing.get_args(hint)) if is_dataclass(t)), None)
     if target is TrainConfig and isinstance(value, dict) and "seed" in value:
         # each run sets it from an entry of `seeds`, so a value here is never read
         raise ConfigError(f"{path}.seed is not a config key: list the training seeds in `seeds`")
     if target is not None and value is not None:
         return _build_dataclass(target, value, path)
-    if cls is EvaluationConfig and key == "scenarios":
-        return tuple(_build_dataclass(Scenario, v, f"{path}[{i}]") for i, v in enumerate(value))
-    if key in _TUPLE_FIELDS and isinstance(value, list):
-        return tuple(value)
     return value
 
 

@@ -131,21 +131,19 @@ class KeywordTaskSpec:
     beta_neg_s: float
     beta_pos_s: float
     d_max_s: dict[str, float]
-    window_s: float
 
     def __post_init__(self):
         if not self.keywords:
             raise ValidationError("keyword set must be non-empty")
-        if self.beta_neg_s < 0 or self.beta_pos_s < 0:
-            raise ValidationError("buffers must be >= 0")
+        if not (0 <= self.beta_neg_s < math.inf and 0 <= self.beta_pos_s < math.inf):
+            raise ValidationError("buffers must be >= 0 and finite")
         for k in self.keywords:
             if self.d_max_s.get(k, 0.0) <= 0:
                 raise ValidationError(f"d_max_s[{k!r}] must be > 0")
-        expected = self.beta_neg_s + max(self.d_max_s[k] for k in self.keywords) + self.beta_pos_s
-        if self.window_s != expected:
-            raise ValidationError(
-                f"window_s {self.window_s} != beta_neg + max d_max + beta_pos = {expected}"
-            )
+
+    @property
+    def window_s(self) -> float:
+        return self.beta_neg_s + max(self.d_max_s.values()) + self.beta_pos_s
 
     def n_window_samples(self, sample_rate_hz: float) -> int:
         return round_half_up(self.window_s * sample_rate_hz)
@@ -264,7 +262,6 @@ def format_events_tsv(events) -> str:
 
 def compute_d_max(sessions, keywords) -> dict[str, float]:
     """Max observed duration of each keyword over all word tokens in the corpus."""
-    keywords = {k.lower() for k in keywords}
     d_max = {k: 0.0 for k in keywords}
     for session in sessions:
         for ev in session.word_events():
@@ -277,17 +274,12 @@ def compute_d_max(sessions, keywords) -> dict[str, float]:
 
 
 def build_task_spec(sessions, keywords, beta_neg_s: float, beta_pos_s: float) -> KeywordTaskSpec:
-    if beta_neg_s < 0 or beta_pos_s < 0:
-        raise ValidationError("buffers must be >= 0")
     keywords = frozenset(k.lower() for k in keywords)
-    d_max = compute_d_max(sessions, keywords)
-    window_s = beta_neg_s + max(d_max.values()) + beta_pos_s
     return KeywordTaskSpec(
         keywords=keywords,
         beta_neg_s=beta_neg_s,
         beta_pos_s=beta_pos_s,
-        d_max_s=d_max,
-        window_s=window_s,
+        d_max_s=compute_d_max(sessions, keywords),
     )
 
 
@@ -318,7 +310,6 @@ def index_windows(session, spec) -> tuple[list[WindowRef], DropTally]:
 
 def count_positives(session, keywords) -> int:
     """c_S: number of word tokens in the session matching the keyword set."""
-    keywords = {k.lower() for k in keywords}
     return sum(1 for ev in session.word_events() if ev.word in keywords)
 
 
@@ -466,10 +457,6 @@ def _read_session(root: str, session_id: str, sidecar: dict, signal: np.ndarray)
             located.line_number = getattr(exc, "line_number", None)
             raise located from None
     return Session(session_id=session_id, signal=signal, events=events, channel_config=config)
-
-
-def load_session(root: str, session_id: str) -> Session:
-    return _read_session(root, session_id, *_open_session(root, session_id))
 
 
 def save_corpus(sessions, root: str, default_split: SplitAssignment):

@@ -12,7 +12,9 @@ import json
 from functools import lru_cache
 from importlib import resources
 
-from ..metrics import PRCurve, PRPoint
+import numpy as np
+
+from ..metrics import PRCurve
 
 
 @lru_cache(maxsize=1)
@@ -24,5 +26,6 @@ def load_reference_tables() -> dict:
 
 def reference_operating_curves() -> list[PRCurve]:
     """Per-seed PR curves from the operating-point snapshot fixture."""
-    return [PRCurve.of(PRPoint(p["threshold"], p["precision"], p["recall"]) for p in curve)
+    return [PRCurve(*(np.array([p[f] for p in curve], dtype=np.float64)
+                      for f in ("threshold", "precision", "recall")))
             for curve in load_reference_tables()["operating_points"]["per_seed_curves"]]

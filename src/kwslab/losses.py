@@ -22,10 +22,10 @@ class LossConfig:
     def __post_init__(self):
         if not 0 < self.focal_alpha < 1:
             raise ValidationError("focal_alpha must lie in (0, 1)")
-        if self.focal_gamma < 0:
-            raise ValidationError("focal_gamma must be >= 0")
-        if self.rank_weight < 0:
-            raise ValidationError("rank_weight must be >= 0")
+        if not 0 <= self.focal_gamma < np.inf:
+            raise ValidationError("focal_gamma must be >= 0 and finite")
+        if not 0 <= self.rank_weight < np.inf:
+            raise ValidationError("rank_weight must be >= 0 and finite")
         if self.rank_pairs_per_batch < 1:
             raise ValidationError("rank_pairs_per_batch must be >= 1")
 

@@ -51,38 +51,13 @@ class ScoredSet:
         return self.n_positive / self.n
 
 
-@dataclass(frozen=True)
-class PRPoint:
-    threshold: float
-    precision: float
-    recall: float
-
-
 @dataclass(frozen=True, eq=False)
 class PRCurve:
-    """PR curve points as three float64 arrays in curve order; the curve
-    indexes and iterates as PRPoints."""
+    """PR curve points as three float64 arrays in curve order."""
 
     threshold: np.ndarray
     precision: np.ndarray
     recall: np.ndarray
-
-    @classmethod
-    def of(cls, points) -> PRCurve:
-        """The curve through the given points, in their order."""
-        points = list(points)
-        return cls(*(np.array([getattr(p, f) for p in points], dtype=np.float64)
-                     for f in ("threshold", "precision", "recall")))
-
-    def __len__(self) -> int:
-        return self.threshold.size
-
-    def __getitem__(self, i: int) -> PRPoint:
-        return PRPoint(float(self.threshold[i]), float(self.precision[i]), float(self.recall[i]))
-
-    def __iter__(self):
-        return map(PRPoint, self.threshold.tolist(), self.precision.tolist(),
-                   self.recall.tolist())
 
 
 def _presort(scored: ScoredSet):

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import UndefinedOperatingPointError, ValidationError
-from .metrics import PRCurve, PRPoint
+from .metrics import PRCurve
 
 
 @dataclass(frozen=True)
@@ -17,8 +17,8 @@ class Scenario:
     lambda_per_hour: float
 
     def __post_init__(self):
-        if self.lambda_per_hour <= 0:
-            raise ValidationError("lambda_per_hour must be > 0")
+        if not 0 < self.lambda_per_hour < np.inf:
+            raise ValidationError("lambda_per_hour must be > 0 and finite")
 
 
 ASSISTIVE = Scenario("assistive", 2.0)
@@ -75,12 +75,14 @@ def translate(precision: float, recall: float, scenario: Scenario):
     return fa, misses, detections
 
 
-def _as_operating_point(point: PRPoint, scenario: Scenario, feasible: bool) -> OperatingPoint:
-    fa, misses, detections = translate(point.precision, point.recall, scenario)
+def _as_operating_point(curve: PRCurve, i: int, scenario: Scenario,
+                        feasible: bool) -> OperatingPoint:
+    precision, recall = float(curve.precision[i]), float(curve.recall[i])
+    fa, misses, detections = translate(precision, recall, scenario)
     return OperatingPoint(
-        threshold=point.threshold,
-        precision=point.precision,
-        recall=point.recall,
+        threshold=float(curve.threshold[i]),
+        precision=precision,
+        recall=recall,
         scenario=scenario,
         fa_per_hour=fa,
         misses_per_hour=misses,
@@ -109,7 +111,7 @@ def _pick(curve: PRCurve, kept, scenario: Scenario, qualifying, best, fallback) 
     order = np.lexsort((best if feasible else fallback)[::-1])  # stable: ties keep curve order
     if feasible:
         order = order[qualifying[order]]
-    return _as_operating_point(curve[kept[order[0]]], scenario, feasible)
+    return _as_operating_point(curve, kept[order[0]], scenario, feasible)
 
 
 def select_threshold_max_recall(curve: PRCurve, scenario: Scenario,
@@ -135,8 +137,8 @@ def select_threshold_min_fa(curve: PRCurve, scenario: Scenario,
 def empirical_fp_per_hour(scores, labels, tau: float, window_s: float) -> float:
     """False positives at tau divided by the labelled coverage
     n * window_s / 3600 (window-time, not wall time)."""
-    if window_s <= 0:
-        raise ValidationError("window_s must be > 0")
+    if not 0 < window_s < np.inf:
+        raise ValidationError("window_s must be > 0 and finite")
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:

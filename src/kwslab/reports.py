@@ -21,7 +21,7 @@ def provenance_block(config, corpus_root: str | None = None) -> dict:
 
 def write_json_report(path: str, payload: dict):
     with atomic_open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -25,8 +25,8 @@ class SamplerConfig:
             raise ValidationError("batch_size must be >= 2")
         if round_half_up(self.positive_fraction * self.batch_size) < 1:
             raise ValidationError("positive_fraction * batch_size must be >= 1")
-        if self.jitter_samples < 0 or self.noise_std_fraction < 0:
-            raise ValidationError("jitter and noise settings must be >= 0")
+        if self.jitter_samples < 0 or not 0 <= self.noise_std_fraction < math.inf:
+            raise ValidationError("jitter and noise settings must be >= 0 and finite")
 
 
 class BalancedBatchSampler:

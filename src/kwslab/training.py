@@ -46,10 +46,10 @@ class TrainConfig:
             raise ValidationError("max_epochs must be >= 1")
         if not 0 <= self.patience <= self.max_epochs:
             raise ValidationError("patience must lie in [0, max_epochs]")
-        if self.lr <= 0:
-            raise ValidationError("lr must be > 0")
-        if self.weight_decay < 0:
-            raise ValidationError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 < self.lr < np.inf:
+            raise ValidationError(f"lr must be > 0 and finite, got {self.lr}")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ValidationError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
 

@@ -11,6 +11,7 @@ string must match, and small helpers only the tests use."""
 from __future__ import annotations
 
 import csv
+from collections import namedtuple
 from contextlib import contextmanager
 
 import numpy as np
@@ -141,14 +142,26 @@ def brute_force_auroc(scores, labels) -> float:
 
 
 def list_pr_curve(scored) -> list:
-    """`mx.pr_curve` as the list of points it was built as before it held
-    arrays: one point per distinct score, descending."""
+    """`mx.pr_curve` as the list of (threshold, precision, recall) points it
+    was built as before it held arrays: one point per distinct score,
+    descending."""
     _, sorted_scores, ordered = mx._presort(scored)
     ends = mx._tie_ends(sorted_scores)
     tp = np.cumsum(ordered)[ends]
-    return [mx.PRPoint(threshold=t, precision=p, recall=r)
-            for t, p, r in zip(sorted_scores[ends].tolist(), (tp / (ends + 1.0)).tolist(),
-                               (tp / scored.n_positive).tolist())]
+    return list(zip(sorted_scores[ends].tolist(), (tp / (ends + 1.0)).tolist(),
+                    (tp / scored.n_positive).tolist()))
+
+
+def curve_points(curve) -> list:
+    """The (threshold, precision, recall) points of a PR curve, in order."""
+    return list(zip(curve.threshold.tolist(), curve.precision.tolist(), curve.recall.tolist()))
+
+
+def curve_of(points) -> mx.PRCurve:
+    """The PR curve through the given (threshold, precision, recall) points,
+    in their order."""
+    points = list(points)
+    return mx.PRCurve(*(np.array([p[i] for p in points], dtype=np.float64) for i in range(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +247,17 @@ def loop_sign_flip_pvalue(deltas, n_draws=10000, seed=0) -> float:
 # ---------------------------------------------------------------------------
 
 
+_Point = namedtuple("_Point", "index threshold precision recall")
+
+
 def _translatable_pairs(curve):
     """Curve points with nonzero precision, paired with their FA/h."""
     out = []
-    for point in curve:
-        if point.precision > 0:
+    for i, (t, p, r) in enumerate(curve_points(curve)):
+        if p > 0:
             # per unit lambda; 0 at zero recall, where 1/P may overflow
-            fa = point.recall * (1.0 / point.precision - 1.0) if point.recall else 0.0
-            out.append((point, fa))
+            fa = r * (1.0 / p - 1.0) if r else 0.0
+            out.append((_Point(i, t, p, r), fa))
     if not out:
         raise UndefinedOperatingPointError("no curve point has nonzero precision")
     return out
@@ -253,9 +269,9 @@ def loop_select_threshold_max_recall(curve, scenario, fa_budget):
     qualifying = [(p, fa * lam) for p, fa in candidates if fa * lam <= fa_budget]
     if qualifying:
         best, _ = max(qualifying, key=lambda pf: (pf[0].recall, pf[0].precision, pf[0].threshold))
-        return _as_operating_point(best, scenario, feasible=True)
+        return _as_operating_point(curve, best.index, scenario, feasible=True)
     fallback, _ = min(candidates, key=lambda pf: (pf[1], -pf[0].recall, -pf[0].threshold))
-    return _as_operating_point(fallback, scenario, feasible=False)
+    return _as_operating_point(curve, fallback.index, scenario, feasible=False)
 
 
 def loop_select_threshold_min_fa(curve, scenario, target_recall):
@@ -263,9 +279,9 @@ def loop_select_threshold_min_fa(curve, scenario, target_recall):
     qualifying = [(p, fa) for p, fa in candidates if p.recall >= target_recall]
     if qualifying:
         best, _ = min(qualifying, key=lambda pf: (pf[1], -pf[0].threshold))
-        return _as_operating_point(best, scenario, feasible=True)
+        return _as_operating_point(curve, best.index, scenario, feasible=True)
     fallback, _ = max(candidates, key=lambda pf: (pf[0].recall, -pf[1], pf[0].threshold))
-    return _as_operating_point(fallback, scenario, feasible=False)
+    return _as_operating_point(curve, fallback.index, scenario, feasible=False)
 
 
 def loop_recall_vs_fa_curve(curve, scenario):

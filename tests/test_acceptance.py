@@ -151,7 +151,8 @@ class TestCriterion2PublishedStatistics:
         for budget in tables["fa_budgets"]:
             points = [select_threshold_max_recall(c, scenario, budget) for c in curves]
             for point, curve in zip(points, curves):
-                member = [(q.threshold, q.precision, q.recall) for q in curve]
+                member = zip(curve.threshold.tolist(), curve.precision.tolist(),
+                             curve.recall.tolist())
                 assert (point.threshold, point.precision, point.recall) in member
             recalls[budget] = float(np.mean([p.recall for p in points]))
 

@@ -4,6 +4,7 @@ file, and a write that completes removes the temp files hard-killed writes
 to the same file left."""
 
 import builtins
+import math
 import os
 import types
 
@@ -61,6 +62,15 @@ def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch, w
 def test_failed_first_write_leaves_nothing(tmp_path, monkeypatch, write):
     with pytest.raises((OSError, TypeError)):
         write(str(tmp_path / "out"), True, monkeypatch)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_report_value_fails_the_write(tmp_path, bad):
+    # NaN and Infinity are not JSON; they used to be written as such
+    path = str(tmp_path / "out.json")
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json_report(path, {"a": 1.0, "b": {"c": [0.5, bad]}})
     assert os.listdir(tmp_path) == []
 
 

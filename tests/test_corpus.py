@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from kwslab.corpus import (
     format_events_tsv,
     index_windows,
     load_corpus,
-    load_session,
     parse_events_tsv,
     round_half_up,
     save_corpus,
@@ -51,6 +51,15 @@ def make_session(session_id="s0", n_channels=3, fs=100.0, duration_s=30.0,
         events=list(events),
         channel_config=ChannelConfig(n_channels=n_channels, sample_rate_hz=fs),
     )
+
+
+def save_three_sessions(root, session) -> str:
+    """Save `session` (id s0, in train) and two more sessions, s1 and s2, as
+    a corpus under `root`; returns the root as a string."""
+    others = [make_session(f"s{i}", duration_s=5.0, seed=i) for i in (1, 2)]
+    split = SplitAssignment(train=["s0"], validation="s1", test="s2")
+    save_corpus([session, *others], str(root), split)
+    return str(root)
 
 
 class TestParseEventsTsv:
@@ -203,6 +212,30 @@ class TestDmaxAndTaskSpec:
         sessions = self._sessions_with_durations([0.8])
         with pytest.raises(ValidationError):
             build_task_spec(sessions, {"watson"}, -0.1, 0.0)
+
+    @pytest.mark.parametrize("neg,pos", [
+        (math.nan, 0.3), (0.1, math.nan), (math.inf, 0.3), (0.1, math.inf),
+    ])
+    def test_non_finite_buffers_rejected(self, neg, pos):
+        # a NaN buffer used to be caught only by the window recheck
+        sessions = self._sessions_with_durations([0.8])
+        with pytest.raises(ValidationError, match="buffers must be >= 0 and finite"):
+            build_task_spec(sessions, {"watson"}, neg, pos)
+
+    @given(durations=st.lists(st.floats(0.01, 2.0), min_size=1, max_size=6),
+           neg=st.floats(0.0, 1.0), pos=st.floats(0.0, 1.0))
+    @settings(max_examples=50, deadline=None)
+    def test_window_is_the_buffers_around_the_longest_keyword(self, durations, neg, pos):
+        # bit for bit: beta_neg + max d_max + beta_pos, added in that order
+        words = ["watson", "holmes"]
+        events, t = [], 1.0
+        for i, d in enumerate(durations):
+            events.append(WordEvent(t, d, words[i % 2]))
+            t += d + 0.5
+        sessions = [make_session(n_channels=1, duration_s=t + 1.0, events=events)]
+        spec = build_task_spec(sessions, words[:len(durations)], neg, pos)
+        assert spec.window_s.hex() == (neg + max(durations) + pos).hex()
+        assert spec.n_window_samples(100.0) == round_half_up((neg + max(durations) + pos) * 100.0)
 
     def test_keywords_lowercased(self):
         sessions = self._sessions_with_durations([0.8])
@@ -399,8 +432,7 @@ class TestSerialization:
     def test_session_round_trip_bit_identical(self, tmp_path):
         events = [WordEvent(1.0, 0.25, "watson"), WordEvent(2.125, 1 / 3, "the")]
         session = make_session(duration_s=10.0, events=events)
-        save_session(session, str(tmp_path))
-        loaded = load_session(str(tmp_path), session.session_id)
+        loaded = load_corpus(save_three_sessions(tmp_path, session))[0][0]
         np.testing.assert_array_equal(loaded.signal, session.signal)
         assert loaded.events == session.events
         assert loaded.channel_config == session.channel_config
@@ -417,51 +449,49 @@ class TestSerialization:
         assert parse_events_tsv(format_events_tsv(events)) == events
 
     def test_checksum_mismatch_detected(self, tmp_path):
-        session = make_session(duration_s=5.0)
-        save_session(session, str(tmp_path))
-        raw = tmp_path / f"{session.session_id}.f32"
+        root = save_three_sessions(tmp_path, make_session(duration_s=5.0))
+        raw = tmp_path / "s0.f32"
         blob = bytearray(raw.read_bytes())
         blob[0] ^= 0xFF
         raw.write_bytes(bytes(blob))
         with pytest.raises(ValidationError, match="checksum"):
-            load_session(str(tmp_path), session.session_id)
+            load_corpus(root)
 
     @pytest.mark.parametrize("edit", [lambda b: b[:-4], lambda b: b[:-1], lambda b: b + b"\0"])
     def test_signal_file_of_the_wrong_size_rejected(self, tmp_path, edit):
         # used to escape as a bare ValueError from numpy's reshape or frombuffer
-        session = make_session(duration_s=5.0)
-        save_session(session, str(tmp_path))
+        root = save_three_sessions(tmp_path, make_session(duration_s=5.0))
         raw = tmp_path / "s0.f32"
         raw.write_bytes(edit(raw.read_bytes()))
         with pytest.raises(ValidationError, match=r"session s0: .*s0\.f32 does not hold"):
-            load_session(str(tmp_path), "s0")
+            load_corpus(root)
 
     @pytest.mark.parametrize("key", ["n_samples", "n_channels", "checksum_sha256"])
     def test_sidecar_missing_key_rejected(self, tmp_path, key):
         # a missing n_samples used to escape as a KeyError
-        save_session(make_session(duration_s=5.0), str(tmp_path))
+        root = save_three_sessions(tmp_path, make_session(duration_s=5.0))
         path = tmp_path / "s0.json"
         sidecar = json.loads(path.read_text())
         del sidecar[key]
         path.write_text(json.dumps(sidecar))
         with pytest.raises(ValidationError, match=rf"session s0: .*s0\.json has no {key}"):
-            load_session(str(tmp_path), "s0")
+            load_corpus(root)
 
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"n_channels": "3"'])
     def test_sidecar_not_a_json_object_rejected(self, tmp_path, text):
-        save_session(make_session(duration_s=5.0), str(tmp_path))
+        root = save_three_sessions(tmp_path, make_session(duration_s=5.0))
         (tmp_path / "s0.json").write_text(text)
         with pytest.raises(ValidationError, match=r"session s0: .*s0\.json is not a JSON object"):
-            load_session(str(tmp_path), "s0")
+            load_corpus(root)
 
     def test_sidecar_shape_not_counts_rejected(self, tmp_path):
-        save_session(make_session(duration_s=5.0), str(tmp_path))
+        root = save_three_sessions(tmp_path, make_session(duration_s=5.0))
         path = tmp_path / "s0.json"
         sidecar = json.loads(path.read_text())
         sidecar["n_samples"] = -500
         path.write_text(json.dumps(sidecar))
         with pytest.raises(ValidationError, match="not counts"):
-            load_session(str(tmp_path), "s0")
+            load_corpus(root)
 
     def test_checksum_mismatch_in_a_middle_session_detected(self, tmp_path, micro_corpus):
         # the sessions are read on worker threads; the error still surfaces

@@ -6,6 +6,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import typing
 
 import numpy as np
 import pytest
@@ -114,14 +115,35 @@ class TestConfigLoading:
         # (closed or open) in any mix
         assert strip_json_comments(text) == reference_strip_json_comments(text)
 
-    def test_every_tuple_field_is_a_config_field(self):
-        # a list in the JSON becomes a tuple only for these names
+    def test_every_tuple_field_takes_a_list_and_rejects_a_scalar(self):
+        # the field's type hint decides: a JSON list becomes a tuple, and a
+        # scalar is invalid input ("ai" used to become the keywords ('a', 'i'))
         cfg = kwslab.config
         config_classes = [cfg.RunConfig, cfg.CorpusConfig, cfg.SynthConfig, cfg.TaskConfig,
                           cfg.ModelConfig, cfg.LossConfig, cfg.SamplerConfig, cfg.TrainConfig,
                           cfg.EvaluationConfig, cfg.Scenario]
-        names = {f.name for cls in config_classes for f in dataclasses.fields(cls)}
-        assert cfg._TUPLE_FIELDS <= names
+        tuple_fields = [(cls, name) for cls in config_classes
+                        for name, hint in typing.get_type_hints(cls).items()
+                        if typing.get_origin(hint) is tuple]
+        assert sorted(name for _, name in tuple_fields) == [
+            "fa_budgets", "gap_range_s", "keywords", "scenarios", "seeds",
+            "word_duration_range_s"]
+        scenario = {"name": "s", "lambda_per_hour": 1.0}
+        for cls, name in tuple_fields:
+            items = [scenario, scenario] if name == "scenarios" else [1.0, 2.0]
+            coerced = cfg._coerce(cls, name, items, f"config.{name}")
+            expected = (cfg.Scenario("s", 1.0),) * 2 if name == "scenarios" else (1.0, 2.0)
+            assert type(coerced) is tuple and coerced == expected
+            for scalar in (2.0, "ai", {"a": 1}, None):
+                with pytest.raises(ConfigError, match=rf"config\.{name}: expected a list"):
+                    cfg._coerce(cls, name, scalar, f"config.{name}")
+
+    def test_shipped_config_hash_is_pinned(self):
+        # provenance hashes the parsed config; reading the schema from the
+        # type hints must not move it
+        path = os.path.join(os.path.dirname(__file__), "..", "configs", "synthetic.json")
+        assert config_hash(load_run_config(path)) == (
+            "4ac9e3c44d5de8b22966e65daac38ee36bb8f4baf1713d75db28dc870929d1a3")
 
     def test_unknown_key_rejected_with_path(self, micro_config_dict):
         config = copy.deepcopy(micro_config_dict)
@@ -221,6 +243,52 @@ class TestConfigLoading:
             ["--workdir", str(tmp_path / "w")]
         assert main([command, "--config", config_path, *out, "--set", override]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,override,message", [
+        # evaluate exited 0 with F1 0 and "threshold": NaN
+        ("evaluate", "evaluation.tau=NaN", "evaluation.tau must be finite"),
+        ("evaluate", "evaluation.tau=-Infinity", "evaluation.tau must be finite"),
+        # training diverged and exited 2
+        ("train", "training.lr=NaN", "lr must be > 0 and finite"),
+        ("train", "training.lr=Infinity", "lr must be > 0 and finite"),
+        ("train", "training.weight_decay=NaN", "weight_decay must be >= 0 and finite"),
+        ("train", "sampler.noise_std_fraction=NaN", "noise settings must be >= 0 and finite"),
+        ("train", "loss.focal_gamma=NaN", "focal_gamma must be >= 0 and finite"),
+        ("train", "loss.rank_weight=Infinity", "rank_weight must be >= 0 and finite"),
+        ("train", "task.beta_neg_s=NaN", "task buffers must be >= 0 and finite"),
+        ("train", "task.beta_pos_s=Infinity", "task buffers must be >= 0 and finite"),
+        # a scalar string became the keyword set ('a', 'i') and trained
+        ("train", "task.keywords=ai", "config.task.keywords: expected a list"),
+        # operating-points wrote Infinity tokens, or flagged every point
+        # infeasible, and exited 0
+        ("operating-points", 'evaluation.scenarios=[{"name": "a", "lambda_per_hour": Infinity}]',
+         "lambda_per_hour must be > 0 and finite"),
+        ("operating-points", "evaluation.target_recall=NaN", "target_recall must lie in (0, 1]"),
+        ("operating-points", "evaluation.target_recall=0", "target_recall must lie in (0, 1]"),
+        ("operating-points", "evaluation.target_recall=1.5", "target_recall must lie in (0, 1]"),
+        ("operating-points", "evaluation.fa_budgets=[2.0,NaN]",
+         "fa_budgets must be >= 0 and finite"),
+        ("operating-points", "evaluation.fa_budgets=[-1.0]", "fa_budgets must be >= 0 and finite"),
+        # failed with TypeError: 'float' object is not iterable, exit 2
+        ("operating-points", "evaluation.fa_budgets=2.0",
+         "config.evaluation.fa_budgets: expected a list"),
+    ])
+    def test_bad_setting_is_invalid_input_and_writes_no_report(
+            self, corpus_dir, trained_workdir, micro_config_dict, tmp_path, capsys,
+            command, override, message):
+        config_path, _ = corpus_dir
+        workdir = tmp_path / "w"
+        workdir.mkdir()
+        for seed in micro_config_dict["seeds"]:  # so that evaluate could run
+            name = f"checkpoint_seed{seed}.ckpt"
+            shutil.copy(os.path.join(trained_workdir, name), workdir / name)
+        extra = ["--fixture"] if command == "operating-points" else []
+        assert main([command, "--config", config_path, "--workdir", str(workdir),
+                     "--set", override, *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert sorted(p.suffix for p in workdir.iterdir()) == [".ckpt"] * len(
+            micro_config_dict["seeds"])
 
 
 class TestSynthCommand:
@@ -733,6 +801,22 @@ class TestOperatingPointsCommand:
             "--workdir", str(tmp_path), "--scores", str(bad),
         ]) == 1
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("window", ["nan", "inf"])
+    def test_bad_window_is_invalid_input_and_writes_no_report(self, micro_config_dict,
+                                                              tmp_path, capsys, window):
+        # with no corpus the coverage comes from --window-s; NaN gave FP/h NaN
+        config = copy.deepcopy(micro_config_dict)
+        config["corpus"]["root"] = str(tmp_path / "no_corpus")
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        scores = tmp_path / "scores.csv"
+        scores.write_text("session_id,token_index,label,score\ns0,0,1,0.9\ns0,1,0,0.2\n")
+        workdir = tmp_path / "w"
+        assert main(["operating-points", "--config", str(path), "--workdir", str(workdir),
+                     "--scores", str(scores), "--window-s", window]) == 1
+        assert "error: window_s must be > 0 and finite" in capsys.readouterr().err
+        assert list(workdir.iterdir()) == []
 
     def test_empty_scores_error(self, corpus_dir, tmp_path, capsys):
         config_path, _ = corpus_dir

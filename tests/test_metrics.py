@@ -12,6 +12,7 @@ import kwslab.metrics as mx
 from helpers import (
     brute_force_auroc,
     brute_force_average_precision,
+    curve_points,
     list_pr_curve,
     make_thresholded_metric,
     per_draw_metric,
@@ -96,10 +97,10 @@ class TestScoredSet:
 
 class TestPrCurve:
     def test_hand_enumeration(self):
-        points = mx.pr_curve(scored([0.9, 0.8, 0.7, 0.6], [1, 0, 1, 0]))
-        assert [p.precision for p in points] == pytest.approx([1.0, 0.5, 2 / 3, 0.5])
-        assert [p.recall for p in points] == pytest.approx([0.5, 0.5, 1.0, 1.0])
-        assert [p.threshold for p in points] == [0.9, 0.8, 0.7, 0.6]
+        curve = mx.pr_curve(scored([0.9, 0.8, 0.7, 0.6], [1, 0, 1, 0]))
+        assert curve.precision.tolist() == [1.0, 0.5, 2 / 3, 0.5]
+        assert curve.recall.tolist() == [0.5, 0.5, 1.0, 1.0]
+        assert curve.threshold.tolist() == [0.9, 0.8, 0.7, 0.6]
 
     def test_perfect_separation_prefix_precision_one(self):
         s = scored([0.9, 0.8, 0.7, 0.3, 0.2], [1, 1, 1, 0, 0])
@@ -107,13 +108,12 @@ class TestPrCurve:
         assert (points.precision[:3] == 1.0).all()
 
     def test_total_tie_single_point(self):
-        points = mx.pr_curve(scored([0.5] * 8, [1, 0, 0, 0, 1, 0, 0, 0]))
-        assert len(points) == 1
-        assert points[0].precision == 0.25 and points[0].recall == 1.0
+        curve = mx.pr_curve(scored([0.5] * 8, [1, 0, 0, 0, 1, 0, 0, 0]))
+        assert curve_points(curve) == [(0.5, 0.25, 1.0)]
 
     def test_recall_non_decreasing(self):
         s = scored(RNG.random(50), RNG.integers(0, 2, 50))
-        recalls = [p.recall for p in mx.pr_curve(s)]
+        recalls = mx.pr_curve(s).recall.tolist()
         assert recalls == sorted(recalls)
 
     def test_no_positives_undefined(self):
@@ -124,16 +124,14 @@ class TestPrCurve:
     @settings(max_examples=100, deadline=None)
     def test_arrays_equal_the_point_list(self, s):
         """The arrays hold exactly the floats of the list of points the
-        curve was built as, and indexing and iteration give those points."""
+        curve was built as, in its order."""
         curve = mx.pr_curve(s)
         points = list_pr_curve(s)
-        for f in ("threshold", "precision", "recall"):
+        for i, f in enumerate(("threshold", "precision", "recall")):
             array = getattr(curve, f)
-            assert array.dtype == np.float64 and array.tolist() == [getattr(p, f) for p in points]
-        assert len(curve) == len(points) and list(curve) == points
-        assert [curve[i] for i in range(len(curve))] == points
-        assert all(type(p) is mx.PRPoint and type(p.recall) is float for p in curve)
-        assert list(mx.PRCurve.of(points)) == points
+            assert array.dtype == np.float64 and array.shape == (len(points),)
+            assert array.tolist() == [p[i] for p in points]
+        assert curve_points(curve) == points
 
 
 class TestAuprc:

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    curve_of,
+    curve_points,
     loop_recall_vs_fa_curve,
     loop_select_threshold_max_recall,
     loop_select_threshold_min_fa,
 )
 from kwslab.errors import UndefinedOperatingPointError, ValidationError
 from kwslab.fixtures import load_reference_tables, reference_operating_curves
-from kwslab.metrics import PRCurve, PRPoint
 from kwslab.operate import (
     ASSISTIVE,
     HANDS_FREE,
@@ -24,11 +25,8 @@ from kwslab.operate import (
     translate,
 )
 
-THREE_POINT_CURVE = PRCurve.of([
-    PRPoint(threshold=0.9, precision=1.0, recall=0.2),
-    PRPoint(threshold=0.6, precision=0.5, recall=0.5),
-    PRPoint(threshold=0.3, precision=0.1, recall=0.9),
-])
+# (threshold, precision, recall) points
+THREE_POINT_CURVE = curve_of([(0.9, 1.0, 0.2), (0.6, 0.5, 0.5), (0.3, 0.1, 0.9)])
 
 
 class TestTranslate:
@@ -94,7 +92,7 @@ class TestSelectMaxRecall:
         point = select_threshold_max_recall(THREE_POINT_CURVE, ASSISTIVE, 0.0)
         assert point.feasible  # a P=1 point exists with FA/h = 0
         assert point.precision == 1.0
-        no_perfect = PRCurve.of(list(THREE_POINT_CURVE)[1:])
+        no_perfect = curve_of(curve_points(THREE_POINT_CURVE)[1:])
         fallback = select_threshold_max_recall(no_perfect, ASSISTIVE, 0.0)
         assert not fallback.feasible
         assert fallback.fa_per_hour == pytest.approx(1.0)  # minimal-FA point
@@ -103,14 +101,11 @@ class TestSelectMaxRecall:
         rng = np.random.default_rng(0)
         for _ in range(20):
             n = int(rng.integers(2, 12))
-            curve = PRCurve.of(
-                PRPoint(threshold=float(t), precision=float(p), recall=float(r))
-                for t, p, r in zip(
-                    np.sort(rng.random(n))[::-1],
-                    rng.uniform(0.05, 1.0, n),
-                    np.sort(rng.random(n)),
-                )
-            )
+            curve = curve_of(zip(
+                np.sort(rng.random(n))[::-1],
+                rng.uniform(0.05, 1.0, n),
+                np.sort(rng.random(n)),
+            ))
             budgets = np.sort(rng.uniform(0, 20, 5))
             recalls = [
                 select_threshold_max_recall(curve, ASSISTIVE, b).recall for b in budgets
@@ -119,9 +114,8 @@ class TestSelectMaxRecall:
 
     def test_returns_curve_member(self):
         point = select_threshold_max_recall(THREE_POINT_CURVE, ASSISTIVE, 2.0)
-        assert (point.threshold, point.precision, point.recall) in [
-            (p.threshold, p.precision, p.recall) for p in THREE_POINT_CURVE
-        ]
+        assert (point.threshold, point.precision, point.recall) in curve_points(
+            THREE_POINT_CURVE)
 
 
 class TestSelectMinFa:
@@ -141,10 +135,7 @@ class TestSelectMinFa:
         assert point.recall == 0.9  # max-recall fallback
 
     def test_tie_prefers_higher_threshold(self):
-        curve = PRCurve.of([
-            PRPoint(threshold=0.8, precision=0.5, recall=0.5),
-            PRPoint(threshold=0.4, precision=0.5, recall=0.5),
-        ])
+        curve = curve_of([(0.8, 0.5, 0.5), (0.4, 0.5, 0.5)])
         point = select_threshold_min_fa(curve, ASSISTIVE, 0.4)
         assert point.threshold == 0.8
 
@@ -180,7 +171,7 @@ class TestEmpiricalFp:
 
 class TestRecallVsFaCurve:
     def test_perfect_detector_single_point(self):
-        curve = PRCurve.of([PRPoint(threshold=0.5, precision=1.0, recall=1.0)])
+        curve = curve_of([(0.5, 1.0, 1.0)])
         assert recall_vs_fa_curve(curve, ASSISTIVE) == [(0.0, 1.0)]
 
     def test_three_point_translation(self):
@@ -192,10 +183,7 @@ class TestRecallVsFaCurve:
 
     def test_envelope_monotone(self):
         rng = np.random.default_rng(3)
-        curve = PRCurve.of(
-            PRPoint(threshold=float(t), precision=float(p), recall=float(r))
-            for t, p, r in zip(rng.random(30), rng.uniform(0.01, 1, 30), rng.random(30))
-        )
+        curve = curve_of(zip(rng.random(30), rng.uniform(0.01, 1, 30), rng.random(30)))
         out = recall_vs_fa_curve(curve, HANDS_FREE)
         fas = [fa for fa, _ in out]
         recalls = [r for _, r in out]
@@ -203,8 +191,7 @@ class TestRecallVsFaCurve:
         assert recalls == sorted(recalls)
 
     def test_zero_recall_point_at_subnormal_precision(self):
-        curve = PRCurve.of([PRPoint(0.9, 2.2e-313, 0.0), PRPoint(0.5, 0.5, 0.5),
-                            PRPoint(0.2, 0.25, 1.0)])
+        curve = curve_of([(0.9, 2.2e-313, 0.0), (0.5, 0.5, 0.5), (0.2, 0.25, 1.0)])
         assert recall_vs_fa_curve(curve, ASSISTIVE) == [(0.0, 0.0), (1.0, 0.5), (6.0, 1.0)]
         point = select_threshold_min_fa(curve, ASSISTIVE, 0.0)
         assert (point.threshold, point.fa_per_hour) == (0.9, 0.0)
@@ -248,10 +235,10 @@ def tied_curves(draw):
     def level(*values):
         return st.one_of(st.sampled_from(values), st.floats(0, 1))
 
-    return PRCurve.of([
-        PRPoint(threshold=draw(level(0.2, 0.5, 0.8)),
-                precision=draw(level(0.0, 2.2e-313, 0.25, 0.5, 1.0)),
-                recall=draw(level(0.0, 0.25, 0.5, 1.0)))
+    return curve_of([
+        (draw(level(0.2, 0.5, 0.8)),  # threshold
+         draw(level(0.0, 2.2e-313, 0.25, 0.5, 1.0)),  # precision
+         draw(level(0.0, 0.25, 0.5, 1.0)))  # recall
         for _ in range(draw(st.integers(0, 12)))
     ])
 
