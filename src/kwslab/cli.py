@@ -14,7 +14,8 @@ import sys
 
 from . import metrics as mx
 from .config import load_run_config
-from .corpus import build_task_spec, load_corpus, save_corpus, select_splits
+from .corpus import (MANIFEST, KeywordTaskSpec, build_task_spec, compute_d_max, load_corpus,
+                     load_events, save_corpus, select_splits)
 from .errors import CheckpointError, ConfigError, InvalidInputError, KwslabError, ValidationError
 from .fixtures import load_reference_tables, reference_operating_curves
 from .operate import (
@@ -251,13 +252,11 @@ def cmd_operating_points(args) -> int:
             scored_sets.append(scored_set_from_rows(rows))
         curves = [mx.pr_curve(s) for s in scored_sets]
         root = config.resolved_root()
-        if root and os.path.exists(os.path.join(root, "manifest.json")):
-            sessions, _ = load_corpus(root)
-            spec = build_task_spec(
-                sessions, config.task.keywords, config.task.beta_neg_s,
-                config.task.beta_pos_s,
-            )
-            window_s = spec.window_s
+        if root and os.path.exists(os.path.join(root, MANIFEST)):
+            task = config.task
+            keywords = frozenset(task.keywords)
+            d_max = compute_d_max(load_events(root), keywords)
+            window_s = KeywordTaskSpec(keywords, task.beta_neg_s, task.beta_pos_s, d_max).window_s
         else:
             window_s = args.window_s
         if window_s is None:

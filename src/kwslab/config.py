@@ -8,8 +8,9 @@ import math
 import os
 import re
 import typing
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, is_dataclass
 
+from .corpus import MANIFEST
 from .errors import ConfigError, KwslabError
 from .losses import LossConfig
 from .model import ModelConfig
@@ -56,10 +57,9 @@ class EvaluationConfig:
     stat_seed: int = 0
 
     def __post_init__(self):
-        for name in ("bootstrap_resamples", "permutation_draws"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ConfigError(f"evaluation.{name} must be an integer >= 1, got {value!r}")
+        if min(self.bootstrap_resamples, self.permutation_draws) < 1:
+            raise ConfigError("evaluation.bootstrap_resamples and evaluation.permutation_draws "
+                              "must be >= 1")
         if self.stat_seed < 0:
             raise ConfigError(f"evaluation.stat_seed must be >= 0, got {self.stat_seed}")
         if not math.isfinite(self.tau):
@@ -92,13 +92,11 @@ class RunConfig:
 def _build_dataclass(cls, data, path):
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(data) - allowed
+    hints = typing.get_type_hints(cls)  # one per field
+    unknown = set(data) - set(hints)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for key, value in data.items():
-        kwargs[key] = _coerce(cls, key, value, f"{path}.{key}")
+    kwargs = {key: _coerce(hints[key], value, f"{path}.{key}") for key, value in data.items()}
     try:
         return cls(**kwargs)
     except ConfigError:
@@ -107,23 +105,27 @@ def _build_dataclass(cls, data, path):
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _coerce(cls, key, value, path):
-    """`value` as the field's type hint reads it: a tuple field takes a list,
-    and a config class (or an optional one) takes an object."""
-    hint = typing.get_type_hints(cls)[key]
+def _coerce(hint, value, path):
+    """`value` as the type hint reads it: a tuple takes a list, a config class an
+    object, a scalar a value of its type (never a bool, nor a non-finite number;
+    an int for a float is kept as given), and an optional hint also null."""
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, list):
             raise ConfigError(f"{path}: expected a list, got {type(value).__name__}")
         item = typing.get_args(hint)[0]
-        if is_dataclass(item):
-            return tuple(_build_dataclass(item, v, f"{path}[{i}]") for i, v in enumerate(value))
-        return tuple(value)
-    target = next((t for t in (hint, *typing.get_args(hint)) if is_dataclass(t)), None)
+        return tuple(_coerce(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+    target, *rest = typing.get_args(hint) or (hint,)  # `X | None` gives (X, NoneType)
+    if value is None and type(None) in rest:
+        return None
     if target is TrainConfig and isinstance(value, dict) and "seed" in value:
         # each run sets it from an entry of `seeds`, so a value here is never read
         raise ConfigError(f"{path}.seed is not a config key: list the training seeds in `seeds`")
-    if target is not None and value is not None:
+    if is_dataclass(target):
         return _build_dataclass(target, value, path)
+    types, name = {int: ((int,), "an integer"), float: ((int, float), "a finite number"),
+                   str: ((str,), "a string")}[target]
+    if type(value) not in types or (type(value) is float and not math.isfinite(value)):
+        raise ConfigError(f"{path}: expected {name}, got {value!r}")
     return value
 
 
@@ -175,7 +177,7 @@ def load_run_config(path: str, overrides=(), require_corpus=False) -> RunConfig:
         root = config.resolved_root()
         if root is None:
             raise ConfigError("this command needs corpus.root (or KWSLAB_DATA_ROOT)")
-        manifest = os.path.join(root, "manifest.json")
+        manifest = os.path.join(root, MANIFEST)
         if not os.path.exists(manifest):
             raise ConfigError(f"referenced corpus manifest does not exist: {manifest}")
     return config

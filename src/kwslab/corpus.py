@@ -8,7 +8,7 @@ A corpus on disk is a directory containing, per session,
     <session_id>.json         sidecar: id, geometry, channel names, checksum
     <session_id>_events.tsv   onset / duration / kind / word rows
 
-plus a ``manifest.json`` listing sessions with their default partition.
+plus a ``manifest.json`` of session checksums and partitions. Only this module reads these.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,6 +34,7 @@ EVENT_KINDS = ("word", "phoneme", "speech")
 EVENTS_HEADER = ("onset", "duration", "kind", "word")
 STD_FLOOR = 1e-8
 SIDECAR_KEYS = ("n_channels", "n_samples", "sample_rate_hz", "checksum_sha256")
+MANIFEST = "manifest.json"
 
 
 def round_half_up(x: float) -> int:
@@ -167,10 +168,6 @@ class DropTally:
     positives: int = 0
     negatives: int = 0
 
-    @property
-    def total(self) -> int:
-        return self.positives + self.negatives
-
 
 @dataclass
 class SplitAssignment:
@@ -260,12 +257,12 @@ def format_events_tsv(events) -> str:
     return "\n".join(rows) + "\n"
 
 
-def compute_d_max(sessions, keywords) -> dict[str, float]:
-    """Max observed duration of each keyword over all word tokens in the corpus."""
+def compute_d_max(event_lists, keywords) -> dict[str, float]:
+    """Max observed duration of each keyword over the word tokens of all event lists."""
     d_max = {k: 0.0 for k in keywords}
-    for session in sessions:
-        for ev in session.word_events():
-            if ev.word in d_max:
+    for events in event_lists:
+        for ev in events:
+            if ev.kind == "word" and ev.word in d_max:
                 d_max[ev.word] = max(d_max[ev.word], ev.duration_s)
     for k, v in d_max.items():
         if v <= 0.0:
@@ -279,7 +276,7 @@ def build_task_spec(sessions, keywords, beta_neg_s: float, beta_pos_s: float) ->
         keywords=keywords,
         beta_neg_s=beta_neg_s,
         beta_pos_s=beta_pos_s,
-        d_max_s=compute_d_max(sessions, keywords),
+        d_max_s=compute_d_max([s.events for s in sessions], keywords),
     )
 
 
@@ -327,12 +324,7 @@ def select_splits(sessions, spec, default_split: SplitAssignment) -> SplitAssign
         )
     default_split.validate(counts.keys())
     if counts[default_split.validation] >= 1 and counts[default_split.test] >= 1:
-        return SplitAssignment(
-            train=list(default_split.train),
-            validation=default_split.validation,
-            test=default_split.test,
-            positive_counts=counts,
-        )
+        return replace(default_split, train=list(default_split.train), positive_counts=counts)
     ranked = sorted(counts, key=lambda sid: (-counts[sid], sid))
     test_id, val_id = ranked[0], ranked[1]
     train = sorted(sid for sid in counts if sid not in (test_id, val_id))
@@ -407,8 +399,8 @@ def save_session(session, root: str) -> str:
     return checksum
 
 
-def _open_session(root: str, session_id: str) -> tuple[dict, np.ndarray]:
-    """A session's sidecar, checked, and an empty signal of its shape."""
+def _open_session(root: str, session_id: str, checksum: str) -> tuple[dict, np.ndarray]:
+    """A session's sidecar, checked against the manifest, and an empty signal of its shape."""
     path = os.path.join(root, session_id + ".json")
     with open(path, encoding="utf-8") as fh:
         try:
@@ -420,6 +412,8 @@ def _open_session(root: str, session_id: str) -> tuple[dict, np.ndarray]:
     missing = [key for key in SIDECAR_KEYS if key not in sidecar]
     if missing:
         raise ValidationError(f"session {session_id}: {path} has no {', '.join(missing)}")
+    if sidecar["checksum_sha256"] != checksum:  # so the signal's check against it checks both
+        raise ValidationError(f"session {session_id}: {path} disagrees with the manifest checksum")
     shape = sidecar["n_channels"], sidecar["n_samples"]
     if not all(type(d) is int and d >= 0 for d in shape):
         raise ValidationError(f"session {session_id}: {path} gives the shape {shape}, not counts")
@@ -431,7 +425,7 @@ def _open_session(root: str, session_id: str) -> tuple[dict, np.ndarray]:
 
 def _read_session(root: str, session_id: str, sidecar: dict, signal: np.ndarray) -> Session:
     """Read a session's signal file into `signal`, check it against the
-    sidecar, and parse its events."""
+    sidecar, and read its events."""
     base = os.path.join(root, session_id)
     raw = signal.reshape(-1).view(np.uint8)  # the signal's own bytes
     with open(base + ".f32", "rb") as fh:
@@ -449,14 +443,17 @@ def _read_session(root: str, session_id: str, sidecar: dict, signal: np.ndarray)
         sample_rate_hz=sidecar["sample_rate_hz"],
         channel_names=tuple(names) if names else None,
     )
-    with open(base + "_events.tsv", encoding="utf-8") as fh:
+    return Session(session_id, signal, _read_events(root, session_id), config)
+
+
+def _read_events(root: str, session_id: str) -> list[WordEvent]:
+    with open(os.path.join(root, session_id + "_events.tsv"), encoding="utf-8") as fh:
         try:
-            events = parse_events_tsv(fh.read())
+            return parse_events_tsv(fh.read())
         except (EventsParseError, ValidationError) as exc:  # its message names the line
             located = EventsParseError(f"{fh.name}: {exc}")
             located.line_number = getattr(exc, "line_number", None)
             raise located from None
-    return Session(session_id=session_id, signal=signal, events=events, channel_config=config)
 
 
 def save_corpus(sessions, root: str, default_split: SplitAssignment):
@@ -470,15 +467,14 @@ def save_corpus(sessions, root: str, default_split: SplitAssignment):
     entries = [{"session_id": s.session_id, "partition": partition[s.session_id],
                 "checksum_sha256": checksum} for s, checksum in zip(sessions, checksums)]
     manifest = {"sessions": entries}
-    with atomic_open(os.path.join(root, "manifest.json"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(root, MANIFEST), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def load_corpus(root: str):
-    """Read the manifest and all sessions, one thread per session; returns
-    (sessions, default_split)."""
-    path = os.path.join(root, "manifest.json")
+def read_manifest(root: str) -> tuple[dict[str, str], SplitAssignment]:
+    """The checked manifest: session_id -> checksum, in manifest order, and the default split."""
+    path = os.path.join(root, MANIFEST)
     with open(path, encoding="utf-8") as fh:
         try:
             entries = json.load(fh)["sessions"]
@@ -496,19 +492,24 @@ def load_corpus(root: str):
         parts[entry["partition"]].append(entry["session_id"])
     if len(parts["validation"]) != 1 or len(parts["test"]) != 1:
         raise ValidationError(f"{path} must hint exactly one validation and one test session")
-    ids = [entry["session_id"] for entry in entries]
-    opened = [_open_session(root, sid) for sid in ids]  # the signals are allocated here
-    sessions = map_sessions(lambda i: _read_session(root, ids[i], *opened[i]), range(len(ids)))
     split = SplitAssignment(
         train=sorted(parts["train"]),
         validation=parts["validation"][0],
         test=parts["test"][0],
     )
+    return {entry["session_id"]: entry["checksum_sha256"] for entry in entries}, split
+
+
+def load_corpus(root: str):
+    """Read the manifest and all sessions, one thread per session; returns
+    (sessions, default_split)."""
+    checksums, split = read_manifest(root)
+    ids = list(checksums)
+    opened = [_open_session(root, sid, checksums[sid]) for sid in ids]  # signals allocated here
+    sessions = map_sessions(lambda i: _read_session(root, ids[i], *opened[i]), range(len(ids)))
     return sessions, split
 
 
-def corpus_checksums(root: str) -> dict[str, str]:
-    """session_id -> signal checksum, straight from the manifest."""
-    with open(os.path.join(root, "manifest.json"), encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    return {e["session_id"]: e["checksum_sha256"] for e in manifest["sessions"]}
+def load_events(root: str) -> list[list[WordEvent]]:
+    """Every session's events, in manifest order, without opening a signal file."""
+    return [_read_events(root, sid) for sid in read_manifest(root)[0]]

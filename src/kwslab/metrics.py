@@ -14,6 +14,7 @@ import numpy as np
 from scipy import stats as _scipy_stats
 
 from .errors import UndefinedMetricError, ValidationError
+from .streams import stream
 
 SE_CI_DIVISOR = 3.92  # normal-approximation width of a 95% interval
 _MAX_REDRAWS = 1000
@@ -338,10 +339,6 @@ class _Engine:
                 for m in self.thresholded}
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed,))))
-
-
 def _require_draws(count: int, what: str):
     if count < 1:
         raise ValidationError(f"{what} must be >= 1, got {count}")
@@ -389,7 +386,7 @@ def _bootstrap(engines: list[_Engine], n_resamples: int, seed: int) -> list[dict
     accepts depends only on the labels drawn, so one cursor per class
     serves every engine."""
     _require_draws(n_resamples, "n_resamples")
-    rng = _rng(seed)
+    rng = stream(seed)
     first = engines[0]
     n = first.n
     rows = max(1, _BLOCK_ELEMENTS // n)
@@ -451,7 +448,7 @@ def _shuffle_nulls(engines: list[_Engine], n_draws: int, seed: int) -> list[dict
     engine's score vector is evaluated on it."""
     _require_draws(n_draws, "n_draws")
     labels = engines[0].labels
-    rng = _rng(seed)
+    rng = stream(seed)
     rows = max(1, _BLOCK_ELEMENTS // labels.size)
     nulls = [{m: np.empty(n_draws, dtype=np.float64) for m in e.names} for e in engines]
     for start in range(0, n_draws, rows):

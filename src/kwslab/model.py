@@ -13,6 +13,7 @@ import numpy as np
 
 from . import nncore as nc
 from .errors import CheckpointError, DimensionError, ValidationError
+from .streams import INIT, stream
 
 POOLING_MODES = ("attention", "topk")
 
@@ -100,7 +101,7 @@ class DetectorModel:
     @classmethod
     def initialize(cls, config: ModelConfig, seed: int, dtype=np.float32):
         """Fan-in-scaled uniform conv kernels, zero biases, unit/zero norms."""
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0))))
+        rng = stream(seed, INIT)
         dtype = np.dtype(dtype)
         params = {}
         for name, shape in parameter_shapes(config):
@@ -194,7 +195,7 @@ class DetectorModel:
         nc.save_arrays(path, arrays, meta)
 
     @classmethod
-    def load(cls, path: str, expected_config: ModelConfig | None = None):
+    def load(cls, path: str):
         arrays, meta = nc.load_arrays(path)
         if meta.get("kind") != "detector-checkpoint-v1":
             raise CheckpointError(f"{path}: not a detector checkpoint")
@@ -207,10 +208,6 @@ class DetectorModel:
             raise CheckpointError(f"{path}: malformed model_config: {exc}") from exc
         if meta.get("config_hash") != config_hash(config):
             raise CheckpointError(f"{path}: config hash does not match stored config")
-        if expected_config is not None and config != expected_config:
-            raise CheckpointError(
-                f"{path}: checkpoint config differs from the requested config"
-            )
         param_shapes = dict(parameter_shapes(config))
         shapes = [*param_shapes.items()] + [
             (f"{n}.{stat}", param_shapes[f"{n}.scale"])

@@ -61,7 +61,7 @@ def _split_rate(lam: float, detections: float):
 def translate(precision: float, recall: float, scenario: Scenario):
     """(FA/h, Misses/h, Detections/h) for a (P, R) pair at event rate lambda.
 
-    FA/h = R * lambda * (1/P - 1), and 0 at R = 0 even where 1/P overflows.
+    FA/h = R * (1/P - 1) * lambda, and 0 at R = 0 even where 1/P overflows.
     Detections and misses are each within one ulp of lambda*R and
     lambda*(1-R), paired so their sum is exactly lambda.
     """
@@ -70,7 +70,7 @@ def translate(precision: float, recall: float, scenario: Scenario):
     if not 0 < precision <= 1 or not 0 <= recall <= 1:
         raise ValidationError("need P in (0, 1] and R in [0, 1]")
     lam = scenario.lambda_per_hour
-    fa = recall * lam * (1.0 / precision - 1.0) if recall else 0.0
+    fa = recall * (1.0 / precision - 1.0) * lam if recall else 0.0
     detections, misses = _split_rate(lam, lam * recall)
     return fa, misses, detections
 

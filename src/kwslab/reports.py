@@ -5,17 +5,16 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 
-from .corpus import corpus_checksums
+from .corpus import read_manifest
 from .fileio import atomic_open
 from .model import config_hash
 
 
 def provenance_block(config, corpus_root: str | None = None) -> dict:
     block = {"config_hash": config_hash(config)}
-    if corpus_root and os.path.exists(os.path.join(corpus_root, "manifest.json")):
-        block["corpus_checksums"] = corpus_checksums(corpus_root)
+    if corpus_root:
+        block["corpus_checksums"] = read_manifest(corpus_root)[0]
     return block
 
 

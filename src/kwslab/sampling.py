@@ -9,6 +9,7 @@ import numpy as np
 
 from .corpus import round_half_up
 from .errors import InfeasibleSamplerError, ValidationError
+from .streams import stream
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ class BalancedBatchSampler:
         if self.n_neg_per_batch < 1:
             raise InfeasibleSamplerError("batch has no negative slots")
         self.batches_per_epoch = math.ceil(len(self.negatives) / self.n_neg_per_batch)
-        self._rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed,))))
+        self._rng = stream(seed)
         self._neg_order = self._rng.permutation(self.negatives)
         self._cursor = 0
 

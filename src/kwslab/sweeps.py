@@ -14,6 +14,7 @@ import numpy as np
 from . import metrics as mx
 from .corpus import SplitAssignment, build_task_spec, count_positives, select_splits
 from .errors import InfeasibleSamplerError, InfeasibleTaskError, MissingKeywordError
+from .streams import stream
 from .training import evaluate, prepare_task, scored_set_from_rows, train
 
 
@@ -186,7 +187,7 @@ def _row_blocks(count: int, m: int):
 
 
 def _bootstrap_mean_ci(values, n_resamples=4000, seed=0):
-    rng = mx._rng(seed)
+    rng = stream(seed)
     arr = np.asarray(values, dtype=np.float64)
     means = np.concatenate([arr[rng.integers(0, arr.size, size=(rows, arr.size))].mean(axis=1)
                             for rows in _row_blocks(n_resamples, arr.size)])
@@ -199,7 +200,7 @@ def sign_flip_pvalue(deltas, n_draws=10000, seed=0) -> float:
     reaching the observed mean."""
     arr = np.asarray(deltas, dtype=np.float64)
     observed = arr.mean()
-    rng = mx._rng(seed)
+    rng = stream(seed)
     hits = 0
     for rows in _row_blocks(n_draws, arr.size):
         signs = rng.integers(0, 2, size=(rows, arr.size)) * 2 - 1

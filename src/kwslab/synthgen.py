@@ -14,6 +14,7 @@ import numpy as np
 
 from .corpus import ChannelConfig, Session, SplitAssignment, WordEvent, map_sessions, round_half_up
 from .errors import ValidationError
+from .streams import stream
 
 # RNG stream tags
 _STREAM_NOISE = 0
@@ -44,25 +45,28 @@ class SynthConfig:
     sample_rate_hz: float = 250.0
 
     def __post_init__(self):
-        if self.seed < 0:
+        # each test is written so that NaN fails it
+        if not self.seed >= 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if self.vocab_size < 2:
+        if not self.vocab_size >= 2:
             raise ValidationError("vocab_size must be >= 2")
-        if self.snr < 0:
-            raise ValidationError("snr must be >= 0")
-        if self.word_duration_range_s[0] <= 0 or self.gap_range_s[0] <= 0:
+        if not 0 <= self.snr < np.inf:
+            raise ValidationError("snr must be >= 0 and finite")
+        if not np.isfinite(self.zipf_exponent):
+            raise ValidationError("zipf_exponent must be finite")
+        if not (self.word_duration_range_s[0] > 0 and self.gap_range_s[0] > 0):
             raise ValidationError("duration and gap minima must be > 0")
-        if self.word_duration_range_s[0] * self.sample_rate_hz < 1:
+        if not 1 <= self.word_duration_range_s[0] * self.sample_rate_hz < np.inf:
             # else the last token can start on the session end, cut to zero samples
             raise ValidationError(
-                "sample_rate_hz must give the shortest word at least one sample "
-                f"({self.word_duration_range_s[0]} s at {self.sample_rate_hz} Hz)")
-        if self.word_duration_range_s[1] < self.word_duration_range_s[0]:
-            raise ValidationError("word_duration_range_s must be (min, max)")
-        if self.gap_range_s[1] < self.gap_range_s[0]:
-            raise ValidationError("gap_range_s must be (min, max)")
-        if self.n_sessions < 1 or self.session_minutes <= 0:
-            raise ValidationError("need at least one session of positive length")
+                "sample_rate_hz must be finite and give the shortest word at least one "
+                f"sample ({self.word_duration_range_s[0]} s at {self.sample_rate_hz} Hz)")
+        if not self.word_duration_range_s[0] <= self.word_duration_range_s[1] < np.inf:
+            raise ValidationError("word_duration_range_s must be a finite (min, max)")
+        if not self.gap_range_s[0] <= self.gap_range_s[1] < np.inf:
+            raise ValidationError("gap_range_s must be a finite (min, max)")
+        if not (self.n_sessions >= 1 and 0 < self.session_minutes < np.inf):
+            raise ValidationError("need at least one session of positive, finite length")
 
 
 @dataclass(frozen=True)
@@ -103,17 +107,13 @@ def zipf_probabilities(vocab_size: int, exponent: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _rng(*key) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
-
-
 def build_templates(config: SynthConfig) -> dict[str, WordTemplate]:
     """Per-word spatial patterns (blockwise-orthonormalized Gaussians) and
     temporal kernel parameters, all keyed by (seed, word rank)."""
     lexicon = build_lexicon(config.vocab_size)
     c = config.n_channels
     spatial = np.empty((config.vocab_size, c), dtype=np.float64)
-    rng = _rng(config.seed, _STREAM_TEMPLATES)
+    rng = stream(config.seed, _STREAM_TEMPLATES)
     done = 0
     while done < config.vocab_size:
         block = min(c, config.vocab_size - done)
@@ -124,7 +124,7 @@ def build_templates(config: SynthConfig) -> dict[str, WordTemplate]:
         done += block
     templates = {}
     for rank, word in enumerate(lexicon):
-        wrng = _rng(config.seed, _STREAM_TEMPLATES, rank)
+        wrng = stream(config.seed, _STREAM_TEMPLATES, rank)
         freqs = tuple(wrng.uniform(3.0, 14.0, size=2))
         phases = tuple(wrng.uniform(0.0, 2 * np.pi, size=2))
         mix = float(wrng.uniform(0.3, 1.0))
@@ -150,14 +150,14 @@ def _generate_session(config, session_idx, lexicon, probs, burst, signal) -> Ses
     fs = config.sample_rate_hz
     session_s = config.session_minutes * 60.0
     n_samples = signal.shape[1]
-    noise_rng = _rng(config.seed, _STREAM_NOISE, session_idx)
+    noise_rng = stream(config.seed, _STREAM_NOISE, session_idx)
     noise_rng.standard_normal(dtype=np.float32, out=signal)
 
     events = []
     t = _HEAD_MARGIN_S
     token_idx = 0
     while True:
-        token_rng = _rng(config.seed, _STREAM_TOKENS, session_idx, token_idx)
+        token_rng = stream(config.seed, _STREAM_TOKENS, session_idx, token_idx)
         gap = float(token_rng.uniform(*config.gap_range_s))
         rank = int(token_rng.choice(config.vocab_size, p=probs))
         duration = float(token_rng.uniform(*config.word_duration_range_s))

@@ -23,14 +23,9 @@ from .fileio import atomic_open
 from .losses import LossConfig, total_loss
 from .model import DetectorModel, ModelConfig
 from .sampling import BalancedBatchSampler, SamplerConfig, augment_window
+from .streams import AUGMENT, RANK, SAMPLER, stream
 
 IMPROVEMENT_EPS = 1e-6
-
-# RNG stream tags under the training seed
-_STREAM_INIT = 0
-_STREAM_SAMPLER = 1
-_STREAM_AUGMENT = 2
-_STREAM_RANK = 3
 
 
 @dataclass(frozen=True)
@@ -158,10 +153,6 @@ def prepare_task(sessions, split, spec) -> TaskData:
 # ---------------------------------------------------------------------------
 
 
-def _stream_rng(seed: int, *key) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, *key))))
-
-
 def score_partition(model: DetectorModel, task: TaskData, partition: str,
                     batch_size: int = 64) -> np.ndarray:
     """Eval-mode probabilities in corpus order (no augmentation)."""
@@ -199,7 +190,7 @@ def train(
         model.params, lr=train_config.lr, weight_decay=train_config.weight_decay
     )
 
-    sampler_seed = int(np.random.SeedSequence((seed, _STREAM_SAMPLER)).generate_state(1)[0])
+    sampler_seed = int(np.random.SeedSequence((seed, SAMPLER)).generate_state(1)[0])
     train_refs = task.partitions["train"]
     train_labels = task.labels("train")
     sampler = BalancedBatchSampler(train_labels, sampler_config, sampler_seed)
@@ -214,7 +205,7 @@ def train(
     for epoch in range(1, train_config.max_epochs + 1):
         losses = []
         for batch_idx in sampler.epoch():
-            aug_rng = _stream_rng(seed, _STREAM_AUGMENT, global_step)
+            aug_rng = stream(seed, AUGMENT, global_step)
             batch = np.empty((len(batch_idx), task.n_channels, n), dtype=np.float32)
             for row, example_idx in enumerate(batch_idx):
                 ref = train_refs[example_idx]
@@ -230,7 +221,7 @@ def train(
             labels = train_labels[batch_idx]
             try:
                 result = model.forward(batch, training=True)
-                rank_rng = _stream_rng(seed, _STREAM_RANK, global_step)
+                rank_rng = stream(seed, RANK, global_step)
                 loss, parts = total_loss(
                     result.prob, result.logit, labels, loss_config, rank_rng
                 )

@@ -26,6 +26,7 @@ from kwslab.fixtures import load_reference_tables
 from kwslab.losses import total_loss
 from kwslab.model import DetectorModel, ModelConfig, parameter_shapes
 from kwslab.operate import _as_operating_point
+from kwslab.streams import stream
 
 
 @contextmanager
@@ -186,7 +187,7 @@ def per_draw_metric(name: str, tau: float = 0.5):
 def reference_bootstrap_ci(scored, fn, n_resamples, seed):
     """`mx.bootstrap_ci` with `fn` evaluated on each resample; a resample on
     which `fn` raises UndefinedMetricError is redrawn and counted."""
-    rng = mx._rng(seed)
+    rng = stream(seed)
     values, n_redrawn = [], 0
     for _ in range(n_resamples):
         for _ in range(mx._MAX_REDRAWS):
@@ -205,7 +206,7 @@ def reference_seed_mean_permutation_pvalue(scored_sets, fn, n_draws, seed):
     """`mx.seed_mean_permutation_pvalue` with `fn` evaluated on each shuffle
     of each score vector."""
     labels = scored_sets[0].labels
-    rng = mx._rng(seed)
+    rng = stream(seed)
     null = []
     for _ in range(n_draws):
         shuffled = rng.permutation(labels)
@@ -220,7 +221,7 @@ def reference_permutation_pvalue(scored, fn, n_draws, seed):
 
 def loop_bootstrap_mean_ci(values, n_resamples=4000, seed=0):
     """`sweeps._bootstrap_mean_ci` drawing one resample per call."""
-    rng = mx._rng(seed)
+    rng = stream(seed)
     arr = np.asarray(values, dtype=np.float64)
     means = np.empty(n_resamples)
     for i in range(n_resamples):
@@ -233,7 +234,7 @@ def loop_sign_flip_pvalue(deltas, n_draws=10000, seed=0) -> float:
     """`sweeps.sign_flip_pvalue` drawing one sign vector per call."""
     arr = np.asarray(deltas, dtype=np.float64)
     observed = arr.mean()
-    rng = mx._rng(seed)
+    rng = stream(seed)
     hits = 0
     for _ in range(n_draws):
         signs = rng.integers(0, 2, size=arr.size) * 2 - 1
@@ -497,13 +498,13 @@ def _reference_session(config, session_idx, lexicon, probs, templates):
     fs = config.sample_rate_hz
     session_s = config.session_minutes * 60.0
     n_samples = round_half_up(session_s * fs)
-    noise_rng = synthgen._rng(config.seed, synthgen._STREAM_NOISE, session_idx)
+    noise_rng = stream(config.seed, synthgen._STREAM_NOISE, session_idx)
     signal = noise_rng.standard_normal((config.n_channels, n_samples), dtype=np.float32)
     events = []
     t = synthgen._HEAD_MARGIN_S
     token_idx = 0
     while True:
-        token_rng = synthgen._rng(config.seed, synthgen._STREAM_TOKENS, session_idx, token_idx)
+        token_rng = stream(config.seed, synthgen._STREAM_TOKENS, session_idx, token_idx)
         gap = float(token_rng.uniform(*config.gap_range_s))
         rank = int(token_rng.choice(config.vocab_size, p=probs))
         duration = float(token_rng.uniform(*config.word_duration_range_s))

@@ -24,7 +24,9 @@ from kwslab.corpus import (
     format_events_tsv,
     index_windows,
     load_corpus,
+    load_events,
     parse_events_tsv,
+    read_manifest,
     round_half_up,
     save_corpus,
     save_session,
@@ -188,16 +190,16 @@ class TestDmaxAndTaskSpec:
 
     def test_d_max_is_max(self):
         sessions = self._sessions_with_durations([0.41, 0.52, 0.47])
-        assert compute_d_max(sessions, {"watson"}) == {"watson": 0.52}
+        assert compute_d_max([s.events for s in sessions], {"watson"}) == {"watson": 0.52}
 
     def test_single_instance(self):
         sessions = self._sessions_with_durations([0.8])
-        assert compute_d_max(sessions, {"watson"})["watson"] == 0.8
+        assert compute_d_max([s.events for s in sessions], {"watson"})["watson"] == 0.8
 
     def test_missing_keyword_named(self):
         sessions = self._sessions_with_durations([0.5])
         with pytest.raises(MissingKeywordError, match="holmes"):
-            compute_d_max(sessions, {"watson", "holmes"})
+            compute_d_max([s.events for s in sessions], {"watson", "holmes"})
 
     def test_window_duration_formula(self):
         sessions = self._sessions_with_durations([0.8])
@@ -267,7 +269,7 @@ class TestExtractWindows:
         spec = build_task_spec([session], {"watson"}, 0.1, 0.3)
         assert spec.n_window_samples(fs) == 300
         refs, windows, tally = cut_windows(session, spec)
-        assert tally.total == 0
+        assert (tally.positives, tally.negatives) == (0, 0)
         assert refs[0].start == 2475
         np.testing.assert_array_equal(
             windows[0], session.signal[:, 2475:2775].astype(np.float32)
@@ -503,6 +505,34 @@ class TestSerialization:
         raw.write_bytes(bytes(blob))
         with pytest.raises(ValidationError, match="session s001: signal checksum mismatch"):
             load_corpus(str(tmp_path))
+
+    def test_manifest_checksum_is_checked_against_the_signal(self, tmp_path):
+        # a manifest checksum that agrees with neither the signal nor the
+        # sidecar used to load, and went into the reports' provenance
+        root = save_three_sessions(tmp_path, make_session(duration_s=5.0))
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["sessions"][1]["checksum_sha256"] = "deadbeef"
+        path.write_text(json.dumps(manifest))
+        assert read_manifest(root)[0]["s1"] == "deadbeef"
+        with pytest.raises(ValidationError,
+                           match=r"session s1: .*s1\.json disagrees with the manifest checksum"):
+            load_corpus(root)
+
+    def test_events_load_without_the_signals(self, tmp_path, micro_corpus):
+        sessions, _ = micro_corpus
+        save_corpus(sessions, str(tmp_path), default_split(sessions))
+        checksums, split = read_manifest(str(tmp_path))
+        assert list(checksums) == [s.session_id for s in sessions]
+        assert split == load_corpus(str(tmp_path))[1]
+        for signal in tmp_path.glob("*.f32"):
+            signal.unlink()
+        assert load_events(str(tmp_path)) == [s.events for s in sessions]
+        events = tmp_path / "s002_events.tsv"
+        lines = events.read_text().splitlines()
+        events.write_text("\n".join([*lines[:3], "xx\t0.3\tword\tri", *lines[3:]]) + "\n")
+        with pytest.raises(EventsParseError, match=rf"{events}: line 4: malformed numeric"):
+            load_events(str(tmp_path))
 
     def test_corpus_round_trip(self, tmp_path, micro_corpus):
         sessions, _ = micro_corpus

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import math
 import os
 import shutil
 import signal
@@ -46,6 +47,7 @@ from kwslab.sweeps import (
     sign_flip_pvalue,
     subsample_train_sessions,
 )
+from kwslab.training import ScoreRow, write_scores_csv
 
 
 @pytest.fixture(scope="module")
@@ -129,14 +131,52 @@ class TestConfigLoading:
             "fa_budgets", "gap_range_s", "keywords", "scenarios", "seeds",
             "word_duration_range_s"]
         scenario = {"name": "s", "lambda_per_hour": 1.0}
+        samples = {"scenarios": ([scenario, scenario], (cfg.Scenario("s", 1.0),) * 2),
+                   "keywords": (["a", "b"], ("a", "b")), "seeds": ([1, 2], (1, 2))}
         for cls, name in tuple_fields:
-            items = [scenario, scenario] if name == "scenarios" else [1.0, 2.0]
-            coerced = cfg._coerce(cls, name, items, f"config.{name}")
-            expected = (cfg.Scenario("s", 1.0),) * 2 if name == "scenarios" else (1.0, 2.0)
+            hint = typing.get_type_hints(cls)[name]
+            items, expected = samples.get(name, ([1.0, 2.0], (1.0, 2.0)))
+            coerced = cfg._coerce(hint, items, f"config.{name}")
             assert type(coerced) is tuple and coerced == expected
             for scalar in (2.0, "ai", {"a": 1}, None):
                 with pytest.raises(ConfigError, match=rf"config\.{name}: expected a list"):
-                    cfg._coerce(cls, name, scalar, f"config.{name}")
+                    cfg._coerce(hint, scalar, f"config.{name}")
+
+    def test_every_scalar_field_takes_only_its_type(self):
+        # int: an int, not a bool; float: a finite number, an int kept as
+        # given; str: a string; null only where the hint is optional
+        cfg = kwslab.config
+        config_classes = [cfg.RunConfig, cfg.CorpusConfig, cfg.SynthConfig, cfg.TaskConfig,
+                          cfg.ModelConfig, cfg.LossConfig, cfg.SamplerConfig, cfg.TrainConfig,
+                          cfg.EvaluationConfig, cfg.Scenario]
+        good = {int: [0, 7, -3, 2**70], float: [0.5, -1e300, 3], str: ["", "ai"]}
+        bad = {int: [True, False, 1.5, 8.0, math.nan, math.inf, "3", None, [1]],
+               float: [True, math.nan, math.inf, -math.inf, "1.0", None, [1.0]],
+               str: [5, 1.0, True, None, ["a"]]}
+        seen = set()
+        for cls in config_classes:
+            for name, hint in typing.get_type_hints(cls).items():
+                optional = typing.get_args(hint)[1:] == (type(None),)
+                scalar = typing.get_args(hint)[0] if optional else hint
+                if scalar not in good:
+                    continue
+                seen.add((name, scalar))
+                path = f"config.{name}"
+                for value in good[scalar]:
+                    kept = cfg._coerce(hint, value, path)
+                    assert kept == value and type(kept) is type(value)
+                for value in bad[scalar]:
+                    if value is None and optional:
+                        assert cfg._coerce(hint, None, path) is None
+                        continue
+                    with pytest.raises(ConfigError, match=rf"{path}: expected "):
+                        cfg._coerce(hint, value, path)
+        assert {("root", str), ("stat_seed", int), ("lambda_per_hour", float),
+                ("pooling", str), ("max_epochs", int), ("snr", float)} <= seen
+        for hint, value in ((tuple[int, ...], [1, 0.5]), (tuple[str, ...], ["a", 5]),
+                            (tuple[float, ...], [1.0, math.nan])):
+            with pytest.raises(ConfigError, match=r"config\.x\[1\]: expected "):
+                cfg._coerce(hint, value, "config.x")
 
     def test_shipped_config_hash_is_pinned(self):
         # provenance hashes the parsed config; reading the schema from the
@@ -228,6 +268,15 @@ class TestConfigLoading:
         assert "sample_rate_hz" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("key", ["snr", "session_minutes", "zipf_exponent"])
+    def test_synth_nan_setting_is_invalid_input(self, corpus_dir, tmp_path, capsys, key):
+        # snr=NaN wrote a corpus and exited 0; the other two exited 2
+        config_path, _ = corpus_dir
+        assert main(["synth", "--config", config_path, "--out", str(tmp_path / "d"),
+                     "--set", f"corpus.synth.{key}=NaN"]) == 1
+        assert f"config.corpus.synth.{key}: expected a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     @pytest.mark.parametrize("command,override,message", [
         ("train", "seeds=[0,-1]", "seeds must all be >= 0"),
         ("synth", "corpus.synth.seed=-3", "config.corpus.synth: seed must be >= 0"),
@@ -246,32 +295,46 @@ class TestConfigLoading:
 
     @pytest.mark.parametrize("command,override,message", [
         # evaluate exited 0 with F1 0 and "threshold": NaN
-        ("evaluate", "evaluation.tau=NaN", "evaluation.tau must be finite"),
-        ("evaluate", "evaluation.tau=-Infinity", "evaluation.tau must be finite"),
+        ("evaluate", "evaluation.tau=NaN", "config.evaluation.tau: expected a finite number"),
+        ("evaluate", "evaluation.tau=-Infinity", "config.evaluation.tau: expected a finite number"),
         # training diverged and exited 2
-        ("train", "training.lr=NaN", "lr must be > 0 and finite"),
-        ("train", "training.lr=Infinity", "lr must be > 0 and finite"),
-        ("train", "training.weight_decay=NaN", "weight_decay must be >= 0 and finite"),
-        ("train", "sampler.noise_std_fraction=NaN", "noise settings must be >= 0 and finite"),
-        ("train", "loss.focal_gamma=NaN", "focal_gamma must be >= 0 and finite"),
-        ("train", "loss.rank_weight=Infinity", "rank_weight must be >= 0 and finite"),
-        ("train", "task.beta_neg_s=NaN", "task buffers must be >= 0 and finite"),
-        ("train", "task.beta_pos_s=Infinity", "task buffers must be >= 0 and finite"),
+        ("train", "training.lr=NaN", "config.training.lr: expected a finite number"),
+        ("train", "training.lr=Infinity", "config.training.lr: expected a finite number"),
+        ("train", "training.weight_decay=NaN",
+         "config.training.weight_decay: expected a finite number"),
+        ("train", "sampler.noise_std_fraction=NaN",
+         "config.sampler.noise_std_fraction: expected a finite number"),
+        ("train", "loss.focal_gamma=NaN", "config.loss.focal_gamma: expected a finite number"),
+        ("train", "loss.rank_weight=Infinity", "config.loss.rank_weight: expected a finite number"),
+        ("train", "task.beta_neg_s=NaN", "config.task.beta_neg_s: expected a finite number"),
+        ("train", "task.beta_pos_s=Infinity", "config.task.beta_pos_s: expected a finite number"),
         # a scalar string became the keyword set ('a', 'i') and trained
         ("train", "task.keywords=ai", "config.task.keywords: expected a list"),
         # operating-points wrote Infinity tokens, or flagged every point
         # infeasible, and exited 0
         ("operating-points", 'evaluation.scenarios=[{"name": "a", "lambda_per_hour": Infinity}]',
-         "lambda_per_hour must be > 0 and finite"),
-        ("operating-points", "evaluation.target_recall=NaN", "target_recall must lie in (0, 1]"),
+         "config.evaluation.scenarios[0].lambda_per_hour: expected a finite number"),
+        ("operating-points", "evaluation.target_recall=NaN",
+         "config.evaluation.target_recall: expected a finite number"),
         ("operating-points", "evaluation.target_recall=0", "target_recall must lie in (0, 1]"),
         ("operating-points", "evaluation.target_recall=1.5", "target_recall must lie in (0, 1]"),
         ("operating-points", "evaluation.fa_budgets=[2.0,NaN]",
-         "fa_budgets must be >= 0 and finite"),
+         "config.evaluation.fa_budgets[1]: expected a finite number"),
         ("operating-points", "evaluation.fa_budgets=[-1.0]", "fa_budgets must be >= 0 and finite"),
         # failed with TypeError: 'float' object is not iterable, exit 2
         ("operating-points", "evaluation.fa_budgets=2.0",
          "config.evaluation.fa_budgets: expected a list"),
+        # trained and exited 0
+        ("train", "sampler.jitter_samples=1.5",
+         "config.sampler.jitter_samples: expected an integer"),
+        # passed the config into provenance and exited 0
+        ("train", "evaluation.stat_seed=NaN", "config.evaluation.stat_seed: expected an integer"),
+        # each failed later with a TypeError or AttributeError, exit 2
+        ("train", "seeds=[0.5]", "config.seeds[0]: expected an integer"),
+        ("train", "task.keywords=[5]", "config.task.keywords[0]: expected a string"),
+        ("train", "model.trunk_channels=8.0", "config.model.trunk_channels: expected an integer"),
+        ("train", "training.max_epochs=Infinity",
+         "config.training.max_epochs: expected an integer"),
     ])
     def test_bad_setting_is_invalid_input_and_writes_no_report(
             self, corpus_dir, trained_workdir, micro_config_dict, tmp_path, capsys,
@@ -383,6 +446,28 @@ class TestTrainEvaluateCommands:
         assert main(["train", "--config", str(tmp_path / "c.json"),
                      "--workdir", str(tmp_path / "w")]) == 1
         assert "s001.f32" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["manifest.json", "s001.json"])
+    def test_checksum_not_of_the_signal_is_invalid_input(self, corpus_dir, micro_config_dict,
+                                                         tmp_path, capsys, name):
+        # a manifest checksum edited to deadbeef used to train, exit 0 and
+        # land in the report's provenance
+        _, root = corpus_dir
+        shutil.copytree(root, tmp_path / "data")
+        path = tmp_path / "data" / name
+        data = json.loads(path.read_text())
+        entry = data if name == "s001.json" else next(
+            e for e in data["sessions"] if e["session_id"] == "s001")
+        entry["checksum_sha256"] = "deadbeef"
+        path.write_text(json.dumps(data))
+        config = copy.deepcopy(micro_config_dict)
+        config["corpus"]["root"] = str(tmp_path / "data")
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        assert main(["train", "--config", str(tmp_path / "c.json"),
+                     "--workdir", str(tmp_path / "w")]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: session s001: {tmp_path / 'data' / 's001.json'} disagrees with the manifest")
+        assert not (tmp_path / "w" / "train_report.json").exists()
 
     @pytest.mark.parametrize("name, edit", [
         ("manifest.json", lambda m: m["sessions"][0].update(partition="dev")),
@@ -791,6 +876,31 @@ class TestOperatingPointsCommand:
             s for s in payload["scenarios"] if s["scenario"]["name"] == "assistive"
         )
         assert "fp_per_hour" in assistive["rows"]
+
+    def test_scores_mode_reads_no_signal_file(self, corpus_dir, trained_workdir,
+                                              micro_config_dict, tmp_path):
+        # the window length needs only the manifest and the events files: the
+        # command used to read and checksum every signal, and failed without them
+        _, root = corpus_dir
+        shutil.copytree(root, tmp_path / "data")
+        config = copy.deepcopy(micro_config_dict)
+        config["corpus"]["root"] = str(tmp_path / "data")
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        rng = np.random.default_rng(5)
+        scores = tmp_path / "scores.csv"
+        write_scores_csv([ScoreRow("s000", i, int(i % 9 == 0), float(rng.random()))
+                          for i in range(200)], str(scores))
+        outputs = []
+        for name in ("with_signals", "without_signals"):
+            assert main(["operating-points", "--config", str(tmp_path / "c.json"),
+                         "--workdir", str(tmp_path / name), "--scores", str(scores)]) == 0
+            outputs.append([(tmp_path / name / f).read_bytes()
+                            for f in ("operating_points.json", "recall_vs_fa.csv")])
+            for signal in (tmp_path / "data").glob("*.f32"):
+                signal.unlink()
+        assert outputs[0] == outputs[1]
+        trained = read_json_report(os.path.join(trained_workdir, "train_report.json"))
+        assert json.loads(outputs[1][0])["window_s"] == trained["task"]["window_s"]
 
     def test_malformed_scores_is_invalid_input(self, corpus_dir, tmp_path, capsys):
         config_path, _ = corpus_dir

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 import kwslab.metrics as mx
+import kwslab.streams as streams
 from helpers import (
     brute_force_auroc,
     brute_force_average_precision,
@@ -569,7 +570,7 @@ def test_reports_draw_each_bootstrap_resample_once(monkeypatch):
     """The per-seed reports share one stream of resamples: three seeds take
     as many `integers` calls as one, each a block of whole resamples."""
     calls = []
-    real_rng = mx._rng
+    real_rng = streams.stream
 
     class Counting:
         def __init__(self, seed):
@@ -582,7 +583,7 @@ def test_reports_draw_each_bootstrap_resample_once(monkeypatch):
         def permutation(self, x):
             return self.rng.permutation(x)
 
-    monkeypatch.setattr(mx, "_rng", Counting)
+    monkeypatch.setattr(mx, "stream", Counting)
     monkeypatch.setattr(mx, "_BLOCK_ELEMENTS", 40 * 64)  # 64 rows a block
     labels = np.arange(40) % 7 == 0
     sets = [scored(np.random.default_rng(i).random(40), labels) for i in range(3)]
@@ -603,7 +604,7 @@ def test_bootstrap_blocks_equal_the_per_row_stack(monkeypatch, n, block):
     per-row draws, block size and all."""
     labels = np.arange(n) % 5 == 0
     sets = [scored(np.random.default_rng(i).random(n).round(2), labels) for i in range(2)]
-    real_rng = mx._rng
+    real_rng = streams.stream
 
     class PerRow:  # one `integers(0, n, size=n)` call per resample, stacked
         def __init__(self, seed):
@@ -615,7 +616,7 @@ def test_bootstrap_blocks_equal_the_per_row_stack(monkeypatch, n, block):
     monkeypatch.setattr(mx, "_BLOCK_ELEMENTS", n * block)
     engines = mx._engines(sets, mx.REPORT_METRICS, 0.5)
     got = mx._bootstrap(engines, 150, seed=3)
-    monkeypatch.setattr(mx, "_rng", PerRow)
+    monkeypatch.setattr(mx, "stream", PerRow)
     want = mx._bootstrap(mx._engines(sets, mx.REPORT_METRICS, 0.5), 150, seed=3)
     assert got == want
 

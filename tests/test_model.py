@@ -212,13 +212,6 @@ class TestCheckpoint:
         after = loaded.forward(x).logit.values
         assert before.tobytes() == after.tobytes()
 
-    def test_expected_config_mismatch(self, tmp_path):
-        model = DetectorModel.initialize(SMALL, seed=9)
-        path = str(tmp_path / "model.ckpt")
-        model.save(path)
-        with pytest.raises(CheckpointError):
-            DetectorModel.load(path, expected_config=ModelConfig())
-
     @staticmethod
     def _saved_with_meta(path, edit):
         """Save a small model to `path`, then rewrite the checkpoint header's

@@ -262,3 +262,22 @@ def test_array_selection_matches_the_loop(curve, lam, budget, target):
         loop_select_threshold_min_fa, curve, scenario, target)
     assert outcome(recall_vs_fa_curve, curve, scenario) == outcome(
         loop_recall_vs_fa_curve, curve, scenario)
+
+
+@given(points=st.lists(st.tuples(st.floats(0, 1), st.floats(1e-6, 1), st.floats(0, 1)),
+                       min_size=1, max_size=8),
+       lam=st.one_of(st.sampled_from([2.0, 10.0]), st.floats(0.01, 500)),
+       pick=st.integers(0, 7), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_feasible_point_is_within_its_budget(points, lam, pick, data):
+    # translate used to compute R * lambda * (1/P - 1) and the selections
+    # R * (1/P - 1) * lambda: a point kept at FA/h <= budget could report an
+    # FA/h one ulp above it, and the JSON and the CSV disagreed
+    curve, scenario = curve_of(points), Scenario("s", lam)
+    csv_fa = [fa for fa, _ in recall_vs_fa_curve(curve, scenario)]
+    budget = data.draw(st.sampled_from(csv_fa))  # a budget on a point's FA/h
+    point = select_threshold_max_recall(curve, scenario, budget)
+    assert point.feasible and point.fa_per_hour <= budget
+    assert point.fa_per_hour in csv_fa
+    point = select_threshold_min_fa(curve, scenario, points[pick % len(points)][2])
+    assert point.fa_per_hour in csv_fa

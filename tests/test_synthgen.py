@@ -50,6 +50,24 @@ class TestDeterminism:
         assert not np.array_equal(a[0].signal, b[0].signal)
 
 
+
+@pytest.mark.parametrize("field,value", [
+    ("snr", float("nan")), ("snr", float("inf")), ("snr", -1.0),
+    ("session_minutes", float("nan")), ("session_minutes", float("inf")),
+    ("zipf_exponent", float("nan")), ("zipf_exponent", float("-inf")),
+    ("sample_rate_hz", float("nan")), ("sample_rate_hz", float("inf")),
+    ("word_duration_range_s", (float("nan"), 0.3)), ("word_duration_range_s", (0.2, float("nan"))),
+    ("word_duration_range_s", (0.2, float("inf"))), ("gap_range_s", (float("nan"), 0.4)),
+    ("gap_range_s", (0.2, float("nan"))), ("gap_range_s", (0.2, float("inf"))),
+    ("seed", float("nan")), ("vocab_size", float("nan")), ("n_sessions", float("nan")),
+])
+def test_non_finite_setting_rejected(field, value):
+    # the checks were written so that NaN passed them: snr=NaN wrote a corpus
+    # and exit 0, and NaN minutes or Zipf exponent failed later with exit 2
+    with pytest.raises(ValidationError):
+        dataclasses.replace(SMALL, **{field: value})
+
+
 class TestZeroSnr:
     def test_signal_independent_of_lexicon(self):
         # with snr=0 the signal is pure seeded noise: changing the word
