@@ -51,8 +51,9 @@ class ChannelConfig:
     def __post_init__(self):
         if self.n_channels < 1:
             raise ValidationError(f"n_channels must be >= 1, got {self.n_channels}")
-        if self.sample_rate_hz <= 0:
-            raise ValidationError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise ValidationError(
+                f"sample_rate_hz must be > 0 and finite, got {self.sample_rate_hz}")
         if self.channel_names is not None and len(self.channel_names) != self.n_channels:
             raise ValidationError(
                 f"channel_names has {len(self.channel_names)} entries for "

@@ -444,17 +444,20 @@ def _permutation_result(observed: float, null) -> PermutationResult:
 
 def _shuffle_nulls(engines: list[_Engine], n_draws: int, seed: int) -> list[dict]:
     """Each engine's null values of its metrics, from one stream of label
-    shuffles: each draw shuffles the shared label vector once, and every
-    engine's score vector is evaluated on it."""
+    shuffles, and every engine's score vector is evaluated on each. The
+    metrics read only where a shuffle puts the k positives, a uniform
+    k-subset of the n items, so a draw is that subset:
+    `choice(n, k, replace=False, shuffle=False)`, Floyd's algorithm with k
+    bounded draws (a k-step tail shuffle when n > 10 000 and k > n / 20),
+    not the n - 1 draws of a full permutation."""
     _require_draws(n_draws, "n_draws")
-    labels = engines[0].labels
+    n, k = engines[0].n, engines[0].k
     rng = stream(seed)
-    rows = max(1, _BLOCK_ELEMENTS // labels.size)
+    rows = max(1, _BLOCK_ELEMENTS // n)
     nulls = [{m: np.empty(n_draws, dtype=np.float64) for m in e.names} for e in engines]
     for start in range(0, n_draws, rows):
         count = min(rows, n_draws - start)
-        items = np.stack([np.flatnonzero(rng.permutation(labels))  # a shuffle's positives
-                          for _ in range(count)])
+        items = np.stack([rng.choice(n, k, replace=False, shuffle=False) for _ in range(count)])
         for engine, null in zip(engines, nulls):
             for m, values in engine.on_shuffles(items).items():
                 null[m][start : start + count] = values
@@ -480,8 +483,9 @@ def _seed_mean_tests(engines: list[_Engine], nulls: list[dict]) -> dict:
 def seed_mean_permutation_pvalues(scored_sets: list[ScoredSet], names, n_draws: int = 10000,
                                   seed: int = 0, tau: float = 0.5) -> dict[str, PermutationResult]:
     """One-sided (greater) permutation tests of the seed-averaged metrics
-    `names`: each draw shuffles the shared label vector once and averages
-    each metric over the per-seed score vectors;
+    `names`: each draw places the shared label vector's k positives on one
+    uniform k-subset of the items (`_shuffle_nulls`) and averages each
+    metric over the per-seed score vectors;
     p = (1 + #{null >= observed}) / (n_draws + 1)."""
     engines = _engines(scored_sets, names, tau)
     return _seed_mean_tests(engines, _shuffle_nulls(engines, n_draws, seed))

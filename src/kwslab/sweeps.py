@@ -143,12 +143,12 @@ def run_scaling_sweep(config, sessions, default_split, fractions, workdir: str) 
         except InfeasibleSamplerError as exc:
             cells.append(_infeasible(axis, str(exc)))
             continue
-        perm = mx.seed_mean_permutation_pvalue(
+        perm = mx.seed_mean_permutation_pvalues(
             scoreds,
-            "auprc",
+            ("auprc",),
             n_draws=config.evaluation.permutation_draws,
             seed=config.evaluation.stat_seed,
-        )
+        )["auprc"]
         cell["aggregate"].update(
             p_value=perm.p_value,
             unique_hours=sum(hours[sid] for sid in train_ids),
@@ -244,10 +244,11 @@ def paired_offset_improvement(
 def run_offsets_sweep(config, sessions, default_split, neg_grid, pos_grid, workdir: str) -> dict:
     """Train/evaluate per (beta_neg, beta_pos) cell; report per-cell seed
     mean +- SE, the argmax cell, and the paired improvement over (0, 0)."""
+    for flag, grid in (("--neg-grid", neg_grid), ("--pos-grid", pos_grid)):
+        bad = next((v for v in grid if not 0 <= v < math.inf), None)
+        if bad is not None:
+            raise InfeasibleTaskError(f"{flag}: offsets must be >= 0 and finite seconds, got {bad}")
     os.makedirs(workdir, exist_ok=True)
-    for value in list(neg_grid) + list(pos_grid):
-        if value < 0:
-            raise InfeasibleTaskError("offsets must be nonnegative seconds")
     split_spec = build_task_spec(sessions, config.task.keywords, 0.0, 0.0)
     split = select_splits(sessions, split_spec, default_split)
 

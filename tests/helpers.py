@@ -204,12 +204,15 @@ def reference_bootstrap_ci(scored, fn, n_resamples, seed):
 
 def reference_seed_mean_permutation_pvalue(scored_sets, fn, n_draws, seed):
     """`mx.seed_mean_permutation_pvalue` with `fn` evaluated on each shuffle
-    of each score vector."""
+    of each score vector: a label vector whose positives sit on the draw's
+    k-subset of the items."""
     labels = scored_sets[0].labels
+    n, k = labels.size, int(labels.sum())
     rng = stream(seed)
     null = []
     for _ in range(n_draws):
-        shuffled = rng.permutation(labels)
+        shuffled = np.zeros_like(labels)
+        shuffled[rng.choice(n, k, replace=False, shuffle=False)] = 1
         null.append(np.mean([fn(mx.ScoredSet(s.scores, shuffled)) for s in scored_sets]))
     observed = float(np.mean([fn(s) for s in scored_sets]))
     return mx._permutation_result(observed, np.array(null, dtype=np.float64))

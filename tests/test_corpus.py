@@ -565,3 +565,9 @@ class TestSessionValidation:
         events = [WordEvent(29.9, 0.5, "a")]
         with pytest.raises(ValidationError, match="past"):
             make_session(events=events, duration_s=30.0)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_sample_rate_rejected(self, rate):
+        # a NaN rate used to construct and fail later in `index_windows`
+        with pytest.raises(ValidationError, match="sample_rate_hz must be > 0 and finite"):
+            ChannelConfig(n_channels=2, sample_rate_hz=rate)

@@ -699,6 +699,20 @@ class TestFloatListFlags:
 
 
 class TestOffsetsSweep:
+    @pytest.mark.parametrize("flag, grids", [
+        ("--neg-grid", ["0,nan", "0"]), ("--neg-grid", ["0,inf", "0"]),
+        ("--pos-grid", ["0", "0,nan"]), ("--pos-grid", ["0", "inf"]),
+    ])
+    def test_bad_offset_trains_nothing(self, corpus_dir, tmp_path, capsys, flag, grids):
+        # "--neg-grid 0,nan" used to train the (0, 0) cell and write its checkpoint, then exit 1
+        config_path, _ = corpus_dir
+        assert main(["sweep-offsets", "--config", config_path, "--workdir", str(tmp_path),
+                     "--neg-grid", grids[0], "--pos-grid", grids[1], "--set", "seeds=[0]"]) == 1
+        err = capsys.readouterr().err
+        assert f"{flag}: offsets must be >= 0 and finite" in err
+        assert grids[flag == "--pos-grid"].split(",")[-1] in err
+        assert not list(tmp_path.rglob("*.ckpt"))
+
     def test_tiny_grid_and_paired_stats(self, corpus_dir, tmp_path_factory):
         config_path, _ = corpus_dir
         workdir = str(tmp_path_factory.mktemp("offsets"))

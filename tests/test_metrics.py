@@ -580,8 +580,8 @@ def test_reports_draw_each_bootstrap_resample_once(monkeypatch):
             calls.append(size)
             return self.rng.integers(low, high, size=size)
 
-        def permutation(self, x):
-            return self.rng.permutation(x)
+        def choice(self, *args, **kwargs):
+            return self.rng.choice(*args, **kwargs)
 
     monkeypatch.setattr(mx, "stream", Counting)
     monkeypatch.setattr(mx, "_BLOCK_ELEMENTS", 40 * 64)  # 64 rows a block
@@ -594,6 +594,115 @@ def test_reports_draw_each_bootstrap_resample_once(monkeypatch):
     assert all(len(size) == 2 and 1 <= size[0] <= 64 and size[1] == 40 for size in one)
     assert len(one) >= 5 and sum(rows for rows, _ in one) >= 300
     assert calls == one
+
+
+def test_each_shuffle_is_one_k_subset_draw(monkeypatch):
+    """A shuffle is drawn as the positions of its k positives: one
+    `choice(n, k, replace=False, shuffle=False)` call per draw and no other
+    draw, so a return to full permutations of the labels fails here."""
+    calls = []
+    real_rng = streams.stream
+
+    class Recording:
+        def __init__(self, seed):
+            self.rng = real_rng(seed)
+
+        def choice(self, *args, **kwargs):
+            calls.append(("choice", args, kwargs))
+            return self.rng.choice(*args, **kwargs)
+
+        def __getattr__(self, name):  # any other draw, e.g. `permutation`
+            calls.append((name,))
+            return getattr(self.rng, name)
+
+    n, k, draws = 40, 6, 23
+    labels = np.arange(n) % 7 == 0
+    sets = [scored(np.random.default_rng(i).random(n), labels) for i in range(3)]
+    monkeypatch.setattr(mx, "_BLOCK_ELEMENTS", 5 * n)  # a partial last block
+    want = mx.seed_mean_permutation_pvalues(sets, mx.REPORT_METRICS, n_draws=draws, seed=8)
+    monkeypatch.setattr(mx, "stream", Recording)
+    got = mx.seed_mean_permutation_pvalues(sets, mx.REPORT_METRICS, n_draws=draws, seed=8)
+    assert calls == [("choice", (n, k), {"replace": False, "shuffle": False})] * draws
+    assert got == want
+
+
+def test_shuffle_nulls_do_not_depend_on_the_block_size(monkeypatch):
+    labels = np.arange(60) % 4 == 0
+    sets = [scored(np.random.default_rng(i).random(60).round(1), labels) for i in range(2)]
+    nulls = []
+    for elements in (60, 7 * 60, mx._BLOCK_ELEMENTS):  # 1, 7 and 546 draws a block
+        monkeypatch.setattr(mx, "_BLOCK_ELEMENTS", elements)
+        nulls.append(mx._shuffle_nulls(mx._engines(sets, mx.REPORT_METRICS, 0.5), 50, seed=6))
+    for other in nulls[1:]:
+        for a, b in zip(nulls[0], other):
+            assert a.keys() == b.keys()
+            for name in a:
+                np.testing.assert_array_equal(a[name], b[name], err_msg=name)
+
+
+def test_shuffles_with_no_positive_and_with_no_negative():
+    """k = 0 (the thresholded metrics exist) and k = n (AUPRC exists): every
+    draw is the one subset there is, so every null value is the observed one."""
+    scores = np.round(RNG.random(30), 1)
+    engines = [mx._Engine(scored(scores, np.zeros(30, int)), ("f1", "f1_macro", "accuracy", "mcc")),
+               mx._Engine(scored(scores, np.ones(30, int)), ("auprc",))]
+    for engine in engines:
+        null = mx._shuffle_nulls([engine], 40, seed=3)[0]
+        assert null.keys() == engine.observed.keys()
+        for name, values in null.items():
+            assert np.all(values == engine.observed[name]), name
+            assert mx._permutation_result(engine.observed[name], values).p_value == 1.0
+    assert engines[1].observed["auprc"] == 1.0
+
+
+def test_shuffle_nulls_have_the_exact_null_moments():
+    """At the acceptance shape (n = 4660, k = 24) over 10 000 draws: the
+    AUROC null's mean and variance are the Mann-Whitney moments, 1/2 and
+    (n + 1) / (12 k m) for untied scores, and the F1 null's mean is its
+    hypergeometric expectation, each within 5 Monte Carlo SEs."""
+    n, k, draws = 4660, 24, 10000
+    rng = np.random.default_rng(11)
+    labels = np.zeros(n, int)
+    labels[rng.choice(n, k, replace=False)] = 1
+    s = scored(rng.random(n), labels)
+    assert np.unique(s.scores).size == n
+    engine = mx._Engine(s, ("auroc", "f1"))
+    null = mx._shuffle_nulls([engine], draws, seed=12)[0]
+
+    auroc = null["auroc"]
+    mean, var = 0.5, (n + 1) / (12.0 * k * (n - k))
+    assert abs(auroc.mean() - mean) <= 5 * math.sqrt(var / draws)
+    centered = auroc - auroc.mean()
+    fourth = np.mean(centered**4)
+    assert abs(auroc.var() - var) <= 5 * math.sqrt((fourth - var**2) / draws)
+
+    # true positives among the n_pred predicted items are hypergeometric
+    tp = scipy_stats.hypergeom(n, k, engine.n_pred)
+    f1 = 2.0 / (engine.n_pred + k)  # F1 = 2 tp / (n_pred + k)
+    assert abs(null["f1"].mean() - f1 * tp.mean()) <= 5 * f1 * tp.std() / math.sqrt(draws)
+
+
+def test_shuffled_positions_are_uniform(monkeypatch):
+    """Each draw is k distinct items, and over 20 000 draws at n = 50,
+    k = 5 every item is drawn about as often (chi-square)."""
+    n, k, draws = 50, 5, 20000
+    drawn = []
+    on_shuffles = mx._Engine.on_shuffles
+
+    def spy(self, items):
+        drawn.append(np.array(items))
+        return on_shuffles(self, items)
+
+    labels = np.zeros(n, int)
+    labels[:k] = 1
+    engine = mx._Engine(scored(RNG.random(n), labels), ("f1",))
+    monkeypatch.setattr(mx._Engine, "on_shuffles", spy)
+    mx._shuffle_nulls([engine], draws, seed=13)
+    items = np.concatenate(drawn)
+    assert items.shape == (draws, k)
+    assert all(np.unique(row).size == k for row in items)
+    counts = np.bincount(items.ravel(), minlength=n)
+    assert scipy_stats.chisquare(counts).pvalue > 1e-3
 
 
 @pytest.mark.parametrize("n,block", [(7, 5), (145, 64), (543, 7), (4660, 7)])
