@@ -438,6 +438,11 @@ def _read_session(root: str, session_id: str, sidecar: dict, signal: np.ndarray)
     checksum = hashlib.sha256(raw).hexdigest()
     if checksum != sidecar["checksum_sha256"]:
         raise ValidationError(f"session {session_id}: signal checksum mismatch")
+    for c, row in enumerate(signal):  # a row at a time: no session-sized temporary
+        if not np.isfinite(row).all():
+            i = int(np.flatnonzero(~np.isfinite(row))[0])
+            raise ValidationError(f"session {session_id}: channel {c} holds a non-finite "
+                                  f"sample ({row[i]}) at sample index {i}")
     names = sidecar.get("channel_names")
     config = ChannelConfig(
         n_channels=sidecar["n_channels"],

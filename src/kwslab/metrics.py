@@ -191,8 +191,10 @@ class _Engine:
     draws at a time. A label shuffle keeps the scores and moves the
     positives, so it is the positions of its k positives; a bootstrap
     resample is a row of per-item draw counts in the presorted order, and
-    the set's tie groups stay its tie groups. The observed values are the
-    one-row case of the shuffles' arithmetic."""
+    the set's tie groups stay its tie groups. Each threshold-free metric has
+    one arithmetic over the positives' k terms, `_auroc` and `_auprc`, for
+    the observed values (the one-row case of the shuffles), the shuffles and
+    the resamples."""
 
     def __init__(self, scored: ScoredSet, names=REPORT_METRICS, tau: float = 0.5):
         for name in names:
@@ -210,14 +212,12 @@ class _Engine:
         self.position = np.empty(self.n, dtype=np.int64)
         self.position[order] = np.arange(self.n)
         self.ends = _tie_ends(sorted_scores)
+        self.starts = np.append(0, self.ends[:-1] + 1)  # group g spans starts[g]:ends[g] + 1
         self.group = np.searchsorted(self.ends, np.arange(self.n))  # of each position
         self.n_pred = int(np.sum(sorted_scores >= tau))  # predictions: a prefix
         self.positives = np.flatnonzero(sorted_labels)  # positions, ascending
         self.positive_group = self.group[self.positives]
         self.n_pred_positives = int(np.sum(self.positives < self.n_pred))
-        if "auroc" in self.names:
-            # a shuffle's rank sum is exact: the ranks are half-integers
-            self.ranks = _scipy_stats.rankdata(sorted_scores, method="average")
         self._memo = {}
         positives = np.flatnonzero(scored.labels)[None, :]
         self.observed = {m: float(v[0]) for m, v in self.on_shuffles(positives).items()}
@@ -226,38 +226,33 @@ class _Engine:
         """Rows of the k items each label shuffle makes positive, against
         the fixed scores."""
         pos = np.sort(self.position[items], axis=1)
-        rows, k, n = len(pos), self.k, self.n
+        rows, k = len(pos), self.k
         out = {}
         if self.thresholded:
             hits = np.sum(pos < self.n_pred, axis=1)
             out.update(self._thresholded(hits, np.full(rows, self.n_pred), np.full(rows, k)))
+        group = self.group[pos]
+        tp = np.broadcast_to(np.arange(1, k + 1), pos.shape)  # each positive is drawn once
+        seen = self.ends[group] + 1
         if "auroc" in self.names:
-            out["auroc"] = (self.ranks[pos].sum(axis=1) - k * (k + 1) / 2.0) / (k * (n - k))
+            out["auroc"] = self._auroc(group, tp, seen, self.starts[group])
         if "auprc" in self.names:
-            group = self.group[pos]
-            out["auprc"] = self._auprc(group, np.broadcast_to(np.arange(1, k + 1), pos.shape),
-                                       self.ends[group] + 1, group, np.full(rows, self.ends.size))
+            out["auprc"] = self._auprc(group, tp, seen)
         return out
 
     def bin_items(self):
         """The bootstrap table: each item's bin among the sorted cut points a
         resample's metrics read (0, n_pred and n, each positive's position
         and the next, both edges of each positive's tie group), so that the
-        draws above every cut point are a cumulative sum over a few bins, and
-        each item's tie group, for the groups a resample draws from."""
+        draws above every cut point are a cumulative sum over a few bins."""
         g = self.positive_group
-        edges = np.append(0, self.ends + 1)  # group g spans edges[g]:edges[g + 1]
         cuts = np.unique(np.concatenate(([0, self.n_pred, self.n], self.positives,
-                                         self.positives + 1, edges[g], edges[g + 1])))
+                                         self.positives + 1, self.starts[g], self.ends[g] + 1)))
         self.n_bins = cuts.size - 1
         self.bin = (np.searchsorted(cuts, np.arange(self.n), side="right") - 1)[self.position]
         self.hit_bin = np.searchsorted(cuts, self.positives)  # a positive's own bin
         self.pred_cut, self.lo_cut, self.hi_cut = (np.searchsorted(cuts, c) for c in (
-            self.n_pred, edges[g], edges[g + 1]))
-        self.item_group = self.group[self.position]
-        groups = np.unique(g)  # the positives' groups, ascending
-        self.group_starts = np.append(0, groups + 1)
-        self.group_rank = np.searchsorted(groups, g)  # of each positive's group among them
+            self.n_pred, self.starts[g], self.ends[g] + 1))
 
     def on_resamples(self, block, taken: dict) -> dict:
         """Rows of bootstrap indices, and the rows of the block each
@@ -280,52 +275,35 @@ class _Engine:
                 hit = hits[r, : self.n_pred_positives].sum(axis=1)
                 out.update(self._thresholded(hit, drawn[r, self.pred_cut], k[r]))
             elif c == "auroc":
-                out[c] = self._resampled_auroc(tp[r], seen[r], seen_above[r])
+                out[c] = self._auroc(self.positive_group, tp[r], seen[r], seen_above[r])
             else:
-                out[c] = self._resampled_auprc(block[r], tp[r], seen[r])
+                out[c] = self._auprc(self.positive_group, tp[r], seen[r])
         return out
 
-    def _resampled_auroc(self, tp, seen, seen_above) -> np.ndarray:
-        """Twice the Mann-Whitney U, exact in integers: a group's positives
-        beat the negatives below it and tie with the negatives inside it.
-        Groups without a positive add no pairs."""
-        last, tp_above = _by_group(self.positive_group, tp)
+    def _auroc(self, group, tp, seen, seen_above) -> np.ndarray:
+        """Twice the Mann-Whitney U, exact in integers, over the positives in
+        score order, given their groups, the positives drawn down to each and
+        the items drawn down to its group's end and above its group's start:
+        a group's positives beat the negatives below it and tie with the
+        negatives inside it. Groups without a positive add no pairs."""
+        last, tp_above = _by_group(group, tp)
         k = tp[:, -1]
         m = self.n - k
         pairs = (tp - tp_above) * (2 * m[:, None] - (seen - tp) - (seen_above - tp_above))
         return np.where(last, pairs, 0).sum(axis=1) / 2.0 / (k * m)
 
-    def _resampled_auprc(self, block, tp, seen) -> np.ndarray:
-        """`_auprc` of resamples, each placing its terms among the groups it
-        draws from: a mark per drawn group, summed between the positives'
-        groups, counts the drawn groups down to each."""
-        rows, width = len(block), self.ends.size + 1  # one spare group, never drawn
-        flat = self.item_group[block]
-        flat += width * np.arange(rows)[:, None]
-        drawn = np.zeros(rows * width, dtype=bool)
-        drawn[flat.ravel()] = True
-        slot = np.cumsum(np.add.reduceat(drawn.reshape(rows, width), self.group_starts, axis=1,
-                                         dtype=np.int64), axis=1)
-        return self._auprc(self.positive_group, tp, seen, slot[:, self.group_rank] - 1,
-                           slot[:, -1])
-
-    def _auprc(self, group, tp, seen, slot, lengths) -> np.ndarray:
-        """Sum of (R_g - R_{g-1}) * P_g over the tie groups each row draws
-        from, given for the positives in score order: their groups, the
-        positives drawn down to each, the items drawn down to its group's
-        end and its group's place among the `lengths` groups the row draws
-        from. Only a group with a drawn positive adds a nonzero term; the
-        others add zeros, which a row's sum needs in their places to add its
-        terms pairwise in the order np.sum adds a single draw's terms."""
+    def _auprc(self, group, tp, seen) -> np.ndarray:
+        """Sum of (R_g - R_{g-1}) * P_g over the tie groups, given for the
+        positives in score order: their groups, the positives drawn down to
+        each and the items drawn down to its group's end. A row's nonzero
+        terms are at the last drawn positive of each group, so it sums k
+        terms, the others zero, in score order: the observed value, a
+        shuffle and a resample share this one arithmetic."""
         last, above = _by_group(group, tp)
         keep = last & (tp > above)
         k = tp[:, -1:]
         terms = (tp / k - above / k) * (tp / np.maximum(seen, 1))
-        starts = np.cumsum(lengths) - lengths
-        flat = np.zeros(int(lengths.sum()))
-        flat[(starts[:, None] + slot)[keep]] = terms[keep]
-        bounds = zip(starts.tolist(), (starts + lengths).tolist())
-        return np.array([flat[a:b].sum() for a, b in bounds])
+        return np.where(keep, terms, 0.0).sum(axis=1)
 
     def _thresholded(self, tp, n_pred, k) -> dict:
         """Each thresholded metric from per-row counts; Python ints, once
@@ -453,7 +431,7 @@ def _shuffle_nulls(engines: list[_Engine], n_draws: int, seed: int) -> list[dict
     _require_draws(n_draws, "n_draws")
     n, k = engines[0].n, engines[0].k
     rng = stream(seed)
-    rows = max(1, _BLOCK_ELEMENTS // n)
+    rows = max(1, _BLOCK_ELEMENTS // max(k, 1))  # a draw is k items wide
     nulls = [{m: np.empty(n_draws, dtype=np.float64) for m in e.names} for e in engines]
     for start in range(0, n_draws, rows):
         count = min(rows, n_draws - start)

@@ -15,6 +15,7 @@ from collections import namedtuple
 from contextlib import contextmanager
 
 import numpy as np
+from scipy import stats as scipy_stats
 
 import kwslab.metrics as mx
 import kwslab.nncore as nc
@@ -140,6 +141,15 @@ def brute_force_auroc(scores, labels) -> float:
             elif sp == sn:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def rank_sum_auroc(scores, labels) -> float:
+    """The Mann-Whitney rank sum of the positives over k (n - k), ties
+    ranked by their average: exact, since the ranks are half-integers."""
+    labels = np.asarray(labels)
+    k, n = int(labels.sum()), labels.size
+    ranks = scipy_stats.rankdata(np.asarray(scores, dtype=np.float64), method="average")
+    return (ranks[labels == 1].sum() - k * (k + 1) / 2.0) / (k * (n - k))
 
 
 def list_pr_curve(scored) -> list:

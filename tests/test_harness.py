@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -468,6 +469,50 @@ class TestTrainEvaluateCommands:
         assert capsys.readouterr().err.startswith(
             f"error: session s001: {tmp_path / 'data' / 's001.json'} disagrees with the manifest")
         assert not (tmp_path / "w" / "train_report.json").exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("partition", ["train", "validation", "test"])
+    def test_non_finite_signal_sample_is_invalid_input(self, corpus_dir, trained_workdir,
+                                                       micro_config_dict, tmp_path, capsys,
+                                                       partition, value):
+        # a NaN in a train session used to exit 2 as a divergence ("non-finite
+        # values during forward"), in the validation session exit 1 with
+        # "softmax input must be finite", and in the test session let `train`
+        # exit 0. No message named the session.
+        _, root = corpus_dir
+        data = tmp_path / "data"
+        shutil.copytree(root, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        entry = next(e for e in manifest["sessions"] if e["partition"] == partition)
+        sid = entry["session_id"]
+        sidecar = json.loads((data / f"{sid}.json").read_text())
+        signal = np.fromfile(data / f"{sid}.f32", dtype="<f4").reshape(
+            sidecar["n_channels"], sidecar["n_samples"])
+        signal[3, 1234] = value
+        signal[5, 99] = value  # a later channel: the first bad one is named
+        signal.tofile(data / f"{sid}.f32")
+        entry["checksum_sha256"] = sidecar["checksum_sha256"] = hashlib.sha256(
+            signal.tobytes()).hexdigest()
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        (data / f"{sid}.json").write_text(json.dumps(sidecar))
+        config = copy.deepcopy(micro_config_dict)
+        config["corpus"]["root"] = str(data)
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        expected = f"error: session {sid}: channel 3 holds a non-finite sample ({value}) " \
+                   "at sample index 1234"
+        train_dir, eval_dir = tmp_path / "train", tmp_path / "eval"
+        eval_dir.mkdir()
+        for seed in micro_config_dict["seeds"]:
+            name = f"checkpoint_seed{seed}.ckpt"
+            shutil.copy(os.path.join(trained_workdir, name), eval_dir / name)
+        for command, workdir in (("train", train_dir), ("evaluate", eval_dir)):
+            before = sorted(os.listdir(workdir)) if workdir.exists() else []
+            assert main([command, "--config", str(tmp_path / "c.json"),
+                         "--workdir", str(workdir)]) == 1
+            assert capsys.readouterr().err.startswith(expected)
+            # no checkpoint, scores file or report
+            after = sorted(os.listdir(workdir)) if workdir.exists() else []
+            assert after == before, command
 
     @pytest.mark.parametrize("name, edit", [
         ("manifest.json", lambda m: m["sessions"][0].update(partition="dev")),

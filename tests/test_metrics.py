@@ -17,6 +17,7 @@ from helpers import (
     list_pr_curve,
     make_thresholded_metric,
     per_draw_metric,
+    rank_sum_auroc,
     reference_bootstrap_ci,
     reference_permutation_pvalue,
     reference_seed_mean_permutation_pvalue,
@@ -454,16 +455,50 @@ def assert_same_result(name, engine, reference):
 def test_engine_matches_per_draw_reference(s, name, count, rows, seed):
     reference = per_draw_metric(name)
     with pytest.MonkeyPatch.context() as mp:
-        # blocks of `rows` draws, so most counts leave a partial last block
+        # blocks of `rows` draws, so most counts leave a partial last block: a
+        # resample is n items wide, a shuffle k
         mp.setattr(mx, "_BLOCK_ELEMENTS", rows * s.n)
         assert_same_result(name, mx.bootstrap_ci(s, name, n_resamples=count, seed=seed),
                            reference_bootstrap_ci(s, reference, n_resamples=count, seed=seed))
+        mp.setattr(mx, "_BLOCK_ELEMENTS", rows * max(s.n_positive, 1))
         assert_same_result(name, mx.permutation_pvalue(s, name, n_draws=count, seed=seed),
                            reference_permutation_pvalue(s, reference, n_draws=count, seed=seed))
         sets = [s, scored(np.roll(s.scores, 1), s.labels), scored(s.scores[::-1], s.labels)]
         assert_same_result(
             name, mx.seed_mean_permutation_pvalue(sets, name, n_draws=count, seed=seed),
             reference_seed_mean_permutation_pvalue(sets, reference, n_draws=count, seed=seed))
+
+
+@given(s=st.one_of(scored_sets(), cut_edge_sets()), count=st.integers(1, 40),
+       seed=st.integers(0, 2**16))
+@settings(max_examples=100, deadline=None)
+def test_auroc_equals_the_rank_sum(s, count, seed):
+    """The tie-group U statistic, observed and on every shuffle, equals the
+    rank-sum AUROC bit for bit: both count half-integers exactly and divide
+    once by k (n - k)."""
+    engine = mx._Engine(s, ("auroc",))
+    assert engine.observed["auroc"] == rank_sum_auroc(s.scores, s.labels)
+    null = mx._shuffle_nulls([engine], count, seed)[0]["auroc"]
+    rng = streams.stream(seed)
+    for value in null:
+        labels = np.zeros(s.n, int)
+        labels[rng.choice(s.n, s.n_positive, replace=False, shuffle=False)] = 1
+        assert value == rank_sum_auroc(s.scores, labels)
+
+
+@given(s=st.one_of(scored_sets(), cut_edge_sets()))
+@settings(max_examples=100, deadline=None)
+def test_identity_resample_is_the_observed_value(s):
+    """A resample that draws each item once goes through the resampling
+    arithmetic to the observed value of each of the six metrics, bit for
+    bit."""
+    engine = mx._Engine(s, mx.REPORT_METRICS)
+    engine.bin_items()
+    taken = {c: np.array([0]) for c in set(engine.class_of.values())}
+    values = engine.on_resamples(np.arange(s.n)[None, :], taken)
+    assert values.keys() == engine.observed.keys()
+    for name, value in values.items():
+        assert value.tolist() == [engine.observed[name]], name
 
 
 @pytest.mark.parametrize("name, labels", [
@@ -618,7 +653,7 @@ def test_each_shuffle_is_one_k_subset_draw(monkeypatch):
     n, k, draws = 40, 6, 23
     labels = np.arange(n) % 7 == 0
     sets = [scored(np.random.default_rng(i).random(n), labels) for i in range(3)]
-    monkeypatch.setattr(mx, "_BLOCK_ELEMENTS", 5 * n)  # a partial last block
+    monkeypatch.setattr(mx, "_BLOCK_ELEMENTS", 5 * k)  # 5 draws a block: a partial last block
     want = mx.seed_mean_permutation_pvalues(sets, mx.REPORT_METRICS, n_draws=draws, seed=8)
     monkeypatch.setattr(mx, "stream", Recording)
     got = mx.seed_mean_permutation_pvalues(sets, mx.REPORT_METRICS, n_draws=draws, seed=8)
@@ -627,10 +662,10 @@ def test_each_shuffle_is_one_k_subset_draw(monkeypatch):
 
 
 def test_shuffle_nulls_do_not_depend_on_the_block_size(monkeypatch):
-    labels = np.arange(60) % 4 == 0
+    labels = np.arange(60) % 4 == 0  # k = 15
     sets = [scored(np.random.default_rng(i).random(60).round(1), labels) for i in range(2)]
     nulls = []
-    for elements in (60, 7 * 60, mx._BLOCK_ELEMENTS):  # 1, 7 and 546 draws a block
+    for elements in (15, 7 * 15, mx._BLOCK_ELEMENTS):  # 1, 7 and 2184 draws a block
         monkeypatch.setattr(mx, "_BLOCK_ELEMENTS", elements)
         nulls.append(mx._shuffle_nulls(mx._engines(sets, mx.REPORT_METRICS, 0.5), 50, seed=6))
     for other in nulls[1:]:
