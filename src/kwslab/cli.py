@@ -8,7 +8,6 @@ file), 2 runtime failures.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -34,10 +33,12 @@ from .reports import (
     write_rows_csv,
 )
 from .sweeps import (
+    checkpoint_path,
     run_keywords_sweep,
     run_offsets_sweep,
     run_scaling_sweep,
     seed_mean_se,
+    train_seeds,
 )
 from .synthgen import default_split as synth_default_split
 from .synthgen import generate_corpus
@@ -46,13 +47,10 @@ from .training import (
     prepare_task,
     read_scores_csv,
     scored_set_from_rows,
-    train,
     write_scores_csv,
 )
 
-
-def _checkpoint_path(workdir: str, seed: int) -> str:
-    return os.path.join(workdir, f"checkpoint_seed{seed}.ckpt")
+CHECKPOINT_TAG = "checkpoint"  # `train` and `evaluate` use checkpoint_seed{seed}.ckpt
 
 
 def _load_task(config):
@@ -62,8 +60,7 @@ def _load_task(config):
         sessions, config.task.keywords, config.task.beta_neg_s, config.task.beta_pos_s
     )
     split = select_splits(sessions, spec, default)
-    task = prepare_task(sessions, split, spec)
-    return root, sessions, default, spec, split, task
+    return root, spec, split, prepare_task(sessions, split, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -91,16 +88,10 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_run_config(args.config, args.set, require_corpus=True)
-    os.makedirs(args.workdir, exist_ok=True)
-    root, _, _, spec, split, task = _load_task(config)
+    root, spec, split, task = _load_task(config)  # train_seeds makes the workdir
     seeds_payload = {}
     wall = {}
-    for seed in config.seeds:
-        train_cfg = dataclasses.replace(config.training, seed=seed)
-        report = train(
-            config.model, config.loss, config.sampler, train_cfg, task,
-            _checkpoint_path(args.workdir, seed),
-        )
+    for seed, report in train_seeds(config, task, args.workdir, CHECKPOINT_TAG):
         view = report.deterministic_view()
         view["checkpoint_path"] = os.path.basename(view["checkpoint_path"])
         seeds_payload[str(seed)] = view
@@ -122,12 +113,11 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = load_run_config(args.config, args.set, require_corpus=True)
-    os.makedirs(args.workdir, exist_ok=True)
-    root, _, _, spec, split, task = _load_task(config)
+    root, _, _, task = _load_task(config)
     ev = config.evaluation
     scoreds = []
     for seed in config.seeds:
-        ckpt = _checkpoint_path(args.workdir, seed)
+        ckpt = checkpoint_path(args.workdir, CHECKPOINT_TAG, seed)
         if not os.path.exists(ckpt):
             raise CheckpointError(f"missing checkpoint {ckpt}; run `train` first")
         rows = evaluate(ckpt, task, args.partition)
@@ -140,16 +130,14 @@ def cmd_evaluate(args) -> int:
     per_seed = {str(seed): report.to_dict() for seed, report in zip(config.seeds, reports)}
     seed_mean = {}
     for name, perm in perms.items():
-        values = [per_seed[str(s)]["metrics"][name]["value"] for s in config.seeds]
-        mean, se = seed_mean_se(values)
+        mean, se = seed_mean_se([report.entries[name].value for report in reports])
         seed_mean[name] = {
             "value": mean,
             "se": se,
             "p_value": perm.p_value,
             "baseline": perm.null_mean,
             "null_median": perm.null_median,
-            "pct_improvement": (100.0 * (mean - perm.null_mean) / perm.null_mean
-                                if perm.null_mean > 0 else None),
+            "pct_improvement": mx.pct_over_baseline(mean, perm.null_mean),
         }
     payload = {
         "provenance": provenance_block(config, root),
@@ -195,30 +183,27 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _seed_summary(values, per_seed: list) -> dict:
+    mean, se = seed_mean_se(values)
+    return {"mean": mean, "se": se, "per_seed": per_seed}
+
+
 def _operating_rows_for_scenario(scenario, curves, fa_points, fp_rates, budgets):
-    fa_mean, fa_se = seed_mean_se([p.fa_per_hour for p in fa_points])
     rows = {
-        "fa_at_target_recall": {
-            "mean": fa_mean,
-            "se": fa_se,
-            "per_seed": [p.to_dict() for p in fa_points],
-        },
+        "fa_at_target_recall": _seed_summary([p.fa_per_hour for p in fa_points],
+                                             [p.to_dict() for p in fa_points]),
         "recall_at_budgets": [],
     }
     for budget in budgets:
         points = [select_threshold_max_recall(curve, scenario, budget) for curve in curves]
-        mean, se = seed_mean_se([p.recall for p in points])
         rows["recall_at_budgets"].append(
             {
                 "budget": budget,
-                "mean": mean,
-                "se": se,
                 "feasible": all(p.feasible for p in points),
-                "per_seed": [p.to_dict() for p in points],
+                **_seed_summary([p.recall for p in points], [p.to_dict() for p in points]),
             }
         )
-    fp_mean, fp_se = seed_mean_se(fp_rates)
-    rows["fp_per_hour"] = {"mean": fp_mean, "se": fp_se, "per_seed": list(fp_rates)}
+    rows["fp_per_hour"] = _seed_summary(fp_rates, list(fp_rates))
     return rows
 
 
@@ -226,9 +211,6 @@ def cmd_operating_points(args) -> int:
     config = load_run_config(args.config, args.set)
     os.makedirs(args.workdir, exist_ok=True)
     ev = config.evaluation
-    target_recall = ev.target_recall
-    budgets = list(ev.fa_budgets)
-    scenarios = list(ev.scenarios)
 
     if args.fixture:
         tables = load_reference_tables()["operating_points"]
@@ -265,18 +247,19 @@ def cmd_operating_points(args) -> int:
 
     scenario_payloads = []
     fa_csv_rows = []
-    for scenario in scenarios:
-        fa_points = [select_threshold_min_fa(curve, scenario, target_recall) for curve in curves]
+    for scenario in ev.scenarios:
+        fa_points = [select_threshold_min_fa(curve, scenario, ev.target_recall)
+                     for curve in curves]
         if scored_sets is not None:
             fp_rates = [
                 empirical_fp_per_hour(s.scores, s.labels, p.threshold, window_s)
                 for s, p in zip(scored_sets, fa_points)
             ]
-        rows = _operating_rows_for_scenario(scenario, curves, fa_points, fp_rates, budgets)
+        rows = _operating_rows_for_scenario(scenario, curves, fa_points, fp_rates, ev.fa_budgets)
         scenario_payloads.append(
             {
                 "scenario": {"name": scenario.name, "lambda_per_hour": scenario.lambda_per_hour},
-                "target_recall": target_recall,
+                "target_recall": ev.target_recall,
                 "rows": rows,
             }
         )

@@ -82,6 +82,9 @@ class RunConfig:
     seeds: tuple[int, ...] = (0, 1, 2)
 
     def __post_init__(self):
+        if not self.seeds or len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(
+                f"seeds must list at least one seed, none twice, got {list(self.seeds)}")
         if any(seed < 0 for seed in self.seeds):
             raise ConfigError(f"seeds must all be >= 0, got {list(self.seeds)}")
 
@@ -164,7 +167,7 @@ def load_run_config(path: str, overrides=(), require_corpus=False) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # missing or unreadable, or not UTF-8
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     try:
         data = json.loads(strip_json_comments(text))

@@ -456,8 +456,8 @@ def _read_events(root: str, session_id: str) -> list[WordEvent]:
     with open(os.path.join(root, session_id + "_events.tsv"), encoding="utf-8") as fh:
         try:
             return parse_events_tsv(fh.read())
-        except (EventsParseError, ValidationError) as exc:  # its message names the line
-            located = EventsParseError(f"{fh.name}: {exc}")
+        except (EventsParseError, ValidationError, UnicodeDecodeError) as exc:
+            located = EventsParseError(f"{fh.name}: {exc}")  # exc names the line, or the byte
             located.line_number = getattr(exc, "line_number", None)
             raise located from None
 

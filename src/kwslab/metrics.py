@@ -494,6 +494,11 @@ def pct_delta_over_base(auprc_value: float, base_rate: float) -> float:
     return 100.0 * (auprc_value - base_rate) / base_rate
 
 
+def pct_over_baseline(value: float, baseline: float) -> float | None:
+    """Percent change of `value` over `baseline`; None unless the baseline is > 0."""
+    return 100.0 * (value - baseline) / baseline if baseline > 0 else None
+
+
 def spearman_rank_corr(x, y) -> tuple[float, float]:
     """Spearman correlation via fractional ranks (ties averaged); two-sided
     p from the t approximation with n - 2 degrees of freedom."""
@@ -599,17 +604,15 @@ def build_metrics_reports(scored_sets: list[ScoredSet], tau: float = 0.5, n_resa
         entries = {}
         for name in REPORT_METRICS:
             boot, perm = boots[name], _permutation_result(engine.observed[name], null[name])
-            baseline = perm.null_mean
-            pct = 100.0 * (boot.point - baseline) / baseline if baseline > 0 else None
             entries[name] = MetricEntry(
                 value=boot.point,
                 ci_lo=boot.lo,
                 ci_hi=boot.hi,
                 se=boot.se,
                 p_value=perm.p_value,
-                baseline=baseline,
+                baseline=perm.null_mean,
                 null_median=perm.null_median,
-                pct_improvement=pct,
+                pct_improvement=pct_over_baseline(boot.point, perm.null_mean),
                 ci_flagged=boot.flagged,
             )
         reports.append(MetricsReport(n=scored.n, n_positive=scored.n_positive,

@@ -7,6 +7,7 @@ import csv
 import json
 
 from .corpus import read_manifest
+from .errors import ValidationError
 from .fileio import atomic_open
 from .model import config_hash
 
@@ -26,7 +27,10 @@ def write_json_report(path: str, payload: dict):
 
 def read_json_report(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError:  # not JSON, or not UTF-8
+            raise ValidationError(f"{path} is not a UTF-8 JSON file") from None
 
 
 def _fmt(value, digits=4):
@@ -108,7 +112,7 @@ def render_sweep_summary(report: dict) -> str:
 
 def _fmt_obj(obj):
     if isinstance(obj, dict):
-        return "{" + ", ".join(f"{k}: {_fmt(v)}" for k, v in obj.items()) + "}"
+        return "{" + ", ".join(f"{k}: {_fmt_obj(v)}" for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_fmt(v) for v in obj) + "]"
+        return "[" + ", ".join(_fmt_obj(v) for v in obj) + "]"
     return _fmt(obj)

@@ -31,21 +31,20 @@ def seed_mean_se(values) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
 
 
-def train_and_score_test(config, task, seed: int, workdir: str, tag: str):
-    """One training run plus test-partition scoring; returns (record, scored)."""
-    train_cfg = dataclasses.replace(config.training, seed=seed)
-    checkpoint = os.path.join(workdir, f"{tag}_seed{seed}.ckpt")
-    report = train(config.model, config.loss, config.sampler, train_cfg, task, checkpoint)
-    rows = evaluate(checkpoint, task, "test")
-    scored = scored_set_from_rows(rows)
-    record = {
-        "seed": seed,
-        "auprc": mx.auprc(scored),
-        "auroc": mx.auroc(scored),
-        "best_val_auprc": report.best_val_auprc,
-        "checkpoint": checkpoint,
-    }
-    return record, scored
+def checkpoint_path(workdir: str, tag: str, seed: int) -> str:
+    """Where the run tagged `tag` keeps seed `seed`'s best checkpoint."""
+    return os.path.join(workdir, f"{tag}_seed{seed}.ckpt")
+
+
+def train_seeds(config, task, workdir: str, tag: str):
+    """Train one detector per entry of ``config.seeds``, in that order, into
+    ``checkpoint_path(workdir, tag, seed)`` (making ``workdir``); yields
+    ``(seed, TrainReport)`` as each run finishes."""
+    os.makedirs(workdir, exist_ok=True)
+    for seed in config.seeds:
+        train_cfg = dataclasses.replace(config.training, seed=seed)
+        yield seed, train(config.model, config.loss, config.sampler, train_cfg, task,
+                          checkpoint_path(workdir, tag, seed))
 
 
 def run_cell(config, task, axis: dict, workdir: str, tag: str, metrics, per_seed=None):
@@ -58,8 +57,10 @@ def run_cell(config, task, axis: dict, workdir: str, tag: str, metrics, per_seed
     ``se`` rows, and the test-partition scored sets in seed order.
     """
     records, scoreds = [], []
-    for seed in config.seeds:
-        record, scored = train_and_score_test(config, task, seed, workdir, tag)
+    for seed, report in train_seeds(config, task, workdir, tag):
+        scored = scored_set_from_rows(evaluate(report.checkpoint_path, task, "test"))
+        record = {"seed": seed, "auprc": mx.auprc(scored), "auroc": mx.auroc(scored),
+                  "best_val_auprc": report.best_val_auprc, "checkpoint": report.checkpoint_path}
         if per_seed is not None:
             record.update(per_seed(record, scored))
         records.append(record)
@@ -112,7 +113,6 @@ def run_scaling_sweep(config, sessions, default_split, fractions, workdir: str) 
     bad = next((f for f in fractions if not 0 < f <= 1), None)
     if bad is not None:
         raise InfeasibleTaskError(f"fractions must lie in (0, 1], got {bad}")
-    os.makedirs(workdir, exist_ok=True)
     spec = build_task_spec(
         sessions, config.task.keywords, config.task.beta_neg_s, config.task.beta_pos_s
     )
@@ -248,7 +248,6 @@ def run_offsets_sweep(config, sessions, default_split, neg_grid, pos_grid, workd
         bad = next((v for v in grid if not 0 <= v < math.inf), None)
         if bad is not None:
             raise InfeasibleTaskError(f"{flag}: offsets must be >= 0 and finite seconds, got {bad}")
-    os.makedirs(workdir, exist_ok=True)
     split_spec = build_task_spec(sessions, config.task.keywords, 0.0, 0.0)
     split = select_splits(sessions, split_spec, default_split)
 
@@ -333,7 +332,6 @@ def run_keywords_sweep(config, sessions, default_split, keywords, workdir: str) 
     """Per-keyword training/evaluation roster: base rate, AUPRC, AUROC,
     accuracy at tau, best F1 across thresholds, and %dAUPRC over the base
     rate (computed per seed, then averaged)."""
-    os.makedirs(workdir, exist_ok=True)
     if keywords is None:
         keywords = auto_keywords_by_length(sessions)
     tau = config.evaluation.tau

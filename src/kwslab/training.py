@@ -107,17 +107,21 @@ class TaskData:
 
 
 def prepare_task(sessions, split, spec) -> TaskData:
-    """Fit the train-partition normalizer, z-score every session, and index
-    the in-bounds windows of each partition (ordered by session, then token).
-    """
+    """Check that every session has the first one's channel count and sample
+    rate, fit the train-partition normalizer, z-score every session, and index
+    the in-bounds windows of each partition (ordered by session, then token)."""
     by_id = {s.session_id: s for s in sessions}
     split.validate(by_id.keys())
-    train_sessions = [by_id[sid] for sid in split.train]
-    normalizer = fit_normalizer(train_sessions)
-    fs = sessions[0].channel_config.sample_rate_hz
+    first = sessions[0]
+    n_channels, fs = first.channel_config.n_channels, first.channel_config.sample_rate_hz
+    other = next((s for s in sessions if s.channel_config.n_channels != n_channels), None)
+    if other is not None:
+        raise ValidationError(f"session {other.session_id} has {other.channel_config.n_channels} "
+                              f"channels and session {first.session_id} {n_channels}: all "
+                              "sessions of a task must share one channel count")
     if any(s.channel_config.sample_rate_hz != fs for s in sessions):
         raise ValidationError("all sessions of a task must share one sample rate")
-    n_channels = sessions[0].channel_config.n_channels
+    normalizer = fit_normalizer([by_id[sid] for sid in split.train])
     n = spec.n_window_samples(fs)
 
     signals = {sid: normalizer.apply(s.signal) for sid, s in by_id.items()}
@@ -313,32 +317,35 @@ def write_scores_csv(rows, path: str):
 def read_scores_csv(path: str) -> list[ScoreRow]:
     """Parse a scores file written by write_scores_csv; a bad header, a
     missing or malformed field, or a label outside {0, 1} raises
-    ValidationError naming the line."""
+    ValidationError naming the line, and a file that is not UTF-8 one naming it."""
     rows = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != SCORES_HEADER:
-            raise ValidationError(
-                f"{path}: line 1: header must be {','.join(SCORES_HEADER)}, got {header}"
-            )
-        for rec in reader:
-            if not rec:
-                continue
-            try:
-                session_id, token_index, label, score = rec
-                row = ScoreRow(session_id, int(token_index), int(label), float(score))
-            except ValueError:
+    try:  # around the whole read: the decoder raises wherever the bad byte is
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != SCORES_HEADER:
                 raise ValidationError(
-                    f"{path}: line {reader.line_num}: expected "
-                    f"{','.join(SCORES_HEADER)} fields, got {rec}"
-                ) from None
-            if not session_id or row.label not in (0, 1):
-                raise ValidationError(
-                    f"{path}: line {reader.line_num}: needs a session id and a "
-                    f"0/1 label, got {rec}"
+                    f"{path}: line 1: header must be {','.join(SCORES_HEADER)}, got {header}"
                 )
-            rows.append(row)
+            for rec in reader:
+                if not rec:
+                    continue
+                try:
+                    session_id, token_index, label, score = rec
+                    row = ScoreRow(session_id, int(token_index), int(label), float(score))
+                except ValueError:
+                    raise ValidationError(
+                        f"{path}: line {reader.line_num}: expected "
+                        f"{','.join(SCORES_HEADER)} fields, got {rec}"
+                    ) from None
+                if not session_id or row.label not in (0, 1):
+                    raise ValidationError(
+                        f"{path}: line {reader.line_num}: needs a session id and a "
+                        f"0/1 label, got {rec}"
+                    )
+                rows.append(row)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
     return rows
 
 

@@ -38,15 +38,17 @@ from kwslab.config import (
 from kwslab.errors import ConfigError, InvalidInputError, KwslabError
 from kwslab.fixtures import load_reference_tables
 from kwslab.model import config_hash
-from kwslab.reports import provenance_block, read_json_report
+from kwslab.reports import provenance_block, read_json_report, render_sweep_summary
 from kwslab.sweeps import (
     _bootstrap_mean_ci,
     auto_keywords_by_length,
+    checkpoint_path,
     lexicon_length_frequency_spearman,
     paired_offset_improvement,
     seed_mean_se,
     sign_flip_pvalue,
     subsample_train_sessions,
+    train_seeds,
 )
 from kwslab.training import ScoreRow, write_scores_csv
 
@@ -269,6 +271,16 @@ class TestConfigLoading:
         assert "sample_rate_hz" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
+    def test_non_utf8_config_is_invalid_input(self, corpus_dir, tmp_path, capsys):
+        # used to escape as UnicodeDecodeError: "runtime failure", exit 2
+        config_path, _ = corpus_dir
+        path = tmp_path / "c.json"
+        path.write_bytes(open(config_path, "rb").read().replace(b'["ri"]', b'["r\xe9"]'))
+        assert main(["train", "--config", str(path), "--workdir", str(tmp_path / "w")]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot read config {path}: 'utf-8' codec can't decode byte 0xe9")
+        assert os.listdir(tmp_path) == ["c.json"]
+
     @pytest.mark.parametrize("key", ["snr", "session_minutes", "zipf_exponent"])
     def test_synth_nan_setting_is_invalid_input(self, corpus_dir, tmp_path, capsys, key):
         # snr=NaN wrote a corpus and exited 0; the other two exited 2
@@ -280,6 +292,14 @@ class TestConfigLoading:
 
     @pytest.mark.parametrize("command,override,message", [
         ("train", "seeds=[0,-1]", "seeds must all be >= 0"),
+        # [0, 0] trained seed 0 twice into one checkpoint, and evaluate took its
+        # mean over two copies (SE 0.0); [] trained nothing and exited 0, then
+        # evaluate and sweep-offsets exited 2 (IndexError, a NaN in the JSON)
+        ("train", "seeds=[0,0]", "seeds must list at least one seed, none twice, got [0, 0]"),
+        ("evaluate", "seeds=[1,0,1]", "seeds must list at least one seed, none twice"),
+        ("train", "seeds=[]", "seeds must list at least one seed, none twice, got []"),
+        ("evaluate", "seeds=[]", "seeds must list at least one seed"),
+        ("sweep-offsets", "seeds=[]", "seeds must list at least one seed"),
         ("synth", "corpus.synth.seed=-3", "config.corpus.synth: seed must be >= 0"),
         ("evaluate", "evaluation.stat_seed=-2", "evaluation.stat_seed must be >= 0"),
         ("train", "training.weight_decay=-5", "config.training: weight_decay must be >= 0"),
@@ -293,6 +313,7 @@ class TestConfigLoading:
             ["--workdir", str(tmp_path / "w")]
         assert main([command, "--config", config_path, *out, "--set", override]) == 1
         assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []  # nothing written
 
     @pytest.mark.parametrize("command,override,message", [
         # evaluate exited 0 with F1 0 and "threshold": NaN
@@ -470,6 +491,49 @@ class TestTrainEvaluateCommands:
             f"error: session s001: {tmp_path / 'data' / 's001.json'} disagrees with the manifest")
         assert not (tmp_path / "w" / "train_report.json").exists()
 
+    @staticmethod
+    def _edit_session_signal(corpus_dir, micro_config_dict, tmp_path, partition, edit):
+        """Copy the micro corpus to tmp_path/data, replace the signal of the first
+        `partition` session by `edit(signal)` (its shape, checksums and channel
+        count rewritten to match) and write tmp_path/c.json for it. Returns the
+        session id."""
+        _, root = corpus_dir
+        data = tmp_path / "data"
+        shutil.copytree(root, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        entry = next(e for e in manifest["sessions"] if e["partition"] == partition)
+        sid = entry["session_id"]
+        sidecar = json.loads((data / f"{sid}.json").read_text())
+        signal = edit(np.fromfile(data / f"{sid}.f32", dtype="<f4").reshape(
+            sidecar["n_channels"], sidecar["n_samples"]))
+        signal.tofile(data / f"{sid}.f32")
+        sidecar["n_channels"] = signal.shape[0]
+        entry["checksum_sha256"] = sidecar["checksum_sha256"] = hashlib.sha256(
+            signal.tobytes()).hexdigest()
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        (data / f"{sid}.json").write_text(json.dumps(sidecar))
+        config = copy.deepcopy(micro_config_dict)
+        config["corpus"]["root"] = str(data)
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        return sid
+
+    @pytest.mark.parametrize("partition, sid, message", [
+        # s000 is the first session, so the first that differs from it is s001
+        ("train", "s000", "session s001 has 8 channels and session s000 6"),
+        ("test", "s003", "session s003 has 6 channels and session s000 8"),
+    ])
+    def test_session_with_another_channel_count_is_invalid_input(
+            self, corpus_dir, trained_workdir, micro_config_dict, tmp_path, capsys,
+            partition, sid, message):
+        # a 6-channel session in the 8-channel corpus used to exit 2: an
+        # IndexError from the normalizer fit in a train session, and numpy's
+        # "operands could not be broadcast" in the test session
+        assert self._edit_session_signal(corpus_dir, micro_config_dict, tmp_path, partition,
+                                         lambda signal: np.ascontiguousarray(signal[:6])) == sid
+        self._train_and_evaluate_exit_1(
+            trained_workdir, micro_config_dict, tmp_path, capsys,
+            f"error: {message}: all sessions of a task must share one channel count")
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("partition", ["train", "validation", "test"])
     def test_non_finite_signal_sample_is_invalid_input(self, corpus_dir, trained_workdir,
@@ -479,27 +543,23 @@ class TestTrainEvaluateCommands:
         # values during forward"), in the validation session exit 1 with
         # "softmax input must be finite", and in the test session let `train`
         # exit 0. No message named the session.
-        _, root = corpus_dir
-        data = tmp_path / "data"
-        shutil.copytree(root, data)
-        manifest = json.loads((data / "manifest.json").read_text())
-        entry = next(e for e in manifest["sessions"] if e["partition"] == partition)
-        sid = entry["session_id"]
-        sidecar = json.loads((data / f"{sid}.json").read_text())
-        signal = np.fromfile(data / f"{sid}.f32", dtype="<f4").reshape(
-            sidecar["n_channels"], sidecar["n_samples"])
-        signal[3, 1234] = value
-        signal[5, 99] = value  # a later channel: the first bad one is named
-        signal.tofile(data / f"{sid}.f32")
-        entry["checksum_sha256"] = sidecar["checksum_sha256"] = hashlib.sha256(
-            signal.tobytes()).hexdigest()
-        (data / "manifest.json").write_text(json.dumps(manifest))
-        (data / f"{sid}.json").write_text(json.dumps(sidecar))
-        config = copy.deepcopy(micro_config_dict)
-        config["corpus"]["root"] = str(data)
-        (tmp_path / "c.json").write_text(json.dumps(config))
+        def edit(signal):
+            signal[3, 1234] = value
+            signal[5, 99] = value  # a later channel: the first bad one is named
+            return signal
+
+        sid = self._edit_session_signal(corpus_dir, micro_config_dict, tmp_path, partition, edit)
         expected = f"error: session {sid}: channel 3 holds a non-finite sample ({value}) " \
                    "at sample index 1234"
+        self._train_and_evaluate_exit_1(trained_workdir, micro_config_dict, tmp_path, capsys,
+                                        expected)
+
+    @staticmethod
+    def _train_and_evaluate_exit_1(trained_workdir, micro_config_dict, tmp_path, capsys,
+                                   expected):
+        """`train` into a fresh workdir and `evaluate` into a copy of the trained
+        checkpoints, both with tmp_path/c.json: each exits 1, its message starts
+        with `expected` and its workdir is left as it was."""
         train_dir, eval_dir = tmp_path / "train", tmp_path / "eval"
         eval_dir.mkdir()
         for seed in micro_config_dict["seeds"]:
@@ -594,6 +654,22 @@ class TestTrainEvaluateCommands:
         assert code == 1
         assert f"error: {events}: line {line}: malformed numeric field" in \
             capsys.readouterr().err
+
+    def test_non_utf8_events_file_is_invalid_input(self, corpus_dir, micro_config_dict,
+                                                   tmp_path, capsys):
+        # used to escape as UnicodeDecodeError: "runtime failure", exit 2
+        _, root = corpus_dir
+        shutil.copytree(root, tmp_path / "data")
+        events = tmp_path / "data" / "s001_events.tsv"
+        events.write_bytes(events.read_bytes() + b"80.5\t0.25\tword\tr\xe9\n")
+        config = copy.deepcopy(micro_config_dict)
+        config["corpus"]["root"] = str(tmp_path / "data")
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        assert main(["train", "--config", str(tmp_path / "c.json"),
+                     "--workdir", str(tmp_path / "w")]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {events}: 'utf-8' codec can't decode byte 0xe9")
+        assert sorted(os.listdir(tmp_path)) == ["c.json", "data"]
 
     def test_checkpoint_without_model_config_is_invalid_input(
             self, corpus_dir, trained_workdir, micro_config_dict, tmp_path, capsys):
@@ -691,6 +767,12 @@ class TestScalingSweep:
         sweep_value = next(r["auprc"] for r in full["per_seed"] if r["seed"] == 0)
         assert sweep_value == direct
 
+    def test_full_fraction_checkpoint_is_the_train_checkpoint(self, sweep_workdir,
+                                                              trained_workdir):
+        # `kwslab train` and the sweep cell train seed 0 through the same runner
+        ckpt = open(os.path.join(trained_workdir, "checkpoint_seed0.ckpt"), "rb").read()
+        assert open(os.path.join(sweep_workdir, "scaling_f1_seed0.ckpt"), "rb").read() == ckpt
+
     def test_csv_aggregates_rederivable(self, sweep_workdir):
         rows = read_rows_csv(os.path.join(sweep_workdir, "sweep.csv"))
         by_fraction = {}
@@ -726,6 +808,23 @@ class TestScalingSweep:
         assert subsample_train_sessions(hours, hours, 0.5) == ["a", "b"]
         assert subsample_train_sessions(hours, hours, 0.75) == ["a", "b", "c"]
         assert subsample_train_sessions(hours, hours, 1.0) == ["a", "b", "c", "d"]
+
+
+class TestTrainSeeds:
+    def test_yields_each_seed_in_config_order_as_its_run_ends(self, micro_task,
+                                                              micro_config_dict, tmp_path):
+        config = run_config_from_dict({**micro_config_dict, "seeds": [2, 0]})
+        workdir = tmp_path / "new"
+        runs = train_seeds(config, micro_task, str(workdir), "t")
+        assert not workdir.exists()  # nothing runs before the first seed is asked for
+        seed, report = next(runs)
+        assert (seed, report.checkpoint_path) == (2, str(workdir / "t_seed2.ckpt"))
+        assert os.listdir(workdir) == ["t_seed2.ckpt"]  # seed 0 has not started
+        seed, report = next(runs)
+        assert (seed, report.checkpoint_path) == (0, checkpoint_path(str(workdir), "t", 0))
+        assert report.checkpoint_path == str(workdir / "t_seed0.ckpt")
+        assert next(runs, None) is None
+        assert sorted(os.listdir(workdir)) == ["t_seed0.ckpt", "t_seed2.ckpt"]
 
 
 class TestFloatListFlags:
@@ -971,6 +1070,20 @@ class TestOperatingPointsCommand:
         ]) == 1
         assert "line 1" in capsys.readouterr().err
 
+    def test_non_utf8_scores_file_is_invalid_input(self, corpus_dir, tmp_path, capsys):
+        # used to escape as UnicodeDecodeError: "runtime failure", exit 2
+        config_path, _ = corpus_dir
+        scores = tmp_path / "scores.csv"
+        write_scores_csv([ScoreRow("s003", i, i % 2, 0.1 * i) for i in range(5)], str(scores))
+        scores.write_bytes(scores.read_bytes() + b"s\xe903,5,0,0.5\n")
+        workdir = tmp_path / "w"
+        workdir.mkdir()
+        assert main(["operating-points", "--config", config_path, "--workdir", str(workdir),
+                     "--scores", str(scores)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {scores} is not UTF-8 text: 'utf-8' codec can't decode byte 0xe9")
+        assert list(workdir.iterdir()) == []
+
     @pytest.mark.parametrize("window", ["nan", "inf"])
     def test_bad_window_is_invalid_input_and_writes_no_report(self, micro_config_dict,
                                                               tmp_path, capsys, window):
@@ -1005,6 +1118,28 @@ class TestReportCommand:
         assert main(["report", "--input", eval_report]) == 0
         out = capsys.readouterr().out
         assert "auprc" in out and "Baseline" in out
+
+    @pytest.mark.parametrize("cut", [
+        lambda text: text[: len(text) // 2],
+        lambda text: b"not json " + text,
+        lambda text: text.replace(b'"seeds"', b'"seeds\xe9"'),
+    ], ids=["truncated", "not-json", "not-utf8"])
+    def test_undecodable_input_is_invalid_input(self, trained_workdir, tmp_path, capsys, cut):
+        # used to escape as JSONDecodeError or UnicodeDecodeError: "runtime failure", exit 2
+        text = open(os.path.join(trained_workdir, "train_report.json"), "rb").read()
+        path = tmp_path / "report.json"
+        path.write_bytes(cut(text))
+        assert main(["report", "--input", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path} is not a UTF-8 JSON file\n"
+        assert os.listdir(tmp_path) == ["report.json"]
+
+    def test_lists_inside_dicts_are_rounded(self):
+        # the interval used to print at full repr precision beside rounded neighbours
+        text = render_sweep_summary({"axis": "temporal_offsets", "cells": [], "paired_improvement": {
+            "mean_delta": -0.08177048643801214, "ci95": [-0.19128089936492598, 0.09358446209595517],
+            "n_pairs": 6}})
+        assert text.splitlines()[-1] == \
+            "paired_improvement: {mean_delta: -0.08177, ci95: [-0.1913, 0.09358], n_pairs: 6}"
 
 
 RUNTIME_ERRORS = {"KwslabError", "DimensionError", "GradientStateError", "TrainingDivergedError"}
