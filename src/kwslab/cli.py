@@ -16,6 +16,7 @@ from .config import load_run_config
 from .corpus import (MANIFEST, KeywordTaskSpec, build_task_spec, compute_d_max, load_corpus,
                      load_events, save_corpus, select_splits)
 from .errors import CheckpointError, ConfigError, InvalidInputError, KwslabError, ValidationError
+from .fileio import write_json
 from .fixtures import load_reference_tables, reference_operating_curves
 from .operate import (
     empirical_fp_per_hour,
@@ -29,11 +30,11 @@ from .reports import (
     render_metrics_table,
     render_operating_points,
     render_sweep_summary,
-    write_json_report,
     write_rows_csv,
 )
 from .sweeps import (
     checkpoint_path,
+    csv_rows,
     run_keywords_sweep,
     run_offsets_sweep,
     run_scaling_sweep,
@@ -107,7 +108,7 @@ def cmd_train(args) -> int:
         "seeds": seeds_payload,
         "wall_clock_s": wall,
     }
-    write_json_report(os.path.join(args.workdir, "train_report.json"), payload)
+    write_json(os.path.join(args.workdir, "train_report.json"), payload)
     return 0
 
 
@@ -146,7 +147,7 @@ def cmd_evaluate(args) -> int:
         "per_seed": per_seed,
         "seed_mean": {"metrics": seed_mean},
     }
-    write_json_report(os.path.join(args.workdir, "evaluation_report.json"), payload)
+    write_json(os.path.join(args.workdir, "evaluation_report.json"), payload)
     print(render_metrics_table(payload["seed_mean"]))
     return 0
 
@@ -170,15 +171,15 @@ def cmd_sweep(args) -> int:
     """Run the sweep its subcommand bound as ``args.sweep``, then write
     ``sweep_report.json`` and ``sweep.csv``."""
     config = load_run_config(args.config, args.set, require_corpus=True)
-    os.makedirs(args.workdir, exist_ok=True)
     root = config.resolved_root()
     sessions, default = load_corpus(root)
     payload = args.sweep(args, config, sessions, default)
     payload["provenance"] = provenance_block(config, root)
-    csv_rows = payload.pop("csv_rows")
-    csv_fields = payload.pop("csv_fields")
-    write_rows_csv(os.path.join(args.workdir, "sweep.csv"), csv_fields, csv_rows)
-    write_json_report(os.path.join(args.workdir, "sweep_report.json"), payload)
+    fields = payload.pop("csv_fields")
+    os.makedirs(args.workdir, exist_ok=True)  # made already unless no cell trained
+    write_rows_csv(os.path.join(args.workdir, "sweep.csv"), fields,
+                   csv_rows(payload["cells"], fields))
+    write_json(os.path.join(args.workdir, "sweep_report.json"), payload)
     print(render_sweep_summary(payload))
     return 0
 
@@ -209,7 +210,6 @@ def _operating_rows_for_scenario(scenario, curves, fa_points, fp_rates, budgets)
 
 def cmd_operating_points(args) -> int:
     config = load_run_config(args.config, args.set)
-    os.makedirs(args.workdir, exist_ok=True)
     ev = config.evaluation
 
     if args.fixture:
@@ -275,7 +275,8 @@ def cmd_operating_points(args) -> int:
         "window_s": window_s,
         "scenarios": scenario_payloads,
     }
-    write_json_report(os.path.join(args.workdir, "operating_points.json"), payload)
+    os.makedirs(args.workdir, exist_ok=True)
+    write_json(os.path.join(args.workdir, "operating_points.json"), payload)
     write_rows_csv(
         os.path.join(args.workdir, "recall_vs_fa.csv"),
         ["scenario", "seed_index", "fa_per_hour", "recall"],
@@ -287,16 +288,19 @@ def cmd_operating_points(args) -> int:
 
 def cmd_report(args) -> int:
     payload = read_json_report(args.input)
-    if "scenarios" in payload:
-        print(render_operating_points(payload))
-    elif "cells" in payload:
-        print(render_sweep_summary(payload))
-    elif "seed_mean" in payload:
-        print(render_metrics_table(payload["seed_mean"]))
-    elif "metrics" in payload:
-        print(render_metrics_table(payload))
-    else:
-        raise ValidationError(f"{args.input}: unrecognized report payload")
+    try:  # each renderer indexes the payload as the key that picked it promises
+        if "scenarios" in payload:
+            text = render_operating_points(payload)
+        elif "cells" in payload:
+            text = render_sweep_summary(payload)
+        elif "seed_mean" in payload or "metrics" in payload:
+            text = render_metrics_table(payload.get("seed_mean", payload))
+        else:
+            raise ValidationError(f"{args.input}: unrecognized report payload")
+    except (KeyError, TypeError, AttributeError, IndexError) as exc:
+        raise ValidationError(f"{args.input}: not a report of the shape its keys name "
+                              f"({type(exc).__name__}: {exc})") from None
+    print(text)
     return 0
 
 

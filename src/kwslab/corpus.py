@@ -18,7 +18,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .errors import (
     MissingKeywordError,
     ValidationError,
 )
-from .fileio import atomic_open
+from .fileio import atomic_open, write_json
 
 EVENT_KINDS = ("word", "phoneme", "speech")
 EVENTS_HEADER = ("onset", "duration", "kind", "word")
@@ -175,10 +175,14 @@ class SplitAssignment:
     train: list[str]
     validation: str
     test: str
-    positive_counts: dict[str, int] = field(default_factory=dict)
 
     def all_sessions(self) -> list[str]:
         return list(self.train) + [self.validation, self.test]
+
+    def partition_of(self) -> dict[str, str]:
+        """session_id -> "train", "validation" or "test"."""
+        return dict.fromkeys(self.train, "train") | {self.validation: "validation",
+                                                     self.test: "test"}
 
     def validate(self, session_ids):
         ids = set(session_ids)
@@ -325,13 +329,11 @@ def select_splits(sessions, spec, default_split: SplitAssignment) -> SplitAssign
         )
     default_split.validate(counts.keys())
     if counts[default_split.validation] >= 1 and counts[default_split.test] >= 1:
-        return replace(default_split, train=list(default_split.train), positive_counts=counts)
+        return replace(default_split, train=list(default_split.train))
     ranked = sorted(counts, key=lambda sid: (-counts[sid], sid))
     test_id, val_id = ranked[0], ranked[1]
     train = sorted(sid for sid in counts if sid not in (test_id, val_id))
-    return SplitAssignment(
-        train=train, validation=val_id, test=test_id, positive_counts=counts
-    )
+    return SplitAssignment(train=train, validation=val_id, test=test_id)
 
 
 def fit_normalizer(train_sessions) -> Normalizer:
@@ -392,9 +394,7 @@ def save_session(session, root: str) -> str:
         "channel_names": list(session.channel_config.channel_names or []) or None,
         "checksum_sha256": checksum,
     }
-    with atomic_open(base + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(base + ".json", sidecar)
     with atomic_open(base + "_events.tsv", "w", encoding="utf-8") as fh:
         fh.write(format_events_tsv(session.events))
     return checksum
@@ -466,16 +466,11 @@ def save_corpus(sessions, root: str, default_split: SplitAssignment):
     """Write every session, one thread per session, then a manifest carrying
     the default partition hints."""
     os.makedirs(root, exist_ok=True)
-    partition = {sid: "train" for sid in default_split.train}
-    partition[default_split.validation] = "validation"
-    partition[default_split.test] = "test"
+    partition = default_split.partition_of()
     checksums = map_sessions(lambda session: save_session(session, root), sessions)
     entries = [{"session_id": s.session_id, "partition": partition[s.session_id],
                 "checksum_sha256": checksum} for s, checksum in zip(sessions, checksums)]
-    manifest = {"sessions": entries}
-    with atomic_open(os.path.join(root, MANIFEST), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(root, MANIFEST), {"sessions": entries})
 
 
 def read_manifest(root: str) -> tuple[dict[str, str], SplitAssignment]:

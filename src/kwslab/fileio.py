@@ -1,8 +1,9 @@
-"""All-or-nothing file writes."""
+"""All-or-nothing file writes, and the one JSON file writer."""
 
 from __future__ import annotations
 
 import glob
+import json
 import os
 from contextlib import contextmanager
 
@@ -25,3 +26,10 @@ def atomic_open(path: str, mode: str = "w", **kwargs):
         raise
     for stale in glob.glob(glob.escape(prefix) + "[0-9a-f]" * 8 + ".tmp"):
         os.unlink(stale)
+
+
+def write_json(path: str, payload):
+    """Write `payload` all at once as strict JSON: sorted keys, indent 2, a final newline."""
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")

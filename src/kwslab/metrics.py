@@ -9,7 +9,7 @@ counted half. Resampling draws are pure functions of their seeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 import numpy as np
 from scipy import stats as _scipy_stats
 
@@ -487,13 +487,6 @@ def seed_mean_permutation_pvalue(scored_sets: list[ScoredSet], metric: str, n_dr
 # ---------------------------------------------------------------------------
 
 
-def pct_delta_over_base(auprc_value: float, base_rate: float) -> float:
-    """Percent AUPRC change over the empirical base rate."""
-    if base_rate <= 0:
-        raise UndefinedMetricError("percent delta undefined for zero base rate")
-    return 100.0 * (auprc_value - base_rate) / base_rate
-
-
 def pct_over_baseline(value: float, baseline: float) -> float | None:
     """Percent change of `value` over `baseline`; None unless the baseline is > 0."""
     return 100.0 * (value - baseline) / baseline if baseline > 0 else None
@@ -568,25 +561,11 @@ class MetricsReport:
     entries: dict[str, MetricEntry]
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "n_positive": self.n_positive,
-            "base_rate": self.base_rate,
-            "threshold": self.threshold,
-            "metrics": {
-                name: {
-                    "value": e.value,
-                    "ci95": [e.ci_lo, e.ci_hi],
-                    "se": e.se,
-                    "p_value": e.p_value,
-                    "baseline": e.baseline,
-                    "null_median": e.null_median,
-                    "pct_improvement": e.pct_improvement,
-                    "ci_flagged": e.ci_flagged,
-                }
-                for name, e in self.entries.items()
-            },
-        }
+        out = asdict(self)
+        out["metrics"] = out.pop("entries")
+        for entry in out["metrics"].values():
+            entry["ci95"] = [entry.pop("ci_lo"), entry.pop("ci_hi")]
+        return out
 
 
 def build_metrics_reports(scored_sets: list[ScoredSet], tau: float = 0.5, n_resamples: int = 4000,

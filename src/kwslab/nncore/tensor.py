@@ -49,9 +49,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.values)
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
 

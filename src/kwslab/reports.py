@@ -1,5 +1,5 @@
-"""Machine-readable report writing (JSON + CSV) with provenance blocks, and
-the plain-text renderers behind the `report` subcommand."""
+"""Report provenance blocks, the report reader, the CSV row writer, and the
+plain-text renderers behind the `report` subcommand."""
 
 from __future__ import annotations
 
@@ -17,12 +17,6 @@ def provenance_block(config, corpus_root: str | None = None) -> dict:
     if corpus_root:
         block["corpus_checksums"] = read_manifest(corpus_root)[0]
     return block
-
-
-def write_json_report(path: str, payload: dict):
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
 
 
 def read_json_report(path: str) -> dict:

@@ -52,9 +52,8 @@ def run_cell(config, task, axis: dict, workdir: str, tag: str, metrics, per_seed
 
     ``per_seed(record, scored)`` may return extra per-seed values that are
     merged into the seed's record. Every name in ``metrics`` gets a seed
-    ``{name}_mean``/``{name}_se`` aggregate. Returns ``(cell, csv_rows,
-    scoreds)``: the report cell, one CSV row per seed plus the ``mean`` and
-    ``se`` rows, and the test-partition scored sets in seed order.
+    ``{name}_mean``/``{name}_se`` aggregate. Returns ``(cell, scoreds)``: the
+    report cell and the test-partition scored sets in seed order.
     """
     records, scoreds = [], []
     for seed, report in train_seeds(config, task, workdir, tag):
@@ -66,15 +65,25 @@ def run_cell(config, task, axis: dict, workdir: str, tag: str, metrics, per_seed
         records.append(record)
         scoreds.append(scored)
     aggregate = {}
-    mean_row = {**axis, "seed": "mean"}
-    se_row = {**axis, "seed": "se"}
     for name in metrics:
-        mean, se = seed_mean_se([r[name] for r in records])
-        aggregate[f"{name}_mean"] = mean_row[name] = mean
-        aggregate[f"{name}_se"] = se_row[name] = se
+        mean_se = seed_mean_se([r[name] for r in records])
+        aggregate[f"{name}_mean"], aggregate[f"{name}_se"] = mean_se
     cell = {"axis": axis, "infeasible": False, "per_seed": records, "aggregate": aggregate}
-    csv_rows = [{**axis, **r} for r in records] + [mean_row, se_row]
-    return cell, csv_rows, scoreds
+    return cell, scoreds
+
+
+def csv_rows(cells, fields) -> list[dict]:
+    """The ``sweep.csv`` rows of a sweep's cells: for each feasible cell, its
+    per-seed records, then a ``mean`` and an ``se`` row holding the cell's
+    ``{field}_mean`` / ``{field}_se`` aggregate of each field that has one."""
+    rows = []
+    for cell in (c for c in cells if not c["infeasible"]):
+        axis, agg = cell["axis"], cell["aggregate"]
+        rows += [{**axis, **record} for record in cell["per_seed"]]
+        for stat in ("mean", "se"):
+            rows.append({**axis, "seed": stat,
+                         **{f: agg[f"{f}_{stat}"] for f in fields if f"{f}_{stat}" in agg}})
+    return rows
 
 
 def _infeasible(axis: dict, note: str) -> dict:
@@ -121,7 +130,6 @@ def run_scaling_sweep(config, sessions, default_split, fractions, workdir: str) 
     hours = {sid: by_id[sid].duration_s / 3600.0 for sid in split.train}
 
     cells = []
-    csv_rows = []
     feasible_points = []
     for fraction in fractions:
         train_ids = subsample_train_sessions(split.train, hours, fraction)
@@ -137,7 +145,7 @@ def run_scaling_sweep(config, sessions, default_split, fractions, workdir: str) 
             continue
         task = prepare_task(_sessions_for_split(sessions, sub_split), sub_split, spec)
         try:
-            cell, rows, scoreds = run_cell(
+            cell, scoreds = run_cell(
                 config, task, axis, workdir, f"scaling_f{fraction:g}", _METRICS
             )
         except InfeasibleSamplerError as exc:
@@ -156,7 +164,6 @@ def run_scaling_sweep(config, sessions, default_split, fractions, workdir: str) 
             n_train_windows=len(task.partitions["train"]),
         )
         cells.append(cell)
-        csv_rows.extend(rows)
         feasible_points.append((fraction, cell["aggregate"]["auprc_mean"]))
 
     slope = None
@@ -168,7 +175,6 @@ def run_scaling_sweep(config, sessions, default_split, fractions, workdir: str) 
         "axis": "training_fraction",
         "cells": cells,
         "slope_auprc_vs_log_fraction": slope,
-        "csv_rows": csv_rows,
         "csv_fields": ["fraction", "seed", *_METRICS],
     }
 
@@ -252,20 +258,18 @@ def run_offsets_sweep(config, sessions, default_split, neg_grid, pos_grid, workd
     split = select_splits(sessions, split_spec, default_split)
 
     cells = []
-    csv_rows = []
     cell_seed_auprc = {}
     for neg in neg_grid:
         for pos in pos_grid:
             spec = build_task_spec(sessions, config.task.keywords, neg, pos)
             task = prepare_task(sessions, split, spec)
-            cell, rows, _ = run_cell(
+            cell, _ = run_cell(
                 config, task, {"beta_neg_s": neg, "beta_pos_s": pos}, workdir,
                 f"offsets_n{neg:g}_p{pos:g}", _METRICS,
             )
             cell["aggregate"]["window_s"] = spec.window_s
             cell_seed_auprc[(neg, pos)] = {r["seed"]: r["auprc"] for r in cell["per_seed"]}
             cells.append(cell)
-            csv_rows.extend(rows)
 
     best = max(cells, key=lambda c: c["aggregate"]["auprc_mean"])
     paired = paired_offset_improvement(
@@ -280,7 +284,6 @@ def run_offsets_sweep(config, sessions, default_split, neg_grid, pos_grid, workd
         "cells": cells,
         "argmax_cell": best["axis"],
         "paired_improvement": paired,
-        "csv_rows": csv_rows,
         "csv_fields": ["beta_neg_s", "beta_pos_s", "seed", *_METRICS],
     }
 
@@ -340,12 +343,11 @@ def run_keywords_sweep(config, sessions, default_split, keywords, workdir: str) 
         return {
             "accuracy": mx.thresholded_metrics(scored, tau).accuracy,
             "best_f1": best_f1_over_thresholds(scored),
-            "pct_delta_over_base": mx.pct_delta_over_base(record["auprc"], scored.base_rate),
+            "pct_delta_over_base": mx.pct_over_baseline(record["auprc"], scored.base_rate),
             "base_rate": scored.base_rate,
         }
 
     cells = []
-    csv_rows = []
     for keyword in keywords:
         axis = {"keyword": keyword}
         try:
@@ -358,7 +360,7 @@ def run_keywords_sweep(config, sessions, default_split, keywords, workdir: str) 
             continue
         task = prepare_task(sessions, split, spec)
         try:
-            cell, rows, _ = run_cell(
+            cell, _ = run_cell(
                 config, task, axis, workdir, f"keyword_{keyword}", _KEYWORD_METRICS,
                 per_seed=keyword_metrics,
             )
@@ -367,13 +369,11 @@ def run_keywords_sweep(config, sessions, default_split, keywords, workdir: str) 
             continue
         cell["aggregate"]["base_rate"] = cell["per_seed"][0]["base_rate"]
         cells.append(cell)
-        csv_rows.extend(rows)
 
     spearman_r, spearman_p = lexicon_length_frequency_spearman(sessions)
     return {
         "axis": "keyword",
         "cells": cells,
         "length_log_frequency_spearman": {"r": spearman_r, "p": spearman_p},
-        "csv_rows": csv_rows,
         "csv_fields": ["keyword", "seed", *_KEYWORD_METRICS],
     }

@@ -65,12 +65,9 @@ class TrainReport:
     checkpoint_path: str
     wall_clock_s: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def deterministic_view(self) -> dict:
         """Report content minus the inherently non-reproducible wall clock."""
-        out = self.to_dict()
+        out = asdict(self)
         out.pop("wall_clock_s")
         return out
 
@@ -86,7 +83,6 @@ class TaskData:
     split: object
     normalizer: object
     n_channels: int
-    sample_rate_hz: float
     n_window_samples: int
     signals: dict[str, np.ndarray]
     partitions: dict[str, list[WindowRef]]
@@ -125,9 +121,7 @@ def prepare_task(sessions, split, spec) -> TaskData:
     n = spec.n_window_samples(fs)
 
     signals = {sid: normalizer.apply(s.signal) for sid, s in by_id.items()}
-    partition_of = {sid: "train" for sid in split.train}
-    partition_of[split.validation] = "validation"
-    partition_of[split.test] = "test"
+    partition_of = split.partition_of()
 
     partitions = {"train": [], "validation": [], "test": []}
     tallies = {}
@@ -143,7 +137,6 @@ def prepare_task(sessions, split, spec) -> TaskData:
         split=split,
         normalizer=normalizer,
         n_channels=n_channels,
-        sample_rate_hz=fs,
         n_window_samples=n,
         signals=signals,
         partitions=partitions,

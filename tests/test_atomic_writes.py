@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import kwslab.nncore.checkpoint as checkpoint
+from kwslab import fileio
 from kwslab.corpus import ChannelConfig, Session, SplitAssignment, WordEvent, save_corpus
 from kwslab.fileio import atomic_open
-from kwslab.reports import write_json_report, write_rows_csv
+from kwslab.reports import write_rows_csv
 from kwslab.training import ScoreRow, write_scores_csv
 
 
@@ -34,7 +35,7 @@ def write_checkpoint(path, fail, monkeypatch):
 
 def write_json(path, fail, monkeypatch):
     # keys are written in sorted order, so "a" is out before "b" fails
-    write_json_report(path, {"a": list(range(100)), "b": object() if fail else 1})
+    fileio.write_json(path, {"a": list(range(100)), "b": object() if fail else 1})
 
 
 def write_csv(path, fail, monkeypatch):
@@ -70,7 +71,7 @@ def test_non_finite_report_value_fails_the_write(tmp_path, bad):
     # NaN and Infinity are not JSON; they used to be written as such
     path = str(tmp_path / "out.json")
     with pytest.raises(ValueError, match="not JSON compliant"):
-        write_json_report(path, {"a": 1.0, "b": {"c": [0.5, bad]}})
+        fileio.write_json(path, {"a": 1.0, "b": {"c": [0.5, bad]}})
     assert os.listdir(tmp_path) == []
 
 

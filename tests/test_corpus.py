@@ -253,8 +253,7 @@ def cut_windows(session, spec, normalizer=None):
     signal = session.signal if normalizer is None else normalizer.apply(session.signal)
     task = TaskData(
         spec=spec, split=None, normalizer=normalizer,
-        n_channels=session.channel_config.n_channels, sample_rate_hz=fs,
-        n_window_samples=spec.n_window_samples(fs),
+        n_channels=session.channel_config.n_channels, n_window_samples=spec.n_window_samples(fs),
         signals={session.session_id: signal}, partitions={"all": refs},
     )
     return refs, [task.window(ref) for ref in refs], tally
@@ -353,7 +352,6 @@ class TestSelectSplits:
         assert split.test == expected_test == "A"
         assert split.validation == expected_val == "C"
         assert split.train == ["B", "D"]
-        assert split.positive_counts == counts
 
     def test_valid_default_kept_verbatim(self):
         sessions = self._sessions_with_counts({"A": 5, "B": 2, "C": 3, "D": 1})
@@ -533,6 +531,15 @@ class TestSerialization:
         events.write_text("\n".join([*lines[:3], "xx\t0.3\tword\tri", *lines[3:]]) + "\n")
         with pytest.raises(EventsParseError, match=rf"{events}: line 4: malformed numeric"):
             load_events(str(tmp_path))
+
+    def test_manifest_keeps_each_sessions_partition(self, tmp_path, micro_corpus):
+        sessions, _ = micro_corpus
+        ids = [s.session_id for s in sessions]
+        split = SplitAssignment(train=ids[:1:-1], validation=ids[1], test=ids[0])  # train reversed
+        assert split.partition_of() == {ids[0]: "test", ids[1]: "validation",
+                                        **dict.fromkeys(ids[2:], "train")}
+        save_corpus(sessions, str(tmp_path), split)
+        assert read_manifest(str(tmp_path))[1].partition_of() == split.partition_of()
 
     def test_corpus_round_trip(self, tmp_path, micro_corpus):
         sessions, _ = micro_corpus

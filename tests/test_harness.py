@@ -38,11 +38,13 @@ from kwslab.config import (
 from kwslab.errors import ConfigError, InvalidInputError, KwslabError
 from kwslab.fixtures import load_reference_tables
 from kwslab.model import config_hash
-from kwslab.reports import provenance_block, read_json_report, render_sweep_summary
+from kwslab.reports import (provenance_block, read_json_report, render_sweep_summary,
+                            write_rows_csv)
 from kwslab.sweeps import (
     _bootstrap_mean_ci,
     auto_keywords_by_length,
     checkpoint_path,
+    csv_rows,
     lexicon_length_frequency_spearman,
     paired_offset_improvement,
     seed_mean_se,
@@ -71,6 +73,14 @@ def trained_workdir(tmp_path_factory, corpus_dir):
     workdir = str(tmp_path_factory.mktemp("work"))
     assert main(["train", "--config", config_path, "--workdir", workdir]) == 0
     return workdir
+
+
+@pytest.fixture(scope="module")
+def evaluated_workdir(corpus_dir, trained_workdir):
+    """`trained_workdir` after `evaluate`: the scores files and evaluation_report.json."""
+    config_path, _ = corpus_dir
+    assert main(["evaluate", "--config", config_path, "--workdir", trained_workdir]) == 0
+    return trained_workdir
 
 
 # Runs the CLI with `save_arrays` signalling its own process (signal number
@@ -418,17 +428,15 @@ class TestTrainEvaluateCommands:
         assert views[0] == views[1]
         assert checkpoints[0] == checkpoints[1]
 
-    def test_evaluate_report_structure(self, corpus_dir, trained_workdir, micro_config_dict):
-        config_path, _ = corpus_dir
-        assert main(["evaluate", "--config", config_path, "--workdir", trained_workdir]) == 0
-        payload = read_json_report(os.path.join(trained_workdir, "evaluation_report.json"))
+    def test_evaluate_report_structure(self, evaluated_workdir, micro_config_dict):
+        payload = read_json_report(os.path.join(evaluated_workdir, "evaluation_report.json"))
         assert payload["threshold"] == 0.5
         seeds = [str(s) for s in micro_config_dict["seeds"]]
         assert sorted(payload["per_seed"]) == sorted(seeds)
         for name in mx.REPORT_METRICS:
             assert name in payload["seed_mean"]["metrics"]
         for seed in seeds:
-            assert os.path.exists(os.path.join(trained_workdir, f"scores_seed{seed}.csv"))
+            assert os.path.exists(os.path.join(evaluated_workdir, f"scores_seed{seed}.csv"))
 
     def test_missing_checkpoint_explicit_error(self, corpus_dir, tmp_path, capsys):
         config_path, _ = corpus_dir
@@ -755,13 +763,11 @@ class TestScalingSweep:
         ]) == 0
         return workdir
 
-    def test_full_fraction_matches_direct_training(self, sweep_workdir, corpus_dir,
-                                                   trained_workdir):
-        config_path, _ = corpus_dir
+    def test_full_fraction_matches_direct_training(self, sweep_workdir, evaluated_workdir):
         payload = read_json_report(os.path.join(sweep_workdir, "sweep_report.json"))
         full = next(c for c in payload["cells"] if c["axis"]["fraction"] == 1.0)
         eval_payload = read_json_report(
-            os.path.join(trained_workdir, "evaluation_report.json")
+            os.path.join(evaluated_workdir, "evaluation_report.json")
         )
         direct = eval_payload["per_seed"]["0"]["metrics"]["auprc"]["value"]
         sweep_value = next(r["auprc"] for r in full["per_seed"] if r["seed"] == 0)
@@ -772,6 +778,17 @@ class TestScalingSweep:
         # `kwslab train` and the sweep cell train seed 0 through the same runner
         ckpt = open(os.path.join(trained_workdir, "checkpoint_seed0.ckpt"), "rb").read()
         assert open(os.path.join(sweep_workdir, "scaling_f1_seed0.ckpt"), "rb").read() == ckpt
+
+    def test_csv_is_derived_from_the_report_cells(self, sweep_workdir, tmp_path):
+        # nothing used to check that sweep.csv agrees with sweep_report.json
+        csv_path = os.path.join(sweep_workdir, "sweep.csv")
+        cells = read_json_report(os.path.join(sweep_workdir, "sweep_report.json"))["cells"]
+        fields = open(csv_path, encoding="utf-8").readline().strip().split(",")
+        assert fields == ["fraction", "seed", "auprc", "auroc"]
+        rows = csv_rows(cells, fields)
+        assert [row["seed"] for row in rows] == [0, "mean", "se"] * 2
+        write_rows_csv(str(tmp_path / "derived.csv"), fields, rows)
+        assert (tmp_path / "derived.csv").read_bytes() == open(csv_path, "rb").read()
 
     def test_csv_aggregates_rederivable(self, sweep_workdir):
         rows = read_rows_csv(os.path.join(sweep_workdir, "sweep.csv"))
@@ -797,10 +814,11 @@ class TestScalingSweep:
     def test_bad_fraction_trains_nothing(self, corpus_dir, tmp_path, capsys, fractions):
         # "1.0,2.0" used to train the 1.0 cell and write its checkpoint, then exit 1
         config_path, _ = corpus_dir
-        assert main(["sweep-scaling", "--config", config_path, "--workdir", str(tmp_path),
+        workdir = tmp_path / "w"
+        assert main(["sweep-scaling", "--config", config_path, "--workdir", str(workdir),
                      "--fractions", fractions, "--set", "seeds=[0]"]) == 1
         assert "fractions must lie in (0, 1]" in capsys.readouterr().err
-        assert not list(tmp_path.rglob("*.ckpt"))
+        assert not workdir.exists()
 
     def test_subsample_prefix_rule(self):
         hours = {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0}
@@ -835,11 +853,14 @@ class TestFloatListFlags:
     ])
     def test_bad_number_is_invalid_input(self, corpus_dir, tmp_path, capsys, argv, flag,
                                          token):
-        # a bad token used to escape as ValueError: "runtime failure", exit 2
+        # a bad token used to escape as ValueError: "runtime failure", exit 2, and
+        # the workdir used to be made before the flags were read
         config_path, _ = corpus_dir
-        assert main([*argv, "--config", config_path, "--workdir", str(tmp_path)]) == 1
+        workdir = tmp_path / "w"
+        assert main([*argv, "--config", config_path, "--workdir", str(workdir)]) == 1
         err = capsys.readouterr().err
         assert flag in err and repr(token) in err
+        assert not workdir.exists()
 
 
 class TestOffsetsSweep:
@@ -850,12 +871,13 @@ class TestOffsetsSweep:
     def test_bad_offset_trains_nothing(self, corpus_dir, tmp_path, capsys, flag, grids):
         # "--neg-grid 0,nan" used to train the (0, 0) cell and write its checkpoint, then exit 1
         config_path, _ = corpus_dir
-        assert main(["sweep-offsets", "--config", config_path, "--workdir", str(tmp_path),
+        workdir = tmp_path / "w"
+        assert main(["sweep-offsets", "--config", config_path, "--workdir", str(workdir),
                      "--neg-grid", grids[0], "--pos-grid", grids[1], "--set", "seeds=[0]"]) == 1
         err = capsys.readouterr().err
         assert f"{flag}: offsets must be >= 0 and finite" in err
         assert grids[flag == "--pos-grid"].split(",")[-1] in err
-        assert not list(tmp_path.rglob("*.ckpt"))
+        assert not workdir.exists()
 
     def test_tiny_grid_and_paired_stats(self, corpus_dir, tmp_path_factory):
         config_path, _ = corpus_dir
@@ -970,6 +992,19 @@ class TestKeywordsSweep:
             assert column in cell["aggregate"]
         assert "length_log_frequency_spearman" in payload
 
+    def test_sweep_of_infeasible_cells_writes_a_header_only_csv(self, corpus_dir, tmp_path):
+        # no cell trains, so nothing but the command itself makes the workdir
+        config_path, _ = corpus_dir
+        workdir = tmp_path / "w"
+        with pytest.warns(UserWarning, match="keyword 'absentword' skipped"):
+            assert main(["sweep-keywords", "--config", config_path, "--workdir", str(workdir),
+                         "--keywords", "absentword", "--set", "seeds=[0]"]) == 0
+        payload = read_json_report(str(workdir / "sweep_report.json"))
+        assert [cell["infeasible"] for cell in payload["cells"]] == [True]
+        assert (workdir / "sweep.csv").read_text() == (
+            "keyword,seed,auprc,auroc,accuracy,best_f1,pct_delta_over_base\n")
+        assert sorted(os.listdir(workdir)) == ["sweep.csv", "sweep_report.json"]
+
     def test_single_keyword_single_row(self, corpus_dir, tmp_path_factory):
         config_path, _ = corpus_dir
         workdir = str(tmp_path_factory.mktemp("kw1"))
@@ -1019,11 +1054,11 @@ class TestOperatingPointsCommand:
             assert (pa["precision"], pa["recall"]) == (ph["precision"], ph["recall"])
             assert ph["fa_per_hour"] == pytest.approx(5 * pa["fa_per_hour"], rel=1e-12)
 
-    def test_scores_mode_on_trained_output(self, corpus_dir, trained_workdir,
+    def test_scores_mode_on_trained_output(self, corpus_dir, evaluated_workdir,
                                            tmp_path_factory):
         config_path, _ = corpus_dir
         workdir = str(tmp_path_factory.mktemp("op3"))
-        scores = os.path.join(trained_workdir, "scores_seed0.csv")
+        scores = os.path.join(evaluated_workdir, "scores_seed0.csv")
         assert main([
             "operating-points", "--config", config_path, "--workdir", workdir,
             "--scores", scores,
@@ -1098,7 +1133,7 @@ class TestOperatingPointsCommand:
         assert main(["operating-points", "--config", str(path), "--workdir", str(workdir),
                      "--scores", str(scores), "--window-s", window]) == 1
         assert "error: window_s must be > 0 and finite" in capsys.readouterr().err
-        assert list(workdir.iterdir()) == []
+        assert not workdir.exists()
 
     def test_empty_scores_error(self, corpus_dir, tmp_path, capsys):
         config_path, _ = corpus_dir
@@ -1112,9 +1147,8 @@ class TestOperatingPointsCommand:
 
 
 class TestReportCommand:
-    def test_renders_each_kind(self, corpus_dir, trained_workdir, tmp_path_factory, capsys):
-        config_path, _ = corpus_dir
-        eval_report = os.path.join(trained_workdir, "evaluation_report.json")
+    def test_renders_each_kind(self, evaluated_workdir, capsys):
+        eval_report = os.path.join(evaluated_workdir, "evaluation_report.json")
         assert main(["report", "--input", eval_report]) == 0
         out = capsys.readouterr().out
         assert "auprc" in out and "Baseline" in out
@@ -1132,6 +1166,19 @@ class TestReportCommand:
         assert main(["report", "--input", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {path} is not a UTF-8 JSON file\n"
         assert os.listdir(tmp_path) == ["report.json"]
+
+    @pytest.mark.parametrize("payload", [
+        {"scenarios": 5}, {"cells": [1]}, {"seed_mean": {}}, {"metrics": [1]},
+    ], ids=["scenarios", "cells", "seed_mean", "metrics"])
+    def test_wrong_shape_is_invalid_input(self, tmp_path, capsys, payload):
+        # each used to escape from its renderer as a TypeError, KeyError or
+        # AttributeError: "runtime failure", exit 2
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(payload))
+        assert main(["report", "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: not a report of the shape its keys name")
 
     def test_lists_inside_dicts_are_rounded(self):
         # the interval used to print at full repr precision beside rounded neighbours

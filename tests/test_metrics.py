@@ -367,10 +367,9 @@ class TestExpectedRandomAuprc:
 
 class TestDerivedStats:
     def test_pct_delta(self):
-        assert mx.pct_delta_over_base(0.05, 0.05) == 0.0
-        assert mx.pct_delta_over_base(0.05, 0.01) == pytest.approx(400.0)
-        with pytest.raises(UndefinedMetricError):
-            mx.pct_delta_over_base(0.05, 0.0)
+        assert mx.pct_over_baseline(0.05, 0.05) == 0.0
+        assert mx.pct_over_baseline(0.05, 0.01) == pytest.approx(400.0)
+        assert mx.pct_over_baseline(0.05, 0.0) is None
 
     def test_published_ratio(self):
         assert 0.094 / 0.007 == pytest.approx(13.43, abs=0.01)

@@ -42,7 +42,7 @@ class TestPrepareTask:
         sessions, _ = micro_corpus
         task = micro_task
         by_id = {s.session_id: s for s in sessions}
-        fs = task.sample_rate_hz
+        fs = sessions[0].channel_config.sample_rate_hz
         n = task.n_window_samples
         for partition in ("train", "validation", "test"):
             refs = task.partitions[partition]
