@@ -296,7 +296,8 @@ def cmd_report(args) -> int:
         elif "seed_mean" in payload or "metrics" in payload:
             text = render_metrics_table(payload.get("seed_mean", payload))
         else:
-            raise ValidationError(f"{args.input}: unrecognized report payload")
+            raise ValidationError(f"{args.input}: unrecognized report payload; report renders "
+                                  "evaluation, operating-points and sweep reports")
     except (KeyError, TypeError, AttributeError, IndexError) as exc:
         raise ValidationError(f"{args.input}: not a report of the shape its keys name "
                               f"({type(exc).__name__}: {exc})") from None
@@ -370,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="window seconds for FP/h coverage when no corpus is available")
     p.set_defaults(fn=cmd_operating_points)
 
-    p = sub.add_parser("report", help="render a saved JSON report as text")
+    p = sub.add_parser("report", help="render a saved evaluation, operating-points "
+                       "or sweep report as text")
     p.add_argument("--input", required=True)
     p.set_defaults(fn=cmd_report)
 

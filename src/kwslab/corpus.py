@@ -201,7 +201,12 @@ class Normalizer:
     std: np.ndarray
 
     def apply(self, arr: np.ndarray) -> np.ndarray:
-        out = np.asarray(arr, dtype=np.float32) - self.mean.astype(np.float32)[:, None]
+        """A z-scored float32 copy of a (channels, samples) array."""
+        return self.zscore(np.array(arr, dtype=np.float32))
+
+    def zscore(self, out: np.ndarray) -> np.ndarray:
+        """Z-score a float32 (..., channels, samples) array in place; returns it."""
+        out -= self.mean.astype(np.float32)[:, None]
         out /= self.std.astype(np.float32)[:, None]
         return out
 
@@ -344,12 +349,16 @@ def fit_normalizer(train_sessions) -> Normalizer:
     total = 0
     acc = np.zeros(n_channels, dtype=np.float64)
     acc_sq = np.zeros(n_channels, dtype=np.float64)
+    # a row at a time, through one float64 buffer: the same pairwise sums as
+    # over the whole matrix, without a fresh array per row
+    buf = np.empty(max(s.n_samples for s in train_sessions), dtype=np.float64)
     for session in train_sessions:
-        # a row at a time: the same pairwise sums as over the whole matrix
-        for c, row in enumerate(session.signal):
-            row = row.astype(np.float64)
+        row = buf[: session.n_samples]
+        for c, samples in enumerate(session.signal):
+            row[:] = samples
             acc[c] += row.sum()
-            acc_sq[c] += (row * row).sum()
+            row *= row
+            acc_sq[c] += row.sum()
         total += session.n_samples
     if total == 0:
         raise ValidationError("training sessions contain no samples")

@@ -83,33 +83,21 @@ class BalancedBatchSampler:
             yield self.next_batch()
 
 
-def augment_window(
-    signal: np.ndarray,
-    start: int,
-    n_samples: int,
-    jitter_samples: int,
-    noise_std_fraction: float,
-    channel_std: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Training-time augmentation: re-slice the window at a jittered start
-    (falling back to zero shift at session edges), then add channel-scaled
-    Gaussian noise. jitter = noise = 0 is the identity. The signal is
-    float32 (C, T); the window comes back as a new float32 array.
+def augment_window(signal: np.ndarray, start: int, jitter_samples: int,
+                   rng: np.random.Generator, out: np.ndarray,
+                   noise_out: np.ndarray | None = None) -> None:
+    """Training-time augmentation of one raw window: copy the (C, T) signal
+    into `out` from a start shifted by a draw in [-jitter, +jitter] (falling
+    back to zero shift at session edges), then, given `noise_out`, fill it
+    with standard-normal float32 noise. The caller z-scores the batch and adds
+    the channel-scaled noise; jitter = 0 with no `noise_out` is a plain copy.
     """
-    total = signal.shape[1]
+    n_samples = out.shape[-1]
+    moved = start
     if jitter_samples > 0:
-        shift = int(rng.integers(-jitter_samples, jitter_samples + 1))
-        moved = start + shift
-        if moved < 0 or moved + n_samples > total:
-            moved = start
-    else:
-        moved = start
-    window = signal[:, moved : moved + n_samples]
-    if noise_std_fraction > 0:
-        noise = rng.standard_normal(window.shape, dtype=np.float32)
-        scale = (noise_std_fraction * np.asarray(channel_std, dtype=np.float32))[:, None]
-        noise *= scale
-        noise += window
-        return noise
-    return np.array(window, dtype=np.float32)
+        shifted = start + int(rng.integers(-jitter_samples, jitter_samples + 1))
+        if shifted >= 0 and shifted + n_samples <= signal.shape[1]:
+            moved = shifted
+    out[...] = signal[:, moved : moved + n_samples]
+    if noise_out is not None:
+        rng.standard_normal(dtype=np.float32, out=noise_out)

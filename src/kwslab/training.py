@@ -73,12 +73,16 @@ class TrainReport:
 
 
 # ---------------------------------------------------------------------------
-# task data: normalized signals + lazy window references per partition
+# task data: the loaded signals + lazy window references per partition
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class TaskData:
+    """The sessions' own float32 signal arrays (shared, never written), the
+    train-partition normalizer and each partition's window references. A
+    batch is z-scored as it is stacked, so the corpus is held once."""
+
     spec: object
     split: object
     normalizer: object
@@ -96,16 +100,19 @@ class TaskData:
         return self.signals[ref.session_id][:, ref.start : ref.start + self.n_window_samples]
 
     def stack(self, refs) -> np.ndarray:
+        """The z-scored windows of `refs` as one float32 (batch, channels,
+        samples) array: raw windows copied in, then z-scored in place."""
         out = np.empty((len(refs), self.n_channels, self.n_window_samples), dtype=np.float32)
         for i, ref in enumerate(refs):
             out[i] = self.window(ref)
-        return out
+        return self.normalizer.zscore(out)
 
 
 def prepare_task(sessions, split, spec) -> TaskData:
     """Check that every session has the first one's channel count and sample
-    rate, fit the train-partition normalizer, z-score every session, and index
-    the in-bounds windows of each partition (ordered by session, then token)."""
+    rate, fit the train-partition normalizer, and index the in-bounds windows
+    of each partition (ordered by session, then token). The task keeps each
+    session's signal array itself, not a copy."""
     by_id = {s.session_id: s for s in sessions}
     split.validate(by_id.keys())
     first = sessions[0]
@@ -120,7 +127,6 @@ def prepare_task(sessions, split, spec) -> TaskData:
     normalizer = fit_normalizer([by_id[sid] for sid in split.train])
     n = spec.n_window_samples(fs)
 
-    signals = {sid: normalizer.apply(s.signal) for sid, s in by_id.items()}
     partition_of = split.partition_of()
 
     partitions = {"train": [], "validation": [], "test": []}
@@ -129,7 +135,7 @@ def prepare_task(sessions, split, spec) -> TaskData:
         refs, tallies[sid] = index_windows(by_id[sid], spec)
         partitions[partition_of[sid]].extend(refs)
 
-    # z-scored train signals have unit variance, except floored (constant) channels
+    # z-scored train windows have unit variance, except on floored (constant) channels
     aug_std = np.where(normalizer.std > STD_FLOOR, 1.0, 0.0)
 
     return TaskData(
@@ -138,7 +144,7 @@ def prepare_task(sessions, split, spec) -> TaskData:
         normalizer=normalizer,
         n_channels=n_channels,
         n_window_samples=n,
-        signals=signals,
+        signals={sid: s.signal for sid, s in by_id.items()},
         partitions=partitions,
         drop_tallies=tallies,
         aug_channel_std=aug_std,
@@ -148,6 +154,24 @@ def prepare_task(sessions, split, spec) -> TaskData:
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
+
+
+def _augmented_batch(task: TaskData, refs, config: SamplerConfig, rng) -> np.ndarray:
+    """The z-scored, augmented training batch of `refs`: rows draw their jitter,
+    then their noise, from `rng` in row order; the channel-scaled noise is added
+    after the z-score, and with noise off nothing is (a z-scored -0.0 stays)."""
+    batch = np.empty((len(refs), task.n_channels, task.n_window_samples), dtype=np.float32)
+    noisy = config.noise_std_fraction > 0
+    noise = np.empty_like(batch) if noisy else None
+    for row, ref in enumerate(refs):
+        augment_window(task.signals[ref.session_id], ref.start, config.jitter_samples, rng,
+                       batch[row], noise[row] if noisy else None)
+    task.normalizer.zscore(batch)
+    if noisy:
+        noise *= (config.noise_std_fraction
+                  * np.asarray(task.aug_channel_std, dtype=np.float32))[:, None]
+        batch += noise
+    return batch
 
 
 def score_partition(model: DetectorModel, task: TaskData, partition: str,
@@ -192,7 +216,6 @@ def train(
     train_labels = task.labels("train")
     sampler = BalancedBatchSampler(train_labels, sampler_config, sampler_seed)
 
-    n = task.n_window_samples
     records: list[EvalRecord] = []
     best_auprc = -np.inf
     best_epoch = -1.0
@@ -202,19 +225,8 @@ def train(
     for epoch in range(1, train_config.max_epochs + 1):
         losses = []
         for batch_idx in sampler.epoch():
-            aug_rng = stream(seed, AUGMENT, global_step)
-            batch = np.empty((len(batch_idx), task.n_channels, n), dtype=np.float32)
-            for row, example_idx in enumerate(batch_idx):
-                ref = train_refs[example_idx]
-                batch[row] = augment_window(
-                    task.signals[ref.session_id],
-                    ref.start,
-                    n,
-                    sampler_config.jitter_samples,
-                    sampler_config.noise_std_fraction,
-                    task.aug_channel_std,
-                    aug_rng,
-                )
+            batch = _augmented_batch(task, [train_refs[i] for i in batch_idx], sampler_config,
+                                     stream(seed, AUGMENT, global_step))
             labels = train_labels[batch_idx]
             try:
                 result = model.forward(batch, training=True)

@@ -3,14 +3,16 @@ kink-stencil detection, brute-force metric oracles, the per-draw resampling
 reference the block engine is tested against, the one-draw-per-call sweep
 resampling loops the block draws are tested against, the loop-based
 operating-point selection the array version is tested against, the copying
-nncore kernels and the serial corpus set-up the copy-free ones must match bit
-for bit, the unfolded conv -> normalisation eval layer the folded one must
-match, the comment scanner and lexicon loop the library's regex and format
-string must match, and small helpers only the tests use."""
+nncore kernels, the training batches cut from a z-scored copy of the corpus
+and the serial corpus set-up the copy-free ones must match bit for bit, the
+unfolded conv -> normalisation eval layer the folded one must match, the
+comment scanner and lexicon loop the library's regex and format string must
+match, a tracemalloc peak probe, and small helpers only the tests use."""
 
 from __future__ import annotations
 
 import csv
+import tracemalloc
 from collections import namedtuple
 from contextlib import contextmanager
 
@@ -27,7 +29,8 @@ from kwslab.fixtures import load_reference_tables
 from kwslab.losses import total_loss
 from kwslab.model import DetectorModel, ModelConfig, parameter_shapes
 from kwslab.operate import _as_operating_point
-from kwslab.streams import stream
+from kwslab.sampling import BalancedBatchSampler
+from kwslab.streams import AUGMENT, SAMPLER, stream
 
 
 @contextmanager
@@ -316,11 +319,13 @@ def loop_recall_vs_fa_curve(curve, scenario):
 # reference kernels: conv1d, batch_norm and augment_window written with a
 # padded copy of the input, a copied im2col for every conv, fresh temporaries
 # for every normalisation step and a copy of every first gradient. The
-# library's batch_norm and augment_window run the same float32 operations in
-# the same order on fewer fresh arrays, so they must agree bit for bit. The
-# library's conv1d sums one matmul per tap instead, so it agrees bit for bit
-# only on pointwise convs and to float32 rounding otherwise. The column-add
-# conv1d is the library's tap sum as it stood before its whole-row adds.
+# library's batch_norm runs the same float32 operations in the same order on
+# fewer fresh arrays, and its training batch (raw windows z-scored in place,
+# then the noise added) the same operations as this augment_window on a
+# z-scored copy of the session, so they must agree bit for bit. The library's
+# conv1d sums one matmul per tap instead, so it agrees bit for bit only on
+# pointwise convs and to float32 rounding otherwise. The column-add conv1d is
+# the library's tap sum as it stood before its whole-row adds.
 # ---------------------------------------------------------------------------
 
 
@@ -461,6 +466,26 @@ def reference_augment_window(signal, start, n_samples, jitter_samples,
         scale = (noise_std_fraction * np.asarray(channel_std, dtype=np.float32))[:, None]
         return window + noise * scale
     return np.array(window, dtype=np.float32)
+
+
+def reference_training_batches(task, sampler_config, seed, n_batches):
+    """The first `n_batches` batches of a training run of `seed`, built as the
+    train loop built them from a z-scored copy of every session: each row is
+    `reference_augment_window` on the z-scored session, drawing from the
+    step's augmentation stream in row order."""
+    signals = {sid: task.normalizer.apply(sig) for sid, sig in task.signals.items()}
+    sampler_seed = int(np.random.SeedSequence((seed, SAMPLER)).generate_state(1)[0])
+    sampler = BalancedBatchSampler(task.labels("train"), sampler_config, sampler_seed)
+    refs = task.partitions["train"]
+    for step in range(n_batches):
+        rng = stream(seed, AUGMENT, step)
+        yield np.stack([
+            reference_augment_window(signals[refs[i].session_id], refs[i].start,
+                                     task.n_window_samples, sampler_config.jitter_samples,
+                                     sampler_config.noise_std_fraction, task.aug_channel_std,
+                                     rng)
+            for i in sampler.next_batch()
+        ])
 
 
 def reference_conv_norm(model, x, conv, norm, stride, padding, training):
@@ -649,6 +674,23 @@ def count_parameters(config: ModelConfig) -> int:
 def downsampled_length(t: int, factor: int) -> int:
     """T' after the strided trunk stage: floor((T - 1) / factor) + 1."""
     return (t - 1) // factor + 1
+
+
+def peak_traced_bytes(fn) -> int:
+    """The peak of the bytes allocated while `fn()` runs, above those already
+    traced when it starts, by `tracemalloc` (numpy reports its array buffers
+    to it)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def read_rows_csv(path: str) -> list[dict]:

@@ -246,17 +246,18 @@ class TestDmaxAndTaskSpec:
 
 
 def cut_windows(session, spec, normalizer=None):
-    """Index a session's windows and cut each through TaskData.window, on the
-    raw signal or, given a normalizer, on the z-scored one."""
+    """Index a session's windows and cut each raw through TaskData.window or,
+    given a normalizer, z-scored through TaskData.stack."""
     refs, tally = index_windows(session, spec)
     fs = session.channel_config.sample_rate_hz
-    signal = session.signal if normalizer is None else normalizer.apply(session.signal)
     task = TaskData(
         spec=spec, split=None, normalizer=normalizer,
         n_channels=session.channel_config.n_channels, n_window_samples=spec.n_window_samples(fs),
-        signals={session.session_id: signal}, partitions={"all": refs},
+        signals={session.session_id: session.signal}, partitions={"all": refs},
     )
-    return refs, [task.window(ref) for ref in refs], tally
+    if normalizer is None:
+        return refs, [task.window(ref) for ref in refs], tally
+    return refs, list(task.stack(refs)), tally
 
 
 class TestExtractWindows:

@@ -1180,6 +1180,14 @@ class TestReportCommand:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path}: not a report of the shape its keys name")
 
+    def test_train_report_is_invalid_input_naming_the_kinds(self, trained_workdir, capsys):
+        path = os.path.join(trained_workdir, "train_report.json")
+        assert main(["report", "--input", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {path}: unrecognized report payload; report renders "
+                                "evaluation, operating-points and sweep reports\n")
+
     def test_lists_inside_dicts_are_rounded(self):
         # the interval used to print at full repr precision beside rounded neighbours
         text = render_sweep_summary({"axis": "temporal_offsets", "cells": [], "paired_improvement": {

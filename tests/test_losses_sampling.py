@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kwslab.nncore as nc
+import kwslab.training as training
+from kwslab.corpus import Normalizer, WindowRef
 from kwslab.errors import InfeasibleSamplerError, ValidationError
 from kwslab.losses import LossConfig, focal_loss, pairwise_rank_loss, total_loss
 from kwslab.sampling import BalancedBatchSampler, SamplerConfig, augment_window
@@ -167,41 +169,60 @@ class TestBalancedSampler:
             SamplerConfig(batch_size=1)
 
 
+def _one_session_task(signal, normalizer, aug_std, n_samples):
+    """A task over one session, `signal` (C, T), with windows n_samples wide."""
+    return training.TaskData(spec=None, split=None, normalizer=normalizer,
+                             n_channels=signal.shape[0], n_window_samples=n_samples,
+                             signals={"s": signal}, partitions={},
+                             aug_channel_std=np.asarray(aug_std, dtype=np.float64))
+
+
+def _batch(task, starts, jitter, noise, seed):
+    refs = [WindowRef("s", i, start, 0, "w") for i, start in enumerate(starts)]
+    config = SamplerConfig(jitter_samples=jitter, noise_std_fraction=noise)
+    return training._augmented_batch(task, refs, config, np.random.default_rng(seed))
+
+
 class TestAugment:
     def test_identity_when_disabled(self):
         signal = RNG.standard_normal((3, 500)).astype(np.float32)
-        out = augment_window(signal, 100, 50, 0, 0.0, np.ones(3), np.random.default_rng(0))
+        out = np.empty((3, 50), dtype=np.float32)
+        augment_window(signal, 100, 0, np.random.default_rng(0), out)
         np.testing.assert_array_equal(out, signal[:, 100:150])
+        identity = Normalizer(mean=np.zeros(3), std=np.ones(3))
+        batch = _batch(_one_session_task(signal, identity, np.ones(3), 50), [100], 0, 0.0, 0)
+        np.testing.assert_array_equal(batch[0], signal[:, 100:150])
 
     def test_noise_variance_addition(self):
-        # z-scored data + fraction-0.1 noise -> variance about 1.01
-        signal = RNG.standard_normal((4, 200_000)).astype(np.float32)
-        signal /= signal.std(axis=1, keepdims=True)
-        out = augment_window(
-            signal, 0, 200_000, 0, 0.1, np.ones(4), np.random.default_rng(1)
-        )
+        # raw data z-scored by the batch + fraction-0.1 noise -> variance about 1.01
+        signal = 3.0 + 2.0 * RNG.standard_normal((4, 200_000)).astype(np.float32)
+        norm = Normalizer(mean=signal.mean(axis=1, dtype=np.float64),
+                          std=signal.std(axis=1, dtype=np.float64))
+        out = _batch(_one_session_task(signal, norm, np.ones(4), 200_000), [0], 0, 0.1, 1)[0]
         np.testing.assert_allclose(out.var(axis=1), 1.01, atol=5e-3)
 
     def test_jitter_bounded_and_edge_safe(self):
         # index ramp makes the realized shift readable from the window content
         n_total, start, width, jitter = 400, 200, 50, 10
         signal = np.tile(np.arange(n_total, dtype=np.float32), (2, 1))
+        out = np.empty((2, width), dtype=np.float32)
         rng = np.random.default_rng(2)
         shifts = set()
         for _ in range(10_000):
-            out = augment_window(signal, start, width, jitter, 0.0, np.ones(2), rng)
+            augment_window(signal, start, jitter, rng, out)
             shifts.add(int(out[0, 0]) - start)
         assert shifts == set(range(-jitter, jitter + 1))
 
         # at the session edge the shift falls back to zero when out of bounds
         rng = np.random.default_rng(3)
         for _ in range(200):
-            out = augment_window(signal, 2, width, jitter, 0.0, np.ones(2), rng)
+            augment_window(signal, 2, jitter, rng, out)
             shift = int(out[0, 0]) - 2
             assert -2 <= shift <= jitter
 
     def test_channel_scaled_noise(self):
         signal = np.zeros((2, 50_000), dtype=np.float32)
-        std = np.array([1.0, 3.0])
-        out = augment_window(signal, 0, 50_000, 0, 0.5, std, np.random.default_rng(4))
+        identity = Normalizer(mean=np.zeros(2), std=np.ones(2))
+        task = _one_session_task(signal, identity, [1.0, 3.0], 50_000)
+        out = _batch(task, [0], 0, 0.5, 4)[0]
         np.testing.assert_allclose(out.std(axis=1), [0.5, 1.5], rtol=0.03)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
@@ -439,10 +439,13 @@ def test_auprc_bounds_property(values):
 
 def assert_same_result(name, engine, reference):
     """Field by field: exact, except that AUPRC values may differ by 1e-15
-    relative."""
+    relative. A bootstrap `se` is the engine's own (hi - lo) / 3.92, exactly:
+    the division by 3.92 would magnify an allowed difference in `lo`."""
     for f in dataclasses.fields(engine):
         a, b = getattr(engine, f.name), getattr(reference, f.name)
-        if name == "auprc" and f.name not in ("p_value", "n_draws", "n_redrawn", "flagged"):
+        if f.name == "se":
+            assert a == mx.se_from_ci(engine.lo, engine.hi), f.name
+        elif name == "auprc" and f.name not in ("p_value", "n_draws", "n_redrawn", "flagged"):
             np.testing.assert_allclose(a, b, rtol=1e-15, atol=0, err_msg=f.name)
         else:
             assert a == b, f.name
@@ -450,6 +453,10 @@ def assert_same_result(name, engine, reference):
 
 @given(s=st.one_of(scored_sets(), cut_edge_sets()), name=st.sampled_from(mx.REPORT_METRICS),
        count=st.integers(1, 40), rows=st.integers(1, 6), seed=st.integers(0, 2**16))
+# lo differs by 2 ulp here, and (hi - lo) / 3.92 by 7.9e-15 relative
+@example(s=scored([0.5, 1, 0, 0.875, 1, 0.5, 1, 0, 0.5, 0.75, 0.75, 0.75, 0, 1, 1, 0.5, 0.5,
+                   0, 1, 0.5, 0, 1], [1] * 20 + [0, 1]),
+         name="auprc", count=10, rows=1, seed=0)
 @settings(max_examples=200, deadline=None)
 def test_engine_matches_per_draw_reference(s, name, count, rows, seed):
     reference = per_draw_metric(name)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kwslab.nncore as nc
+import kwslab.training as training
 from helpers import (
     column_add_conv1d,
     copying_kernels,
@@ -14,10 +15,11 @@ from helpers import (
     reference_batch_norm,
     reference_conv1d,
 )
+from kwslab.corpus import Normalizer, WindowRef
 from kwslab.errors import CheckpointError, DimensionError, GradientStateError
 from kwslab.losses import LossConfig, total_loss
 from kwslab.model import DetectorModel, ModelConfig
-from kwslab.sampling import augment_window
+from kwslab.sampling import SamplerConfig
 
 RNG = np.random.default_rng(123)
 
@@ -476,21 +478,36 @@ class TestKernelBitIdentity:
     @given(
         c=st.integers(1, 4),
         n_samples=st.integers(1, 40),
+        rows=st.integers(1, 4),
         jitter=st.integers(0, 6),
         noise=st.sampled_from([0.0, 0.1, 0.5]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_augment_window_matches_reference(self, c, n_samples, jitter, noise, seed):
+    def test_augment_window_matches_reference(self, c, n_samples, rows, jitter, noise, seed):
+        """The training batch, raw windows z-scored in place with the noise
+        added after, equals the reference augment_window on a z-scored copy
+        of the session, row by row from one stream. Channel 0 has mean 0 and
+        holds -0.0 samples, which z-score to -0.0: a batch without noise must
+        keep them."""
         rng = np.random.default_rng(seed)
-        signal = _float32(rng, (c, n_samples + 20))
+        signal = _float32(rng, (c, n_samples + 20), offset=1.0)
+        signal[0, ::3] = -0.0
+        mean = rng.uniform(-1.0, 1.0, c)
+        mean[0] = 0.0
+        norm = Normalizer(mean=mean, std=rng.uniform(0.1, 2.0, c))
         std = rng.uniform(0.1, 2.0, c)
-        start = int(rng.integers(0, 21))
-        got = augment_window(signal, start, n_samples, jitter, noise, std,
-                             np.random.default_rng(seed))
-        want = reference_augment_window(signal, start, n_samples, jitter, noise, std,
-                                        np.random.default_rng(seed))
+        starts = [int(s) for s in rng.integers(0, 21, size=rows)]
+        task = training.TaskData(spec=None, split=None, normalizer=norm, n_channels=c,
+                                 n_window_samples=n_samples, signals={"s": signal},
+                                 partitions={}, aug_channel_std=std)
+        refs = [WindowRef("s", i, start, 0, "w") for i, start in enumerate(starts)]
+        config = SamplerConfig(jitter_samples=jitter, noise_std_fraction=noise)
+        got = training._augmented_batch(task, refs, config, np.random.default_rng(seed))
+        normed, ref_rng = norm.apply(signal), np.random.default_rng(seed)
+        want = np.stack([reference_augment_window(normed, start, n_samples, jitter, noise, std,
+                                                  ref_rng) for start in starts])
         assert got.dtype == want.dtype == np.float32
-        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
         assert not np.shares_memory(got, signal)
 
 

@@ -5,8 +5,15 @@ import pytest
 
 import kwslab.metrics as mx
 import kwslab.training as training
-from conftest import MICRO_MODEL, MICRO_SAMPLER, MICRO_TRAIN
-from kwslab.corpus import index_windows, round_half_up
+from conftest import MICRO_MODEL, MICRO_SAMPLER, MICRO_SYNTH, MICRO_TRAIN
+from helpers import peak_traced_bytes, reference_training_batches
+from kwslab.corpus import (
+    SplitAssignment,
+    build_task_spec,
+    index_windows,
+    round_half_up,
+    select_splits,
+)
 from kwslab.errors import (
     CheckpointError,
     InfeasibleTaskError,
@@ -15,7 +22,8 @@ from kwslab.errors import (
 )
 from kwslab.losses import LossConfig
 from kwslab.model import DetectorModel, ModelConfig
-from kwslab.sampling import BalancedBatchSampler
+from kwslab.sampling import BalancedBatchSampler, SamplerConfig
+from kwslab.synthgen import default_split, generate_corpus
 from kwslab.training import (
     IMPROVEMENT_EPS,
     ScoreRow,
@@ -54,7 +62,6 @@ class TestPrepareTask:
                 indexed, tally = index_windows(session, task.spec)
                 assert session_refs == indexed
                 assert tally == task.drop_tallies[sid]
-                normed = task.normalizer.apply(session.signal)
                 events = session.word_events()
                 for ref in session_refs:
                     start = round_half_up(
@@ -62,8 +69,43 @@ class TestPrepareTask:
                     )
                     assert ref.start == start
                     np.testing.assert_array_equal(
-                        task.window(ref), normed[:, start : start + n]
+                        task.window(ref), session.signal[:, start : start + n]
                     )
+
+    def test_stack_is_slices_of_the_zscored_session(self, micro_corpus, micro_task):
+        sessions, _ = micro_corpus
+        task = micro_task
+        normed = {s.session_id: task.normalizer.apply(s.signal) for s in sessions}
+        n = task.n_window_samples
+        for refs in task.partitions.values():
+            want = np.stack([normed[r.session_id][:, r.start : r.start + n] for r in refs])
+            got = task.stack(refs)
+            assert got.dtype == np.float32
+            assert got.tobytes() == want.tobytes()
+
+    def test_signals_are_the_sessions_own_unchanged_arrays(self, micro_corpus, micro_task,
+                                                          tmp_path):
+        # the sweeps reuse the sessions across cells with different normalizers
+        sessions, _ = micro_corpus
+        before = [s.signal.tobytes() for s in sessions]
+        task = prepare_task(sessions, micro_task.split, micro_task.spec)
+        for s in sessions:
+            assert np.shares_memory(task.signals[s.session_id], s.signal)
+        for refs in task.partitions.values():
+            task.stack(refs)
+        config = dataclasses.replace(MICRO_TRAIN, max_epochs=1, patience=1)
+        train(MICRO_MODEL, LossConfig(), MICRO_SAMPLER, config, task, str(tmp_path / "m.ckpt"))
+        assert [s.signal.tobytes() for s in sessions] == before
+
+    def test_allocates_no_copy_of_the_corpus(self):
+        # 32 channels, so that one float64 channel row of fit_normalizer and
+        # the window references, which do not grow with the channel count,
+        # stay small beside the signal
+        sessions, _ = generate_corpus(dataclasses.replace(MICRO_SYNTH, n_channels=32))
+        spec = build_task_spec(sessions, {"ri"}, 0.1, 0.2)
+        split = select_splits(sessions, spec, default_split(sessions))
+        signal_bytes = sum(s.signal.nbytes for s in sessions)
+        assert peak_traced_bytes(lambda: prepare_task(sessions, split, spec)) < 0.05 * signal_bytes
 
     def test_mixed_sample_rates_rejected(self, micro_corpus, micro_task):
         sessions, _ = micro_corpus
@@ -84,7 +126,8 @@ class TestPrepareTask:
     def test_aug_channel_std_near_one(self, micro_task):
         # derived from the normalizer: z-scored live channels have unit std
         np.testing.assert_array_equal(micro_task.aug_channel_std, np.ones(micro_task.n_channels))
-        train = np.concatenate([micro_task.signals[sid] for sid in micro_task.split.train], axis=1)
+        train = np.concatenate([micro_task.normalizer.apply(micro_task.signals[sid])
+                                for sid in micro_task.split.train], axis=1)
         np.testing.assert_allclose(train.std(axis=1, dtype=np.float64), 1.0, atol=1e-4)
 
     def test_aug_channel_std_zero_on_floored_channel(self, micro_corpus, micro_task):
@@ -98,7 +141,7 @@ class TestPrepareTask:
         expected = np.ones(task.n_channels)
         expected[3] = 0.0
         np.testing.assert_array_equal(task.aug_channel_std, expected)
-        assert not np.any(task.signals[task.split.train[0]][3])
+        assert not np.any(task.stack(task.partitions["train"])[:, 3])
 
 
 class TestTrain:
@@ -109,6 +152,25 @@ class TestTrain:
         second = train(MICRO_MODEL, LossConfig(), MICRO_SAMPLER, MICRO_TRAIN, micro_task, path)
         assert first.deterministic_view() == second.deterministic_view()
         assert first_bytes == open(path, "rb").read()
+
+    @pytest.mark.parametrize("sampler", [
+        MICRO_SAMPLER, SamplerConfig(batch_size=16, jitter_samples=0, noise_std_fraction=0.0),
+    ], ids=["augmented", "plain"])
+    def test_batches_match_the_zscored_copy_path(self, micro_task, tmp_path, monkeypatch,
+                                                 sampler):
+        batches = []
+        forward = DetectorModel.forward
+
+        def recording_forward(model, x, training=False):
+            if training:
+                batches.append(x.copy())
+            return forward(model, x, training=training)
+
+        monkeypatch.setattr(DetectorModel, "forward", recording_forward)
+        config = dataclasses.replace(MICRO_TRAIN, max_epochs=1, patience=1)
+        train(MICRO_MODEL, LossConfig(), sampler, config, micro_task, str(tmp_path / "b.ckpt"))
+        want = list(reference_training_batches(micro_task, sampler, config.seed, len(batches)))
+        assert batches and [b.tobytes() for b in batches] == [w.tobytes() for w in want]
 
     def test_best_is_max_over_records(self, trained):
         report, _ = trained
@@ -196,8 +258,6 @@ class TestTrain:
 
     def test_requires_val_positives(self, micro_corpus):
         sessions, _ = micro_corpus
-        from kwslab.corpus import SplitAssignment, build_task_spec
-
         spec = build_task_spec(sessions, {"ri"}, 0.0, 0.0)
         ids = sorted(s.session_id for s in sessions)
         task = prepare_task(sessions, SplitAssignment(
