@@ -455,6 +455,9 @@ def batch_norm(x, scale, shift, state: NormState, momentum: float = 0.1) -> Tens
     input: normalizes by the batch statistics (biased variance) and folds
     them into the running stats. Inference applies the running stats as a
     fixed per-channel map folded into the preceding convolution instead.
+    The four reductions over (batch, time), the mean and the variance forward
+    and the gradient sums backward, are `einsum`s: numpy's `sum(axis=(0, 2))`
+    is ~3x slower at the detector's shapes.
     """
     x, scale, shift = as_tensor(x), as_tensor(scale), as_tensor(shift)
     if x.values.ndim != 3:
@@ -462,12 +465,13 @@ def batch_norm(x, scale, shift, state: NormState, momentum: float = 0.1) -> Tens
     batch, channels, t = x.shape
     if scale.shape != (channels,) or shift.shape != (channels,):
         raise DimensionError("scale/shift must be per-channel vectors")
-    if batch * t <= 1:
+    n = batch * t
+    if n <= 1:
         raise DimensionError("train-mode normalization needs more than one value per channel")
 
-    mean = x.values.mean(axis=(0, 2))
+    mean = np.einsum("bct->c", x.values) / n
     xhat = x.values - mean[None, :, None]
-    var = (xhat * xhat).mean(axis=(0, 2))
+    var = np.einsum("bct,bct->c", xhat, xhat) / n
     state.running_mean[...] = (1 - momentum) * state.running_mean + momentum * mean
     state.running_var[...] = (1 - momentum) * state.running_var + momentum * var
     inv = 1.0 / np.sqrt(var + state.EPS)
@@ -476,14 +480,13 @@ def batch_norm(x, scale, shift, state: NormState, momentum: float = 0.1) -> Tens
     out_values += shift.values[None, :, None]
 
     def _bw(g):
-        g_sum = g.sum(axis=(0, 2))
-        gxhat_sum = (g * xhat).sum(axis=(0, 2))
+        g_sum = np.einsum("bct->c", g)
+        gxhat_sum = np.einsum("bct,bct->c", g, xhat)
         if scale.requires_grad:
             _accumulate(scale, gxhat_sum, owned=True)
         if shift.requires_grad:
             _accumulate(shift, g_sum, owned=True)
         if x.requires_grad:
-            n = batch * t
             gx = g - (g_sum / n)[None, :, None]
             gx -= xhat * (gxhat_sum / n)[None, :, None]
             gx *= (scale.values * inv)[None, :, None]

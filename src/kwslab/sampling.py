@@ -83,21 +83,44 @@ class BalancedBatchSampler:
             yield self.next_batch()
 
 
-def augment_window(signal: np.ndarray, start: int, jitter_samples: int,
-                   rng: np.random.Generator, out: np.ndarray,
-                   noise_out: np.ndarray | None = None) -> None:
-    """Training-time augmentation of one raw window: copy the (C, T) signal
-    into `out` from a start shifted by a draw in [-jitter, +jitter] (falling
-    back to zero shift at session edges), then, given `noise_out`, fill it
-    with standard-normal float32 noise. The caller z-scores the batch and adds
-    the channel-scaled noise; jitter = 0 with no `noise_out` is a plain copy.
-    """
+def standard_normal(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill the C-contiguous float32 `out` with standard normals by
+    Box–Muller from one draw of 2 * ceil(n / 2) float32 uniforms, u1 then u2
+    halves: r = sqrt(-2 ln(1 - u1)) and theta = 2 pi u2 give r cos(theta),
+    then r sin(theta), in C order. 1 - u1 lies in (0, 1], so the log is finite, and
+    uniforms on a 2^-24 grid bound |z| by sqrt(-2 ln 2^-24) < 5.78."""
+    flat = out.reshape(-1)
+    n = flat.size
+    m = -(-n // 2)
+    u = rng.random(2 * m, dtype=np.float32)
+    r, theta = u[:m], u[m:]
+    np.subtract(np.float32(1), r, out=r)
+    np.log(r, out=r)
+    r *= np.float32(-2)
+    np.sqrt(r, out=r)
+    theta *= np.float32(2 * np.pi)
+    np.cos(theta, out=flat[:m])
+    flat[:m] *= r
+    k = n - m
+    np.sin(theta[:k], out=theta[:k])
+    np.multiply(theta[:k], r[:k], out=flat[m:])
+
+
+def augment_window(signals, starts, jitter_samples: int, rng: np.random.Generator,
+                   out: np.ndarray, noise_out: np.ndarray | None = None) -> None:
+    """Training-time augmentation of one batch of raw windows: row i of the
+    (B, C, T) `out` is copied from the (C, samples) `signals[i]` at `starts[i]`
+    shifted by a draw in [-jitter, +jitter] (all B drawn in one call; zero
+    shift at session edges). Given `noise_out`, it is then filled by
+    `standard_normal`. The caller z-scores the batch and adds the
+    channel-scaled noise; jitter = 0 with no `noise_out` is a plain copy."""
     n_samples = out.shape[-1]
-    moved = start
-    if jitter_samples > 0:
-        shifted = start + int(rng.integers(-jitter_samples, jitter_samples + 1))
-        if shifted >= 0 and shifted + n_samples <= signal.shape[1]:
-            moved = shifted
-    out[...] = signal[:, moved : moved + n_samples]
+    shifts = (rng.integers(-jitter_samples, jitter_samples + 1, size=len(starts))
+              if jitter_samples > 0 else [0] * len(starts))
+    for row, (signal, start, shift) in enumerate(zip(signals, starts, shifts)):
+        moved = start + shift
+        if moved < 0 or moved + n_samples > signal.shape[1]:
+            moved = start
+        out[row] = signal[:, moved : moved + n_samples]
     if noise_out is not None:
-        rng.standard_normal(dtype=np.float32, out=noise_out)
+        standard_normal(rng, noise_out)

@@ -15,6 +15,7 @@ from . import nncore as nc
 from .corpus import STD_FLOOR, DropTally, WindowRef, fit_normalizer, index_windows
 from .errors import (
     CheckpointError,
+    ConfigError,
     InfeasibleTaskError,
     TrainingDivergedError,
     ValidationError,
@@ -26,6 +27,9 @@ from .sampling import BalancedBatchSampler, SamplerConfig, augment_window
 from .streams import AUGMENT, RANK, SAMPLER, stream
 
 IMPROVEMENT_EPS = 1e-6
+# each row's eval forward is its own GEMMs, so scores do not depend on the batch
+# size; at 64 windows the stem's buffers outgrow a 2 MiB L2 and scoring is slower
+SCORE_BATCH_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -157,15 +161,15 @@ def prepare_task(sessions, split, spec) -> TaskData:
 
 
 def _augmented_batch(task: TaskData, refs, config: SamplerConfig, rng) -> np.ndarray:
-    """The z-scored, augmented training batch of `refs`: rows draw their jitter,
-    then their noise, from `rng` in row order; the channel-scaled noise is added
-    after the z-score, and with noise off nothing is (a z-scored -0.0 stays)."""
+    """The z-scored, augmented training batch of `refs`, drawn from `rng` by one
+    `augment_window` call (every row's jitter, then the batch's noise); the
+    channel-scaled noise is added after the z-score, and with noise off
+    nothing is (a z-scored -0.0 stays)."""
     batch = np.empty((len(refs), task.n_channels, task.n_window_samples), dtype=np.float32)
     noisy = config.noise_std_fraction > 0
     noise = np.empty_like(batch) if noisy else None
-    for row, ref in enumerate(refs):
-        augment_window(task.signals[ref.session_id], ref.start, config.jitter_samples, rng,
-                       batch[row], noise[row] if noisy else None)
+    augment_window([task.signals[ref.session_id] for ref in refs], [ref.start for ref in refs],
+                   config.jitter_samples, rng, batch, noise)
     task.normalizer.zscore(batch)
     if noisy:
         noise *= (config.noise_std_fraction
@@ -175,7 +179,7 @@ def _augmented_batch(task: TaskData, refs, config: SamplerConfig, rng) -> np.nda
 
 
 def score_partition(model: DetectorModel, task: TaskData, partition: str,
-                    batch_size: int = 64) -> np.ndarray:
+                    batch_size: int = SCORE_BATCH_SIZE) -> np.ndarray:
     """Eval-mode probabilities in corpus order (no augmentation)."""
     refs = task.partitions[partition]
     scores = np.empty(len(refs), dtype=np.float64)
@@ -201,6 +205,9 @@ def train(
     through independent substreams (init / data order / augmentation /
     ranking pairs)."""
     t0 = time.perf_counter()
+    if model_config.in_channels != task.n_channels:
+        raise ConfigError(f"model.in_channels is {model_config.in_channels}, corpus has "
+                          f"{task.n_channels} channels")
     val_labels = task.labels("validation")
     if val_labels.sum() < 1:
         raise InfeasibleTaskError("validation partition has no positive examples")
@@ -289,7 +296,7 @@ class ScoreRow:
 
 
 def evaluate(checkpoint_path: str, task: TaskData, partition: str,
-             batch_size: int = 64) -> list[ScoreRow]:
+             batch_size: int = SCORE_BATCH_SIZE) -> list[ScoreRow]:
     """Deterministic eval-mode scores for a partition, in corpus order."""
     model = DetectorModel.load(checkpoint_path)
     if model.config.in_channels != task.n_channels:

@@ -318,11 +318,13 @@ def loop_recall_vs_fa_curve(curve, scenario):
 # ---------------------------------------------------------------------------
 # reference kernels: conv1d, batch_norm and augment_window written with a
 # padded copy of the input, a copied im2col for every conv, fresh temporaries
-# for every normalisation step and a copy of every first gradient. The
-# library's batch_norm runs the same float32 operations in the same order on
-# fewer fresh arrays, and its training batch (raw windows z-scored in place,
-# then the noise added) the same operations as this augment_window on a
-# z-scored copy of the session, so they must agree bit for bit. The library's
+# for every normalisation step, the Box–Muller noise and a copy of every first
+# gradient. The library's batch_norm runs the same float32 operations in the
+# same order on fewer fresh arrays, and its training batch (raw windows
+# z-scored in place, then the in-place Box–Muller noise added) the same
+# operations as this augment_window on a z-scored copy of the session, so they
+# must agree bit for bit. A float64 bound on batch_norm and a statistical test
+# of the sampler check the library against independent arithmetic. The library's
 # conv1d sums one matmul per tap instead, so it agrees bit for bit only on
 # pointwise convs and to float32 rounding otherwise. The column-add conv1d is
 # the library's tap sum as it stood before its whole-row adds.
@@ -416,10 +418,11 @@ def reference_batch_norm(x, scale, shift, state, training=True, momentum=0.1, ep
     running-statistics pass the model ran before eval folded it into the conv."""
     x, scale, shift = nc.as_tensor(x), nc.as_tensor(scale), nc.as_tensor(shift)
     batch, _, t = x.shape
+    n = batch * t
     if training:
-        mean = x.values.mean(axis=(0, 2))
+        mean = np.einsum("bct->c", x.values) / n
         centered = x.values - mean[None, :, None]
-        var = (centered * centered).mean(axis=(0, 2))
+        var = np.einsum("bct,bct->c", centered, centered) / n
         state.running_mean[...] = (1 - momentum) * state.running_mean + momentum * mean
         state.running_var[...] = (1 - momentum) * state.running_var + momentum * var
     else:
@@ -431,8 +434,8 @@ def reference_batch_norm(x, scale, shift, state, training=True, momentum=0.1, ep
     out_values = scale.values[None, :, None] * xhat + shift.values[None, :, None]
 
     def _bw(g):
-        g_sum = g.sum(axis=(0, 2))
-        gxhat_sum = (g * xhat).sum(axis=(0, 2))
+        g_sum = np.einsum("bct->c", g)
+        gxhat_sum = np.einsum("bct,bct->c", g, xhat)
         if scale.requires_grad:
             copy_accumulate(scale, gxhat_sum)
         if shift.requires_grad:
@@ -440,7 +443,6 @@ def reference_batch_norm(x, scale, shift, state, training=True, momentum=0.1, ep
         if x.requires_grad:
             gain = (scale.values * inv)[None, :, None]
             if training:
-                n = batch * t
                 gx = gain * (g - (g_sum / n)[None, :, None]
                              - xhat * (gxhat_sum / n)[None, :, None])
             else:
@@ -450,42 +452,54 @@ def reference_batch_norm(x, scale, shift, state, training=True, momentum=0.1, ep
     return nct._result(out_values, (x, scale, shift), _bw)
 
 
-def reference_augment_window(signal, start, n_samples, jitter_samples,
+def reference_standard_normal(rng, shape):
+    """Box–Muller on fresh arrays: float32 uniforms u1 then u2, 2 * ceil(n / 2)
+    in one draw; r cos(theta) then r sin(theta), cut to n and shaped."""
+    n = int(np.prod(shape))
+    m = -(-n // 2)
+    u = rng.random(2 * m, dtype=np.float32)
+    r = np.sqrt(np.float32(-2) * np.log(np.float32(1) - u[:m]))
+    theta = np.float32(2 * np.pi) * u[m:]
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n].reshape(shape)
+
+
+def reference_augment_window(signals, starts, n_samples, jitter_samples,
                              noise_std_fraction, channel_std, rng):
-    total = signal.shape[1]
+    """The augmented batch of the windows of `signals[i]` at `starts[i]`:
+    every row's jitter in one draw, then the batch's noise."""
     if jitter_samples > 0:
-        shift = int(rng.integers(-jitter_samples, jitter_samples + 1))
-        moved = start + shift
-        if moved < 0 or moved + n_samples > total:
-            moved = start
+        shifts = rng.integers(-jitter_samples, jitter_samples + 1, size=len(starts))
     else:
-        moved = start
-    window = signal[:, moved : moved + n_samples]
+        shifts = [0] * len(starts)
+    rows = []
+    for signal, start, shift in zip(signals, starts, shifts):
+        moved = start + int(shift)
+        if moved < 0 or moved + n_samples > signal.shape[1]:
+            moved = start
+        rows.append(signal[:, moved : moved + n_samples])
+    windows = np.stack(rows).astype(np.float32)
     if noise_std_fraction > 0:
-        noise = rng.standard_normal(window.shape, dtype=np.float32)
+        noise = reference_standard_normal(rng, windows.shape)
         scale = (noise_std_fraction * np.asarray(channel_std, dtype=np.float32))[:, None]
-        return window + noise * scale
-    return np.array(window, dtype=np.float32)
+        return windows + noise * scale
+    return windows
 
 
 def reference_training_batches(task, sampler_config, seed, n_batches):
-    """The first `n_batches` batches of a training run of `seed`, built as the
-    train loop built them from a z-scored copy of every session: each row is
-    `reference_augment_window` on the z-scored session, drawing from the
-    step's augmentation stream in row order."""
+    """The first `n_batches` batches of a training run of `seed`, built from a
+    z-scored copy of every session: each batch is `reference_augment_window`
+    on its rows' z-scored sessions, drawing from the step's augmentation stream."""
     signals = {sid: task.normalizer.apply(sig) for sid, sig in task.signals.items()}
     sampler_seed = int(np.random.SeedSequence((seed, SAMPLER)).generate_state(1)[0])
     sampler = BalancedBatchSampler(task.labels("train"), sampler_config, sampler_seed)
     refs = task.partitions["train"]
     for step in range(n_batches):
-        rng = stream(seed, AUGMENT, step)
-        yield np.stack([
-            reference_augment_window(signals[refs[i].session_id], refs[i].start,
-                                     task.n_window_samples, sampler_config.jitter_samples,
-                                     sampler_config.noise_std_fraction, task.aug_channel_std,
-                                     rng)
-            for i in sampler.next_batch()
-        ])
+        rows = [refs[i] for i in sampler.next_batch()]
+        yield reference_augment_window(
+            [signals[r.session_id] for r in rows], [r.start for r in rows],
+            task.n_window_samples, sampler_config.jitter_samples,
+            sampler_config.noise_std_fraction, task.aug_channel_std,
+            stream(seed, AUGMENT, step))
 
 
 def reference_conv_norm(model, x, conv, norm, stride, padding, training):

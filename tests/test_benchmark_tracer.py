@@ -106,3 +106,5 @@ def test_tiny_traced_run_times_every_layer(tmp_path, workload):
             assert metrics[f"model.{layer}.fwd_ms"] > 0, layer
             assert metrics[f"model.{layer}.bwd_ms"] > 0, layer
         assert metrics["nncore.conv1d.gflop_per_step"] > 0
+        # reads 0 if the training batch stops calling training.augment_window
+        assert metrics["sampling.augment_window_ms"] > 0

@@ -542,6 +542,20 @@ class TestTrainEvaluateCommands:
             trained_workdir, micro_config_dict, tmp_path, capsys,
             f"error: {message}: all sessions of a task must share one channel count")
 
+    @pytest.mark.parametrize("argv", [
+        ["train"], ["sweep-scaling", "--fractions", "1.0"],
+    ], ids=["train", "sweep-scaling"])
+    def test_model_channels_unlike_the_corpus_are_invalid_input(self, corpus_dir, tmp_path,
+                                                                capsys, argv):
+        # used to exit 2 with "runtime failure: input has 8 channels, model expects 12"
+        config_path, _ = corpus_dir
+        workdir = tmp_path / "w"
+        assert main([*argv, "--config", config_path, "--workdir", str(workdir),
+                     "--set", "model.in_channels=12", "--set", "seeds=[0]"]) == 1
+        err = capsys.readouterr().err
+        assert "error: model.in_channels is 12, corpus has 8 channels" in err
+        assert not list(workdir.glob("**/*.ckpt"))  # nothing, or an empty workdir
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("partition", ["train", "validation", "test"])
     def test_non_finite_signal_sample_is_invalid_input(self, corpus_dir, trained_workdir,

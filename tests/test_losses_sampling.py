@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +11,8 @@ import kwslab.training as training
 from kwslab.corpus import Normalizer, WindowRef
 from kwslab.errors import InfeasibleSamplerError, ValidationError
 from kwslab.losses import LossConfig, focal_loss, pairwise_rank_loss, total_loss
-from kwslab.sampling import BalancedBatchSampler, SamplerConfig, augment_window
+from kwslab.sampling import (BalancedBatchSampler, SamplerConfig, augment_window,
+                             standard_normal)
 
 RNG = np.random.default_rng(31)
 
@@ -186,9 +188,12 @@ def _batch(task, starts, jitter, noise, seed):
 class TestAugment:
     def test_identity_when_disabled(self):
         signal = RNG.standard_normal((3, 500)).astype(np.float32)
-        out = np.empty((3, 50), dtype=np.float32)
-        augment_window(signal, 100, 0, np.random.default_rng(0), out)
-        np.testing.assert_array_equal(out, signal[:, 100:150])
+        out = np.empty((2, 3, 50), dtype=np.float32)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        augment_window([signal, signal], [100, 7], 0, rng, out)
+        np.testing.assert_array_equal(out, [signal[:, 100:150], signal[:, 7:57]])
+        assert rng.bit_generator.state == state  # no jitter, no noise: nothing drawn
         identity = Normalizer(mean=np.zeros(3), std=np.ones(3))
         batch = _batch(_one_session_task(signal, identity, np.ones(3), 50), [100], 0, 0.0, 0)
         np.testing.assert_array_equal(batch[0], signal[:, 100:150])
@@ -203,22 +208,24 @@ class TestAugment:
 
     def test_jitter_bounded_and_edge_safe(self):
         # index ramp makes the realized shift readable from the window content
-        n_total, start, width, jitter = 400, 200, 50, 10
+        n_total, start, width, jitter, rows = 400, 200, 50, 10, 10_000
         signal = np.tile(np.arange(n_total, dtype=np.float32), (2, 1))
-        out = np.empty((2, width), dtype=np.float32)
-        rng = np.random.default_rng(2)
-        shifts = set()
-        for _ in range(10_000):
-            augment_window(signal, start, jitter, rng, out)
-            shifts.add(int(out[0, 0]) - start)
-        assert shifts == set(range(-jitter, jitter + 1))
+        out = np.empty((rows, 2, width), dtype=np.float32)
+        augment_window([signal] * rows, [start] * rows, jitter, np.random.default_rng(2), out)
+        assert set((out[:, 0, 0] - start).astype(int)) == set(range(-jitter, jitter + 1))
+        assert np.array_equal(out[:, 1], out[:, 0])
 
         # at the session edge the shift falls back to zero when out of bounds
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            augment_window(signal, 2, jitter, rng, out)
-            shift = int(out[0, 0]) - 2
-            assert -2 <= shift <= jitter
+        augment_window([signal] * 200, [2] * 200, jitter, np.random.default_rng(3), out[:200])
+        assert set((out[:200, 0, 0] - 2).astype(int)) == set(range(-2, jitter + 1))
+
+    def test_rows_keep_their_own_session_edges(self):
+        # from start 5, a 50-sample window fits shifts up to 0 in 55 samples
+        short, long = (np.arange(n, dtype=np.float32)[None, :] for n in (55, 1000))
+        out = np.empty((400, 1, 50), dtype=np.float32)
+        augment_window([short, long] * 200, [5, 5] * 200, 5, np.random.default_rng(4), out)
+        assert set(out[0::2, 0, 0].astype(int)) == set(range(0, 6))
+        assert set(out[1::2, 0, 0].astype(int)) == set(range(0, 11))
 
     def test_channel_scaled_noise(self):
         signal = np.zeros((2, 50_000), dtype=np.float32)
@@ -226,3 +233,28 @@ class TestAugment:
         task = _one_session_task(signal, identity, [1.0, 3.0], 50_000)
         out = _batch(task, [0], 0, 0.5, 4)[0]
         np.testing.assert_allclose(out.std(axis=1), [0.5, 1.5], rtol=0.03)
+
+
+class TestStandardNormal:
+    """The Box–Muller sampler of the augmentation noise."""
+
+    def test_standard_normal_statistics(self):
+        # odd n: the last pair's sine half is cut
+        n = 2**20 + 1
+        z = np.empty(n, dtype=np.float32)
+        standard_normal(np.random.default_rng(2024), z)
+        assert z.dtype == np.float32 and np.all(np.isfinite(z))
+        # float32 uniforms on a 2^-24 grid bound |z| by sqrt(-2 ln 2^-24) ~ 5.77
+        assert np.abs(z).max() <= 5.78
+        z64 = z.astype(np.float64)
+        assert abs(z64.mean()) <= 5 / math.sqrt(n)
+        assert abs(z64.var() - 1) <= 5 * math.sqrt(2 / n)
+        assert scipy.stats.kstest(z64, "norm").pvalue > 1e-3
+
+    def test_same_stream_same_bytes(self):
+        a, b = (np.empty((3, 5, 7), dtype=np.float32) for _ in range(2))
+        standard_normal(np.random.default_rng(9), a)
+        standard_normal(np.random.default_rng(9), b)
+        assert a.tobytes() == b.tobytes()
+        standard_normal(np.random.default_rng(10), b)
+        assert a.tobytes() != b.tobytes()

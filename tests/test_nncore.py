@@ -356,6 +356,69 @@ def _bn_outputs(norm, x, scale, shift, g, stats):
     return [out.values, x.grad, scale.grad, shift.grad, state.running_mean, state.running_var]
 
 
+def _bn_float64(x, scale, shift, g, stats, momentum=0.1, eps=1e-5):
+    """The values `_bn_outputs` lists, for train mode, evaluated in float64 by
+    the textbook formulas, and for each entry a magnitude M: to first order
+    the float32 kernel's error is at most a gamma_n of its sums times M
+    (Higham, section 3.1). For xhat, M = s * A + |xhat|, with A the channel's
+    mean |x| and s = 1 / sqrt(var + eps): the mean's error seen through s,
+    plus relative errors. The mean's error drops out of the variance to first
+    order, since the centered values sum to 0. The output, the gradients and
+    the running statistics build their M from these term by term."""
+    x, scale, shift, g = (a.astype(np.float64) for a in (x, scale, shift, g))
+    running_mean, running_var = (a.astype(np.float64) for a in stats)
+    n = x.shape[0] * x.shape[2]
+    u = np.finfo(np.float32).eps / 2
+
+    def ch(v):
+        return v[None, :, None]
+
+    mean = x.mean(axis=(0, 2))
+    centered = x - ch(mean)
+    var = (centered * centered).mean(axis=(0, 2))
+    s = 1 / np.sqrt(var + eps)
+    xhat = centered * ch(s)
+    g_sum, gxhat_sum = g.sum(axis=(0, 2)), (g * xhat).sum(axis=(0, 2))
+    values = [ch(scale) * xhat + ch(shift),
+              ch(scale * s) * (g - ch(g_sum / n) - xhat * ch(gxhat_sum / n)),
+              gxhat_sum, g_sum,
+              (1 - momentum) * running_mean + momentum * mean,
+              (1 - momentum) * running_var + momentum * var]
+    abs_mean = np.abs(x).mean(axis=(0, 2))
+    dxhat = ch(s * abs_mean) + np.abs(xhat)
+    abs_g = np.abs(g)
+    abs_gxhat_sum = (abs_g * dxhat).sum(axis=(0, 2))
+    magnitudes = [ch(np.abs(scale)) * dxhat + ch(np.abs(shift)),
+                  ch(np.abs(scale) * s) * (abs_g + ch(abs_g.sum(axis=(0, 2)) / n)
+                                           + dxhat * ch(abs_gxhat_sum / n)),
+                  abs_gxhat_sum, abs_g.sum(axis=(0, 2)),
+                  (1 - momentum) * np.abs(running_mean) + momentum * abs_mean,
+                  (1 - momentum) * np.abs(running_var)
+                  + momentum * (var + n * u * abs_mean * abs_mean)]
+    return values, magnitudes
+
+
+def _assert_batch_norm_within_rounding(b, c, t, offset, seed):
+    """Every output, gradient and running statistic of train-mode
+    nc.batch_norm within gamma_(n + 8) of `_bn_float64`'s magnitude, for n =
+    b * t values per channel: the 8 covers the divisions, the square root, the
+    eps and the products around the sums."""
+    rng = np.random.default_rng(seed)
+    x = _float32(rng, (b, c, t), offset)
+    scale = rng.uniform(0.5, 1.5, c).astype(np.float32)
+    shift = _float32(rng, c)
+    g = _float32(rng, (b, c, t))
+    stats = (_float32(rng, c), rng.uniform(0.5, 2.0, c).astype(np.float32))
+    got = _bn_outputs(nc.batch_norm, x, scale, shift, g, stats)
+    want, magnitudes = _bn_float64(x, scale, shift, g, stats)
+    n = b * t + 8
+    u = np.finfo(np.float32).eps / 2
+    gamma = n * u / (1 - n * u)
+    for a, r, m in zip(got, want, magnitudes):
+        assert a.dtype == np.float32 and a.shape == r.shape
+        assert np.all(np.abs(a.astype(np.float64) - r) <= gamma * m)
+
+
 class TestKernelBitIdentity:
     """The copy-free kernels run the reference kernels' float32 operations in
     the same order, so every output and gradient is equal, not just close.
@@ -476,6 +539,21 @@ class TestKernelBitIdentity:
 
     @settings(max_examples=40, deadline=None)
     @given(
+        b=st.integers(1, 4),
+        c=st.integers(1, 5),
+        t=st.integers(2, 30),
+        offset=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_norm_within_rounding_of_float64(self, b, c, t, offset, seed):
+        _assert_batch_norm_within_rounding(b, c, t, offset, seed)
+
+    @pytest.mark.parametrize("b,c,t", [(32, 16, 224), (64, 16, 56), (32, 32, 56)])
+    def test_batch_norm_within_rounding_of_float64_detector_shapes(self, b, c, t):
+        _assert_batch_norm_within_rounding(b, c, t, offset=2.0, seed=b + c + t)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
         c=st.integers(1, 4),
         n_samples=st.integers(1, 40),
         rows=st.integers(1, 4),
@@ -486,9 +564,9 @@ class TestKernelBitIdentity:
     def test_augment_window_matches_reference(self, c, n_samples, rows, jitter, noise, seed):
         """The training batch, raw windows z-scored in place with the noise
         added after, equals the reference augment_window on a z-scored copy
-        of the session, row by row from one stream. Channel 0 has mean 0 and
-        holds -0.0 samples, which z-score to -0.0: a batch without noise must
-        keep them."""
+        of the session: the rows' jitters, then the batch's Box–Muller noise,
+        from one stream. Channel 0 has mean 0 and holds -0.0 samples, which
+        z-score to -0.0: a batch without noise must keep them."""
         rng = np.random.default_rng(seed)
         signal = _float32(rng, (c, n_samples + 20), offset=1.0)
         signal[0, ::3] = -0.0
@@ -503,9 +581,8 @@ class TestKernelBitIdentity:
         refs = [WindowRef("s", i, start, 0, "w") for i, start in enumerate(starts)]
         config = SamplerConfig(jitter_samples=jitter, noise_std_fraction=noise)
         got = training._augmented_batch(task, refs, config, np.random.default_rng(seed))
-        normed, ref_rng = norm.apply(signal), np.random.default_rng(seed)
-        want = np.stack([reference_augment_window(normed, start, n_samples, jitter, noise, std,
-                                                  ref_rng) for start in starts])
+        want = reference_augment_window([norm.apply(signal)] * rows, starts, n_samples, jitter,
+                                        noise, std, np.random.default_rng(seed))
         assert got.dtype == want.dtype == np.float32
         assert got.tobytes() == want.tobytes()
         assert not np.shares_memory(got, signal)

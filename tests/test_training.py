@@ -177,6 +177,14 @@ class TestTrain:
         assert report.best_val_auprc == max(r.val_auprc for r in report.records)
         assert report.wall_clock_s > 0
 
+    def test_scores_do_not_depend_on_the_batch_size(self, trained, micro_task):
+        model = DetectorModel.load(trained[1])
+        for partition in ("train", "validation", "test"):
+            want = score_partition(model, micro_task, partition).tobytes()
+            for batch_size in (1, 17, 32, 64):
+                got = score_partition(model, micro_task, partition, batch_size=batch_size)
+                assert got.tobytes() == want, (partition, batch_size)
+
     def test_checkpoint_reload_reproduces_best_val_auprc(self, trained, micro_task):
         report, path = trained
         model = DetectorModel.load(path)
@@ -222,7 +230,7 @@ class TestTrain:
             batches.append(self.batches_per_epoch)
             return next_batch(self)
 
-        def counting_score(model, task, partition, batch_size=64):
+        def counting_score(model, task, partition, batch_size=training.SCORE_BATCH_SIZE):
             validations.append(partition)
             return score(model, task, partition, batch_size)
 
