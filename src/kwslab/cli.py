@@ -25,6 +25,7 @@ from .operate import (
     select_threshold_min_fa,
 )
 from .reports import (
+    file_name,
     provenance_block,
     read_json_report,
     render_metrics_table,
@@ -94,7 +95,7 @@ def cmd_train(args) -> int:
     wall = {}
     for seed, report in train_seeds(config, task, args.workdir, CHECKPOINT_TAG):
         view = report.deterministic_view()
-        view["checkpoint_path"] = os.path.basename(view["checkpoint_path"])
+        view["checkpoint_path"] = file_name(view["checkpoint_path"])
         seeds_payload[str(seed)] = view
         wall[str(seed)] = report.wall_clock_s
         print(
@@ -213,6 +214,10 @@ def cmd_operating_points(args) -> int:
     ev = config.evaluation
 
     if args.fixture:
+        flag = "--scores" if args.scores else "--window-s" if args.window_s is not None else None
+        if flag:
+            raise ConfigError(f"operating-points: --fixture brings its own curves and window, "
+                              f"so {flag} cannot be given with it")
         tables = load_reference_tables()["operating_points"]
         curves = reference_operating_curves()
         window_s = tables["window_s"]
@@ -226,6 +231,19 @@ def cmd_operating_points(args) -> int:
     else:
         if not args.scores:
             raise ConfigError("operating-points needs --scores files or --fixture")
+        root = config.resolved_root()
+        if root and os.path.exists(os.path.join(root, MANIFEST)):
+            task = config.task
+            keywords = frozenset(task.keywords)
+            d_max = compute_d_max(load_events(root), keywords)
+            window_s = KeywordTaskSpec(keywords, task.beta_neg_s, task.beta_pos_s, d_max).window_s
+            if args.window_s is not None:
+                raise ConfigError(f"operating-points: the corpus at {root} fixes the window at "
+                                  f"{window_s:g} s, so --window-s cannot be given with it")
+        else:
+            window_s = args.window_s
+        if window_s is None:
+            raise ConfigError("need a corpus or --window-s to compute FP/h coverage")
         scored_sets = []
         for path in args.scores:
             rows = read_scores_csv(path)
@@ -233,17 +251,7 @@ def cmd_operating_points(args) -> int:
                 raise ValidationError(f"{path}: scores file contains no rows")
             scored_sets.append(scored_set_from_rows(rows))
         curves = [mx.pr_curve(s) for s in scored_sets]
-        root = config.resolved_root()
-        if root and os.path.exists(os.path.join(root, MANIFEST)):
-            task = config.task
-            keywords = frozenset(task.keywords)
-            d_max = compute_d_max(load_events(root), keywords)
-            window_s = KeywordTaskSpec(keywords, task.beta_neg_s, task.beta_pos_s, d_max).window_s
-        else:
-            window_s = args.window_s
-        if window_s is None:
-            raise ConfigError("need a corpus or --window-s to compute FP/h coverage")
-        source = ",".join(args.scores)
+        source = ",".join(file_name(path) for path in args.scores)
 
     scenario_payloads = []
     fa_csv_rows = []
@@ -368,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixture", action="store_true",
                    help="use the bundled reference curves instead of scores files")
     p.add_argument("--window-s", type=float, default=None, dest="window_s",
-                   help="window seconds for FP/h coverage when no corpus is available")
+                   help="window seconds for FP/h coverage without a corpus or --fixture")
     p.set_defaults(fn=cmd_operating_points)
 
     p = sub.add_parser("report", help="render a saved evaluation, operating-points "

@@ -20,6 +20,9 @@ from .synthgen import SynthConfig
 from .training import TrainConfig
 
 DATA_ROOT_ENV = "KWSLAB_DATA_ROOT"
+# fields each run sets itself, so a value in the config would never be read
+_RUN_SET = {(TrainConfig, "seed"): "list the training seeds in `seeds`",
+            (ModelConfig, "in_channels"): "each run takes the corpus's channel count"}
 
 
 @dataclass(frozen=True)
@@ -96,6 +99,9 @@ def _build_dataclass(cls, data, path):
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
     hints = typing.get_type_hints(cls)  # one per field
+    for (owner, key), source in _RUN_SET.items():
+        if owner is cls and key in data:
+            raise ConfigError(f"{path}.{key} is not a config key: {source}")
     unknown = set(data) - set(hints)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
@@ -120,9 +126,6 @@ def _coerce(hint, value, path):
     target, *rest = typing.get_args(hint) or (hint,)  # `X | None` gives (X, NoneType)
     if value is None and type(None) in rest:
         return None
-    if target is TrainConfig and isinstance(value, dict) and "seed" in value:
-        # each run sets it from an entry of `seeds`, so a value here is never read
-        raise ConfigError(f"{path}.seed is not a config key: list the training seeds in `seeds`")
     if is_dataclass(target):
         return _build_dataclass(target, value, path)
     types, name = {int: ((int,), "an integer"), float: ((int, float), "a finite number"),

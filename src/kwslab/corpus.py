@@ -200,10 +200,6 @@ class Normalizer:
     mean: np.ndarray
     std: np.ndarray
 
-    def apply(self, arr: np.ndarray) -> np.ndarray:
-        """A z-scored float32 copy of a (channels, samples) array."""
-        return self.zscore(np.array(arr, dtype=np.float32))
-
     def zscore(self, out: np.ndarray) -> np.ndarray:
         """Z-score a float32 (..., channels, samples) array in place; returns it."""
         out -= self.mean.astype(np.float32)[:, None]

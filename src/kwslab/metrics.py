@@ -516,24 +516,6 @@ def spearman_rank_corr(x, y) -> tuple[float, float]:
     return r, p
 
 
-def expected_random_auprc(n: int, k: int) -> float:
-    """Exact expectation of average precision under a uniformly random
-    ranking of k positives among n (negative-hypergeometric positions)."""
-    if not 1 <= k <= n:
-        raise ValidationError("need 1 <= k <= n")
-    from scipy.special import gammaln
-
-    def log_comb(a, b):
-        return gammaln(a + 1) - gammaln(b + 1) - gammaln(a - b + 1)
-
-    total = 0.0
-    for j in range(1, k + 1):
-        r = np.arange(j, n - k + j + 1, dtype=np.float64)
-        logp = log_comb(r - 1, j - 1) + log_comb(n - r, k - j) - log_comb(n, k)
-        total += float(np.sum((j / r) * np.exp(logp)))
-    return total / k
-
-
 # ---------------------------------------------------------------------------
 # full report
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ POOLING_MODES = ("attention", "topk")
 
 @dataclass(frozen=True)
 class ModelConfig:
-    in_channels: int = 306
+    in_channels: int = 306  # `sweeps.train_seeds` sets it to the corpus's channel count
     trunk_channels: int = 128
     proj_channels: int = 512
     downsample_factor: int = 4
@@ -165,12 +165,10 @@ class DetectorModel:
         z = nc.reshape(
             nc.conv1d(h, self.params["head_z.w"], self.params["head_z.b"]), (b, t_out)
         )
-        a = nc.reshape(
-            nc.conv1d(h, self.params["head_a.w"], self.params["head_a.b"]), (b, t_out)
-        )
         if cfg.pooling == "attention":
-            attention = nc.softmax_time(a)
-        else:
+            a = nc.conv1d(h, self.params["head_a.w"], self.params["head_a.b"])
+            attention = nc.softmax_time(nc.reshape(a, (b, t_out)))
+        else:  # top-k weights come from z alone; head_a is kept but unread
             attention = nc.Tensor(_topk_weights(z.values, cfg.topk_fraction))
         logit = pool(z, attention)
         return ForwardResult(

@@ -1,10 +1,11 @@
-"""Report provenance blocks, the report reader, the CSV row writer, and the
-plain-text renderers behind the `report` subcommand."""
+"""Report provenance blocks, how a report names a file, the report reader,
+the CSV row writer, and the plain-text renderers behind the `report` subcommand."""
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 
 from .corpus import read_manifest
 from .errors import ValidationError
@@ -17,6 +18,11 @@ def provenance_block(config, corpus_root: str | None = None) -> dict:
     if corpus_root:
         block["corpus_checksums"] = read_manifest(corpus_root)[0]
     return block
+
+
+def file_name(path: str) -> str:
+    """A file as a report names it: its basename, the same for any workdir or cwd."""
+    return os.path.basename(path)
 
 
 def read_json_report(path: str) -> dict:

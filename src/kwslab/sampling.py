@@ -48,7 +48,6 @@ class BalancedBatchSampler:
                 f"need both classes to balance batches; got {len(self.positives)} "
                 f"positives and {len(self.negatives)} negatives"
             )
-        self.config = config
         self.n_pos_per_batch = round_half_up(config.positive_fraction * config.batch_size)
         self.n_neg_per_batch = config.batch_size - self.n_pos_per_batch
         if self.n_neg_per_batch < 1:

@@ -14,6 +14,7 @@ import numpy as np
 from . import metrics as mx
 from .corpus import SplitAssignment, build_task_spec, count_positives, select_splits
 from .errors import InfeasibleSamplerError, InfeasibleTaskError, MissingKeywordError
+from .reports import file_name
 from .streams import stream
 from .training import evaluate, prepare_task, scored_set_from_rows, train
 
@@ -37,13 +38,14 @@ def checkpoint_path(workdir: str, tag: str, seed: int) -> str:
 
 
 def train_seeds(config, task, workdir: str, tag: str):
-    """Train one detector per entry of ``config.seeds``, in that order, into
-    ``checkpoint_path(workdir, tag, seed)`` (making ``workdir``); yields
-    ``(seed, TrainReport)`` as each run finishes."""
+    """Train one detector per entry of ``config.seeds``, in that order, sized
+    to the task's channel count, into ``checkpoint_path(workdir, tag, seed)``
+    (making ``workdir``); yields ``(seed, TrainReport)`` as each run finishes."""
     os.makedirs(workdir, exist_ok=True)
+    model_cfg = dataclasses.replace(config.model, in_channels=task.n_channels)
     for seed in config.seeds:
         train_cfg = dataclasses.replace(config.training, seed=seed)
-        yield seed, train(config.model, config.loss, config.sampler, train_cfg, task,
+        yield seed, train(model_cfg, config.loss, config.sampler, train_cfg, task,
                           checkpoint_path(workdir, tag, seed))
 
 
@@ -59,7 +61,8 @@ def run_cell(config, task, axis: dict, workdir: str, tag: str, metrics, per_seed
     for seed, report in train_seeds(config, task, workdir, tag):
         scored = scored_set_from_rows(evaluate(report.checkpoint_path, task, "test"))
         record = {"seed": seed, "auprc": mx.auprc(scored), "auroc": mx.auroc(scored),
-                  "best_val_auprc": report.best_val_auprc, "checkpoint": report.checkpoint_path}
+                  "best_val_auprc": report.best_val_auprc,
+                  "checkpoint": file_name(report.checkpoint_path)}
         if per_seed is not None:
             record.update(per_seed(record, scored))
         records.append(record)

@@ -49,6 +49,9 @@ class TrainConfig:
             raise ValidationError(f"lr must be > 0 and finite, got {self.lr}")
         if not 0 <= self.weight_decay < np.inf:
             raise ValidationError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
+        if self.lr * self.weight_decay >= 1:  # AdamW scales each weight by 1 - lr * weight_decay
+            raise ValidationError(f"lr * weight_decay must be < 1, got lr {self.lr} and "
+                                  f"weight_decay {self.weight_decay}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
@@ -95,7 +98,6 @@ class TaskData:
     signals: dict[str, np.ndarray]
     partitions: dict[str, list[WindowRef]]
     drop_tallies: dict[str, DropTally] = field(default_factory=dict)
-    aug_channel_std: np.ndarray | None = None
 
     def labels(self, partition: str) -> np.ndarray:
         return np.array([r.label for r in self.partitions[partition]], dtype=np.int64)
@@ -139,9 +141,6 @@ def prepare_task(sessions, split, spec) -> TaskData:
         refs, tallies[sid] = index_windows(by_id[sid], spec)
         partitions[partition_of[sid]].extend(refs)
 
-    # z-scored train windows have unit variance, except on floored (constant) channels
-    aug_std = np.where(normalizer.std > STD_FLOOR, 1.0, 0.0)
-
     return TaskData(
         spec=spec,
         split=split,
@@ -151,7 +150,6 @@ def prepare_task(sessions, split, spec) -> TaskData:
         signals={sid: s.signal for sid, s in by_id.items()},
         partitions=partitions,
         drop_tallies=tallies,
-        aug_channel_std=aug_std,
     )
 
 
@@ -162,9 +160,10 @@ def prepare_task(sessions, split, spec) -> TaskData:
 
 def _augmented_batch(task: TaskData, refs, config: SamplerConfig, rng) -> np.ndarray:
     """The z-scored, augmented training batch of `refs`, drawn from `rng` by one
-    `augment_window` call (every row's jitter, then the batch's noise); the
-    channel-scaled noise is added after the z-score, and with noise off
-    nothing is (a z-scored -0.0 stays)."""
+    `augment_window` call (every row's jitter, then the batch's noise). The
+    noise is added after the z-score, at `noise_std_fraction` of the z-scored
+    windows' unit std on every channel but the floored (constant) ones, which
+    get none; with noise off nothing is added (a z-scored -0.0 stays)."""
     batch = np.empty((len(refs), task.n_channels, task.n_window_samples), dtype=np.float32)
     noisy = config.noise_std_fraction > 0
     noise = np.empty_like(batch) if noisy else None
@@ -172,8 +171,8 @@ def _augmented_batch(task: TaskData, refs, config: SamplerConfig, rng) -> np.nda
                    config.jitter_samples, rng, batch, noise)
     task.normalizer.zscore(batch)
     if noisy:
-        noise *= (config.noise_std_fraction
-                  * np.asarray(task.aug_channel_std, dtype=np.float32))[:, None]
+        live = (task.normalizer.std > STD_FLOOR).astype(np.float32)
+        noise *= (config.noise_std_fraction * live)[:, None]
         batch += noise
     return batch
 

@@ -64,7 +64,7 @@ def micro_config_dict(tmp_path_factory):
             "sample_rate_hz": MICRO_SYNTH.sample_rate_hz,
         }},
         "task": {"keywords": [MICRO_KEYWORD], "beta_neg_s": 0.1, "beta_pos_s": 0.2},
-        "model": {"in_channels": 8, "trunk_channels": 8, "proj_channels": 16},
+        "model": {"trunk_channels": 8, "proj_channels": 16},
         "sampler": {"batch_size": 16, "jitter_samples": 4, "noise_std_fraction": 0.2},
         "training": {"max_epochs": 2, "patience": 2},
         "evaluation": {"bootstrap_resamples": 200, "permutation_draws": 500},

@@ -7,17 +7,22 @@ nncore kernels, the training batches cut from a z-scored copy of the corpus
 and the serial corpus set-up the copy-free ones must match bit for bit, the
 unfolded conv -> normalisation eval layer the folded one must match, the
 comment scanner and lexicon loop the library's regex and format string must
-match, a tracemalloc peak probe, and small helpers only the tests use."""
+match, a tracemalloc peak probe, the micro pipeline run through the CLI with
+the outputs two runs compare, and small helpers only the tests use."""
 
 from __future__ import annotations
 
 import csv
+import glob
+import json
+import os
 import tracemalloc
 from collections import namedtuple
 from contextlib import contextmanager
 
 import numpy as np
 from scipy import stats as scipy_stats
+from scipy.special import gammaln
 
 import kwslab.metrics as mx
 import kwslab.nncore as nc
@@ -128,6 +133,23 @@ def brute_force_average_precision(scores, labels) -> float:
         ap += (recall - prev_recall) * precision
         prev_recall = recall
     return ap
+
+
+def expected_random_auprc(n: int, k: int) -> float:
+    """Exact expectation of average precision under a uniformly random
+    ranking of k positives among n (negative-hypergeometric positions)."""
+    if not 1 <= k <= n:
+        raise ValueError("need 1 <= k <= n")
+
+    def log_comb(a, b):
+        return gammaln(a + 1) - gammaln(b + 1) - gammaln(a - b + 1)
+
+    total = 0.0
+    for j in range(1, k + 1):
+        r = np.arange(j, n - k + j + 1, dtype=np.float64)
+        logp = log_comb(r - 1, j - 1) + log_comb(n - r, k - j) - log_comb(n, k)
+        total += float(np.sum((j / r) * np.exp(logp)))
+    return total / k
 
 
 def brute_force_auroc(scores, labels) -> float:
@@ -489,7 +511,9 @@ def reference_training_batches(task, sampler_config, seed, n_batches):
     """The first `n_batches` batches of a training run of `seed`, built from a
     z-scored copy of every session: each batch is `reference_augment_window`
     on its rows' z-scored sessions, drawing from the step's augmentation stream."""
-    signals = {sid: task.normalizer.apply(sig) for sid, sig in task.signals.items()}
+    signals = {sid: reference_normalizer_apply(task.normalizer, sig)
+               for sid, sig in task.signals.items()}
+    live = np.where(task.normalizer.std > STD_FLOOR, 1.0, 0.0)  # floored channels get no noise
     sampler_seed = int(np.random.SeedSequence((seed, SAMPLER)).generate_state(1)[0])
     sampler = BalancedBatchSampler(task.labels("train"), sampler_config, sampler_seed)
     refs = task.partitions["train"]
@@ -498,7 +522,7 @@ def reference_training_batches(task, sampler_config, seed, n_batches):
         yield reference_augment_window(
             [signals[r.session_id] for r in rows], [r.start for r in rows],
             task.n_window_samples, sampler_config.jitter_samples,
-            sampler_config.noise_std_fraction, task.aug_channel_std,
+            sampler_config.noise_std_fraction, live,
             stream(seed, AUGMENT, step))
 
 
@@ -714,3 +738,47 @@ def read_rows_csv(path: str) -> list[dict]:
 
 def reference_offset_grid() -> dict:
     return load_reference_tables()["offset_grid"]
+
+
+# ---------------------------------------------------------------------------
+# the micro pipeline through the CLI, and the outputs two of its runs compare
+# ---------------------------------------------------------------------------
+
+
+def run_cli_pipeline(config: str, workdir: str, main) -> None:
+    """`synth`, `train`, `evaluate`, `operating-points --scores` (every scores
+    file `evaluate` wrote) and `sweep-scaling --fractions 1.0` through the CLI
+    entry point `main`, from the current directory, for the config at
+    `config`. The sweep writes into `workdir/sweep`, the rest into `workdir`."""
+    def run(command, *argv):
+        assert main([command, "--config", config, *argv]) == 0, command
+
+    run("synth")
+    run("train", "--workdir", workdir)
+    run("evaluate", "--workdir", workdir)
+    scores = sorted(glob.glob(os.path.join(glob.escape(workdir), "scores_seed*.csv")))
+    run("operating-points", "--workdir", workdir, *[a for s in scores for a in ("--scores", s)])
+    run("sweep-scaling", "--workdir", os.path.join(workdir, "sweep"), "--fractions", "1.0")
+
+
+def _without_wall_clock(value):
+    if isinstance(value, dict):
+        return {k: _without_wall_clock(v) for k, v in value.items() if k != "wall_clock_s"}
+    if isinstance(value, list):
+        return [_without_wall_clock(v) for v in value]
+    return value
+
+
+def run_outputs(root) -> dict:
+    """Every file under `root`, keyed by its path relative to `root`: its bytes,
+    or for a JSON file its content without any `wall_clock_s` entry."""
+    out = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                data = fh.read()
+            if name.endswith(".json"):
+                data = _without_wall_clock(json.loads(data))
+            out[os.path.relpath(path, root)] = data
+    return out

@@ -19,6 +19,7 @@ import kwslab.nncore as nc
 from helpers import (
     brute_force_auroc,
     brute_force_average_precision,
+    expected_random_auprc,
     model_fd_gradcheck,
 )
 from kwslab.cli import main as cli_main
@@ -250,7 +251,7 @@ class TestCriterion5PermutationNull:
         base_rate = self.K / self.N
         # E[AP] under a uniformly random ranking; it tends to k/n only as k
         # grows, and at k=24 it is 1.333x the base rate (the published 0.007)
-        exact = mx.expected_random_auprc(self.N, self.K)
+        exact = expected_random_auprc(self.N, self.K)
         # relative error of the mean == relative error of the ratio to k/n
         deviation = abs(result.null_mean - exact) / exact
         ratio = result.null_mean / base_rate

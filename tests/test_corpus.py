@@ -392,7 +392,7 @@ class TestNormalizer:
         norm = fit_normalizer([session])
         np.testing.assert_allclose(norm.mean, 5.0)
         np.testing.assert_allclose(norm.std, 1e-8)
-        out = norm.apply(session.signal)
+        out = norm.zscore(session.signal.astype(np.float32))
         np.testing.assert_array_equal(out, np.zeros_like(out))
 
     def test_pm_one(self):
@@ -407,7 +407,8 @@ class TestNormalizer:
         sessions = [make_session(session_id=f"s{i}", duration_s=20.0, seed=i)
                     for i in range(3)]
         norm = fit_normalizer(sessions)
-        stacked = np.concatenate([norm.apply(s.signal) for s in sessions], axis=1)
+        stacked = np.concatenate([norm.zscore(s.signal.astype(np.float32)) for s in sessions],
+                                 axis=1)
         assert np.abs(stacked.mean(axis=1, dtype=np.float64)).max() < 1e-6
         np.testing.assert_allclose(stacked.std(axis=1, dtype=np.float64), 1.0, atol=1e-4)
 
@@ -424,7 +425,7 @@ class TestNormalizer:
             assert norm.mean.tobytes() == ref.mean.tobytes()
             assert norm.std.tobytes() == ref.std.tobytes()
             for session in (*sessions, constant):
-                out = norm.apply(session.signal)
+                out = norm.zscore(session.signal.astype(np.float32))
                 assert out.dtype == np.float32
                 assert out.tobytes() == reference_normalizer_apply(ref, session.signal).tobytes()
 

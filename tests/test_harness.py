@@ -27,6 +27,8 @@ from helpers import (
     read_rows_csv,
     reference_offset_grid,
     reference_strip_json_comments,
+    run_cli_pipeline,
+    run_outputs,
 )
 from kwslab.cli import main
 from kwslab.config import (
@@ -37,7 +39,7 @@ from kwslab.config import (
 )
 from kwslab.errors import ConfigError, InvalidInputError, KwslabError
 from kwslab.fixtures import load_reference_tables
-from kwslab.model import config_hash
+from kwslab.model import DetectorModel, config_hash
 from kwslab.reports import (provenance_block, read_json_report, render_sweep_summary,
                             write_rows_csv)
 from kwslab.sweeps import (
@@ -196,7 +198,7 @@ class TestConfigLoading:
         # type hints must not move it
         path = os.path.join(os.path.dirname(__file__), "..", "configs", "synthetic.json")
         assert config_hash(load_run_config(path)) == (
-            "4ac9e3c44d5de8b22966e65daac38ee36bb8f4baf1713d75db28dc870929d1a3")
+            "76596032abb22a9e85358b3e8ec04308872c880ff7fafdf90743e550632c5973")
 
     def test_unknown_key_rejected_with_path(self, micro_config_dict):
         config = copy.deepcopy(micro_config_dict)
@@ -242,16 +244,22 @@ class TestConfigLoading:
         err = capsys.readouterr().err
         assert "unknown keys" in err and key in err
 
-    @pytest.mark.parametrize("value", [7, -1])
-    def test_training_seed_key_names_seeds(self, corpus_dir, tmp_path, capsys, value):
-        # every run takes its seed from `seeds`, so a training.seed would be
-        # validated and hashed but never read
+    @pytest.mark.parametrize("value", [7, -1, 8])
+    @pytest.mark.parametrize("key, source", [
+        ("training.seed", "list the training seeds in `seeds`"),
+        ("model.in_channels", "each run takes the corpus's channel count"),
+    ])
+    def test_training_seed_key_names_seeds(self, corpus_dir, tmp_path, capsys, key, source,
+                                           value):
+        # every run takes its seed from `seeds` and its input channels from the
+        # corpus (8 here), so a value in the config would be validated and
+        # hashed but never read
         config_path, _ = corpus_dir
         assert main(["train", "--config", config_path, "--workdir", str(tmp_path / "w"),
-                     "--set", f"training.seed={value}"]) == 1
+                     "--set", f"{key}={value}"]) == 1
         err = capsys.readouterr().err
-        assert "config.training.seed" in err and "`seeds`" in err
-        assert not (tmp_path / "w" / "train_report.json").exists()
+        assert err == f"error: config.{key} is not a config key: {source}\n"
+        assert not (tmp_path / "w").exists()
 
     def test_provenance_hash_is_the_config_hash(self, micro_config_dict):
         config = copy.deepcopy(micro_config_dict)
@@ -367,6 +375,11 @@ class TestConfigLoading:
         ("train", "model.trunk_channels=8.0", "config.model.trunk_channels: expected an integer"),
         ("train", "training.max_epochs=Infinity",
          "config.training.max_epochs: expected an integer"),
+        # AdamW's decay factor 1 - lr * weight_decay was -999: exit 2, "non-finite
+        # values during forward"
+        ("train", "training.weight_decay=1e6",
+         "config.training: lr * weight_decay must be < 1, got lr 0.001 and weight_decay "
+         "1000000.0"),
     ])
     def test_bad_setting_is_invalid_input_and_writes_no_report(
             self, corpus_dir, trained_workdir, micro_config_dict, tmp_path, capsys,
@@ -547,14 +560,23 @@ class TestTrainEvaluateCommands:
     ], ids=["train", "sweep-scaling"])
     def test_model_channels_unlike_the_corpus_are_invalid_input(self, corpus_dir, tmp_path,
                                                                 capsys, argv):
-        # used to exit 2 with "runtime failure: input has 8 channels, model expects 12"
+        # used to exit 2 with "runtime failure: input has 8 channels, model expects 12";
+        # the run now takes the corpus's count, and the config may not name one
         config_path, _ = corpus_dir
         workdir = tmp_path / "w"
         assert main([*argv, "--config", config_path, "--workdir", str(workdir),
                      "--set", "model.in_channels=12", "--set", "seeds=[0]"]) == 1
         err = capsys.readouterr().err
-        assert "error: model.in_channels is 12, corpus has 8 channels" in err
-        assert not list(workdir.glob("**/*.ckpt"))  # nothing, or an empty workdir
+        assert err == ("error: config.model.in_channels is not a config key: each run takes "
+                       "the corpus's channel count\n")
+        assert not workdir.exists()
+
+    def test_checkpoints_take_the_corpus_channel_count(self, trained_workdir,
+                                                       micro_config_dict):
+        assert "in_channels" not in micro_config_dict["model"]
+        for seed in micro_config_dict["seeds"]:
+            path = os.path.join(trained_workdir, f"checkpoint_seed{seed}.ckpt")
+            assert DetectorModel.load(path).config.in_channels == 8
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("partition", ["train", "validation", "test"])
@@ -766,6 +788,35 @@ class TestTrainEvaluateCommands:
         assert not [f for f in os.listdir(tmp_path) if f.startswith("scores")]
 
 
+class TestRunIdentity:
+    def test_outputs_do_not_depend_on_the_workdir_or_the_cwd(self, micro_config_dict, tmp_path,
+                                                              monkeypatch):
+        # sweep_report.json used to name each checkpoint by its full workdir path,
+        # and operating_points.json its --scores files as typed
+        monkeypatch.delenv(DATA_ROOT_ENV, raising=False)
+        config = {**copy.deepcopy(micro_config_dict), "seeds": [0]}
+        config["corpus"]["root"] = "data"  # relative: each run's corpus is under its cwd
+        one, two, elsewhere = tmp_path / "one", tmp_path / "two" / "cwd", tmp_path / "elsewhere"
+        for cwd in (one, two):
+            cwd.mkdir(parents=True)
+            (cwd / "config.json").write_text(json.dumps(config))
+        monkeypatch.chdir(one)
+        run_cli_pipeline("config.json", "run", main)  # every path relative
+        monkeypatch.chdir(two)
+        run_cli_pipeline(str(two / "config.json"), str(elsewhere / "run"), main)  # absolute
+        first = run_outputs(one / "run")
+        assert sorted(first) == [
+            "checkpoint_seed0.ckpt", "evaluation_report.json", "operating_points.json",
+            "recall_vs_fa.csv", "scores_seed0.csv", os.path.join("sweep", "scaling_f1_seed0.ckpt"),
+            os.path.join("sweep", "sweep.csv"), os.path.join("sweep", "sweep_report.json"),
+            "train_report.json"]
+        for a, b in ((one / "data", two / "data"), (one / "run", elsewhere / "run")):
+            first, second = run_outputs(a), run_outputs(b)
+            assert sorted(first) == sorted(second)
+            for name, value in first.items():
+                assert value == second[name], name
+
+
 class TestScalingSweep:
     @pytest.fixture(scope="class")
     def sweep_workdir(self, corpus_dir, tmp_path_factory):
@@ -792,6 +843,9 @@ class TestScalingSweep:
         # `kwslab train` and the sweep cell train seed 0 through the same runner
         ckpt = open(os.path.join(trained_workdir, "checkpoint_seed0.ckpt"), "rb").read()
         assert open(os.path.join(sweep_workdir, "scaling_f1_seed0.ckpt"), "rb").read() == ckpt
+        cells = read_json_report(os.path.join(sweep_workdir, "sweep_report.json"))["cells"]
+        full = next(c for c in cells if c["axis"]["fraction"] == 1.0)
+        assert [r["checkpoint"] for r in full["per_seed"]] == ["scaling_f1_seed0.ckpt"]
 
     def test_csv_is_derived_from_the_report_cells(self, sweep_workdir, tmp_path):
         # nothing used to check that sweep.csv agrees with sweep_report.json
@@ -1078,6 +1132,7 @@ class TestOperatingPointsCommand:
             "--scores", scores,
         ]) == 0
         payload = read_json_report(os.path.join(workdir, "operating_points.json"))
+        assert payload["source"] == "scores_seed0.csv"  # the file's name, not the path typed
         assert payload["window_s"] > 0
         assistive = next(
             s for s in payload["scenarios"] if s["scenario"]["name"] == "assistive"
@@ -1108,6 +1163,37 @@ class TestOperatingPointsCommand:
         assert outputs[0] == outputs[1]
         trained = read_json_report(os.path.join(trained_workdir, "train_report.json"))
         assert json.loads(outputs[1][0])["window_s"] == trained["task"]["window_s"]
+
+    def test_window_flag_with_a_corpus_is_invalid_input(self, corpus_dir, evaluated_workdir,
+                                                        tmp_path, capsys):
+        # the corpus fixes the window, and --window-s used to be dropped unread
+        config_path, root = corpus_dir
+        workdir = tmp_path / "w"
+        assert main(["operating-points", "--config", config_path, "--workdir", str(workdir),
+                     "--scores", os.path.join(evaluated_workdir, "scores_seed0.csv"),
+                     "--window-s", "2.5"]) == 1
+        trained = read_json_report(os.path.join(evaluated_workdir, "train_report.json"))
+        assert capsys.readouterr().err == (
+            f"error: operating-points: the corpus at {root} fixes the window at "
+            f"{trained['task']['window_s']:g} s, so --window-s cannot be given with it\n")
+        assert not workdir.exists()
+
+    @pytest.mark.parametrize("flag, extra", [
+        ("--scores", ["--scores", "scores_seed0.csv"]),
+        ("--window-s", ["--window-s", "1.0"]),
+        ("--scores", ["--window-s", "1.0", "--scores", "scores_seed0.csv"]),
+    ])
+    def test_fixture_with_scores_or_window_is_invalid_input(self, corpus_dir, tmp_path, capsys,
+                                                            flag, extra):
+        # the bundled curves and window used to win, and the flags were dropped unread
+        config_path, _ = corpus_dir
+        workdir = tmp_path / "w"
+        assert main(["operating-points", "--config", config_path, "--workdir", str(workdir),
+                     "--fixture", *extra]) == 1
+        assert capsys.readouterr().err == (
+            "error: operating-points: --fixture brings its own curves and window, so "
+            f"{flag} cannot be given with it\n")
+        assert not workdir.exists()
 
     def test_malformed_scores_is_invalid_input(self, corpus_dir, tmp_path, capsys):
         config_path, _ = corpus_dir

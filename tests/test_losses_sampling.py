@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import kwslab.nncore as nc
 import kwslab.training as training
-from kwslab.corpus import Normalizer, WindowRef
+from kwslab.corpus import STD_FLOOR, Normalizer, WindowRef
 from kwslab.errors import InfeasibleSamplerError, ValidationError
 from kwslab.losses import LossConfig, focal_loss, pairwise_rank_loss, total_loss
 from kwslab.sampling import (BalancedBatchSampler, SamplerConfig, augment_window,
@@ -171,12 +171,11 @@ class TestBalancedSampler:
             SamplerConfig(batch_size=1)
 
 
-def _one_session_task(signal, normalizer, aug_std, n_samples):
+def _one_session_task(signal, normalizer, n_samples):
     """A task over one session, `signal` (C, T), with windows n_samples wide."""
     return training.TaskData(spec=None, split=None, normalizer=normalizer,
                              n_channels=signal.shape[0], n_window_samples=n_samples,
-                             signals={"s": signal}, partitions={},
-                             aug_channel_std=np.asarray(aug_std, dtype=np.float64))
+                             signals={"s": signal}, partitions={})
 
 
 def _batch(task, starts, jitter, noise, seed):
@@ -195,7 +194,7 @@ class TestAugment:
         np.testing.assert_array_equal(out, [signal[:, 100:150], signal[:, 7:57]])
         assert rng.bit_generator.state == state  # no jitter, no noise: nothing drawn
         identity = Normalizer(mean=np.zeros(3), std=np.ones(3))
-        batch = _batch(_one_session_task(signal, identity, np.ones(3), 50), [100], 0, 0.0, 0)
+        batch = _batch(_one_session_task(signal, identity, 50), [100], 0, 0.0, 0)
         np.testing.assert_array_equal(batch[0], signal[:, 100:150])
 
     def test_noise_variance_addition(self):
@@ -203,7 +202,7 @@ class TestAugment:
         signal = 3.0 + 2.0 * RNG.standard_normal((4, 200_000)).astype(np.float32)
         norm = Normalizer(mean=signal.mean(axis=1, dtype=np.float64),
                           std=signal.std(axis=1, dtype=np.float64))
-        out = _batch(_one_session_task(signal, norm, np.ones(4), 200_000), [0], 0, 0.1, 1)[0]
+        out = _batch(_one_session_task(signal, norm, 200_000), [0], 0, 0.1, 1)[0]
         np.testing.assert_allclose(out.var(axis=1), 1.01, atol=5e-3)
 
     def test_jitter_bounded_and_edge_safe(self):
@@ -228,11 +227,12 @@ class TestAugment:
         assert set(out[1::2, 0, 0].astype(int)) == set(range(0, 11))
 
     def test_channel_scaled_noise(self):
+        # noise at the fraction of unit std on a live channel, none on a floored one
         signal = np.zeros((2, 50_000), dtype=np.float32)
-        identity = Normalizer(mean=np.zeros(2), std=np.ones(2))
-        task = _one_session_task(signal, identity, [1.0, 3.0], 50_000)
-        out = _batch(task, [0], 0, 0.5, 4)[0]
-        np.testing.assert_allclose(out.std(axis=1), [0.5, 1.5], rtol=0.03)
+        norm = Normalizer(mean=np.zeros(2), std=np.array([1.0, STD_FLOOR]))
+        out = _batch(_one_session_task(signal, norm, 50_000), [0], 0, 0.5, 4)[0]
+        np.testing.assert_allclose(out[0].std(), 0.5, rtol=0.03)
+        assert not np.any(out[1])
 
 
 class TestStandardNormal:

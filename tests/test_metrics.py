@@ -13,6 +13,7 @@ import kwslab.streams as streams
 from helpers import (
     brute_force_auroc,
     brute_force_average_precision,
+    expected_random_auprc,
     curve_points,
     list_pr_curve,
     make_thresholded_metric,
@@ -305,7 +306,7 @@ class TestPermutation:
         labels[rng.choice(n, k, replace=False)] = 1
         s = scored(rng.random(n), labels)
         result = mx.permutation_pvalue(s, "auprc", n_draws=4000, seed=3)
-        exact = mx.expected_random_auprc(n, k)
+        exact = expected_random_auprc(n, k)
         # simulation noise: null SD ~ 0.0046 -> SE over 4000 draws ~ 7.3e-5,
         # so abs=2e-4 is about 2.7 SE
         assert result.null_mean == pytest.approx(exact, abs=2e-4)
@@ -358,11 +359,11 @@ class TestExpectedRandomAuprc:
                 labels[list(positions)] = 1
                 total += mx.auprc(scored(scores, labels))
                 count += 1
-            assert mx.expected_random_auprc(n, k) == pytest.approx(total / count, abs=1e-12)
+            assert expected_random_auprc(n, k) == pytest.approx(total / count, abs=1e-12)
 
     def test_known_values(self):
-        assert mx.expected_random_auprc(2, 1) == pytest.approx(0.75)
-        assert mx.expected_random_auprc(4, 1) == pytest.approx((1 + 0.5 + 1 / 3 + 0.25) / 4)
+        assert expected_random_auprc(2, 1) == pytest.approx(0.75)
+        assert expected_random_auprc(4, 1) == pytest.approx((1 + 0.5 + 1 / 3 + 0.25) / 4)
 
 
 class TestDerivedStats:

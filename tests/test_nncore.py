@@ -14,8 +14,9 @@ from helpers import (
     reference_augment_window,
     reference_batch_norm,
     reference_conv1d,
+    reference_normalizer_apply,
 )
-from kwslab.corpus import Normalizer, WindowRef
+from kwslab.corpus import STD_FLOOR, Normalizer, WindowRef
 from kwslab.errors import CheckpointError, DimensionError, GradientStateError
 from kwslab.losses import LossConfig, total_loss
 from kwslab.model import DetectorModel, ModelConfig
@@ -566,23 +567,31 @@ class TestKernelBitIdentity:
         added after, equals the reference augment_window on a z-scored copy
         of the session: the rows' jitters, then the batch's Box–Muller noise,
         from one stream. Channel 0 has mean 0 and holds -0.0 samples, which
-        z-score to -0.0: a batch without noise must keep them."""
+        z-score to -0.0: a batch without noise must keep them. The last of the
+        c + 1 channels is constant, so its std is floored: it z-scores to 0 and
+        takes no noise."""
         rng = np.random.default_rng(seed)
-        signal = _float32(rng, (c, n_samples + 20), offset=1.0)
+        signal = _float32(rng, (c + 1, n_samples + 20), offset=1.0)
         signal[0, ::3] = -0.0
-        mean = rng.uniform(-1.0, 1.0, c)
-        mean[0] = 0.0
-        norm = Normalizer(mean=mean, std=rng.uniform(0.1, 2.0, c))
-        std = rng.uniform(0.1, 2.0, c)
+        signal[c] = 0.75
+        mean = rng.uniform(-1.0, 1.0, c + 1)
+        mean[0], mean[c] = 0.0, 0.75
+        std = rng.uniform(0.1, 2.0, c + 1)
+        std[c] = STD_FLOOR
+        norm = Normalizer(mean=mean, std=std)
         starts = [int(s) for s in rng.integers(0, 21, size=rows)]
-        task = training.TaskData(spec=None, split=None, normalizer=norm, n_channels=c,
+        task = training.TaskData(spec=None, split=None, normalizer=norm, n_channels=c + 1,
                                  n_window_samples=n_samples, signals={"s": signal},
-                                 partitions={}, aug_channel_std=std)
+                                 partitions={})
         refs = [WindowRef("s", i, start, 0, "w") for i, start in enumerate(starts)]
         config = SamplerConfig(jitter_samples=jitter, noise_std_fraction=noise)
         got = training._augmented_batch(task, refs, config, np.random.default_rng(seed))
-        want = reference_augment_window([norm.apply(signal)] * rows, starts, n_samples, jitter,
-                                        noise, std, np.random.default_rng(seed))
+        live = np.ones(c + 1)
+        live[c] = 0.0
+        want = reference_augment_window([reference_normalizer_apply(norm, signal)] * rows,
+                                        starts, n_samples, jitter, noise, live,
+                                        np.random.default_rng(seed))
+        assert not np.any(got[:, c])
         assert got.dtype == want.dtype == np.float32
         assert got.tobytes() == want.tobytes()
         assert not np.shares_memory(got, signal)

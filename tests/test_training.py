@@ -6,8 +6,9 @@ import pytest
 import kwslab.metrics as mx
 import kwslab.training as training
 from conftest import MICRO_MODEL, MICRO_SAMPLER, MICRO_SYNTH, MICRO_TRAIN
-from helpers import peak_traced_bytes, reference_training_batches
+from helpers import peak_traced_bytes, reference_normalizer_apply, reference_training_batches
 from kwslab.corpus import (
+    STD_FLOOR,
     SplitAssignment,
     build_task_spec,
     index_windows,
@@ -16,6 +17,7 @@ from kwslab.corpus import (
 )
 from kwslab.errors import (
     CheckpointError,
+    ConfigError,
     InfeasibleTaskError,
     TrainingDivergedError,
     ValidationError,
@@ -75,7 +77,8 @@ class TestPrepareTask:
     def test_stack_is_slices_of_the_zscored_session(self, micro_corpus, micro_task):
         sessions, _ = micro_corpus
         task = micro_task
-        normed = {s.session_id: task.normalizer.apply(s.signal) for s in sessions}
+        normed = {s.session_id: reference_normalizer_apply(task.normalizer, s.signal)
+                  for s in sessions}
         n = task.n_window_samples
         for refs in task.partitions.values():
             want = np.stack([normed[r.session_id][:, r.start : r.start + n] for r in refs])
@@ -123,14 +126,14 @@ class TestPrepareTask:
             keys = [(r.session_id, r.token_index) for r in refs]
             assert keys == sorted(keys)
 
-    def test_aug_channel_std_near_one(self, micro_task):
-        # derived from the normalizer: z-scored live channels have unit std
-        np.testing.assert_array_equal(micro_task.aug_channel_std, np.ones(micro_task.n_channels))
-        train = np.concatenate([micro_task.normalizer.apply(micro_task.signals[sid])
+    def test_zscored_live_channels_have_unit_std(self, micro_task):
+        # the augmentation noise is a fraction of this unit std on every live channel
+        assert np.all(micro_task.normalizer.std > STD_FLOOR)
+        train = np.concatenate([micro_task.normalizer.zscore(micro_task.signals[sid].copy())
                                 for sid in micro_task.split.train], axis=1)
         np.testing.assert_allclose(train.std(axis=1, dtype=np.float64), 1.0, atol=1e-4)
 
-    def test_aug_channel_std_zero_on_floored_channel(self, micro_corpus, micro_task):
+    def test_floored_channel_takes_no_augment_noise(self, micro_corpus, micro_task):
         sessions, _ = micro_corpus
         flat = []
         for s in sessions:
@@ -138,13 +141,25 @@ class TestPrepareTask:
             signal[3] = 0.25  # a dead channel: its std is floored at STD_FLOOR
             flat.append(dataclasses.replace(s, signal=signal))
         task = prepare_task(flat, micro_task.split, micro_task.spec)
-        expected = np.ones(task.n_channels)
-        expected[3] = 0.0
-        np.testing.assert_array_equal(task.aug_channel_std, expected)
-        assert not np.any(task.stack(task.partitions["train"])[:, 3])
+        expected = np.full(task.n_channels, True)
+        expected[3] = False
+        np.testing.assert_array_equal(task.normalizer.std > STD_FLOOR, expected)
+        refs = task.partitions["train"]
+        assert not np.any(task.stack(refs)[:, 3])
+        batch = training._augmented_batch(task, refs[:16], MICRO_SAMPLER,
+                                          np.random.default_rng(0))
+        assert not np.any(batch[:, 3]) and np.all(batch[:, expected].std(axis=-1) > 0)
 
 
 class TestTrain:
+    def test_model_channels_unlike_the_task_rejected(self, micro_task, tmp_path):
+        # callers of the API size the model themselves; the CLI takes the corpus's count
+        model = dataclasses.replace(MICRO_MODEL, in_channels=12)
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(ConfigError, match="^model.in_channels is 12, corpus has 8 channels$"):
+            train(model, LossConfig(), MICRO_SAMPLER, MICRO_TRAIN, micro_task, str(path))
+        assert not path.exists()
+
     def test_determinism_bit_identical(self, micro_task, tmp_path):
         path = str(tmp_path / "run.ckpt")
         first = train(MICRO_MODEL, LossConfig(), MICRO_SAMPLER, MICRO_TRAIN, micro_task, path)
@@ -278,7 +293,9 @@ class TestTrain:
             train(MICRO_MODEL, LossConfig(), MICRO_SAMPLER, MICRO_TRAIN, task, "unused")
 
     def test_divergence_aborts_with_record(self, micro_task, tmp_path):
-        config = dataclasses.replace(MICRO_TRAIN, lr=1e32, max_epochs=1, patience=1)
+        # no decay: lr * weight_decay >= 1 is invalid input, not a divergence
+        config = dataclasses.replace(MICRO_TRAIN, lr=1e32, weight_decay=0.0, max_epochs=1,
+                                     patience=1)
         with pytest.raises(TrainingDivergedError) as err:
             train(MICRO_MODEL, LossConfig(), MICRO_SAMPLER, config, micro_task,
                   str(tmp_path / "div.ckpt"))
@@ -296,6 +313,15 @@ class TestTrain:
         with pytest.raises(ValidationError, match="seed"):
             TrainConfig(seed=-1)
         TrainConfig(weight_decay=0.0, seed=0)
+
+    def test_decay_factor_must_stay_positive(self):
+        # AdamW scales each weight by 1 - lr * weight_decay every step
+        for lr, weight_decay in ((0.5, 2.0), (0.1, 10.0), (1e-3, 1e6)):
+            with pytest.raises(ValidationError, match=r"^lr \* weight_decay must be < 1, got "
+                               rf"lr {lr} and weight_decay {weight_decay}$"):
+                TrainConfig(lr=lr, weight_decay=weight_decay)
+        TrainConfig(lr=0.5, weight_decay=np.nextafter(2.0, 0.0))
+        TrainConfig(lr=1e-3, weight_decay=999.0)
 
 
 class TestEvaluate:
