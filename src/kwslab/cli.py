@@ -90,7 +90,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_run_config(args.config, args.set, require_corpus=True)
-    root, spec, split, task = _load_task(config)  # train_seeds makes the workdir
+    root, spec, split, task = _load_task(config)  # `train` makes the workdir
     seeds_payload = {}
     wall = {}
     for seed, report in train_seeds(config, task, args.workdir, CHECKPOINT_TAG):

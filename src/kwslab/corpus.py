@@ -18,7 +18,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -199,12 +199,27 @@ class Normalizer:
 
     mean: np.ndarray
     std: np.ndarray
+    # float32 (channels, samples) rows by (key, samples): a contiguous operand
+    # runs one inner loop per window, a (channels, 1) one runs one per channel
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _spread(self, key, per_channel: np.ndarray, n_samples: int) -> np.ndarray:
+        if (key, n_samples) not in self._rows:
+            self._rows[key, n_samples] = np.repeat(per_channel.astype(np.float32)[:, None],
+                                                   n_samples, axis=1)
+        return self._rows[key, n_samples]
 
     def zscore(self, out: np.ndarray) -> np.ndarray:
         """Z-score a float32 (..., channels, samples) array in place; returns it."""
-        out -= self.mean.astype(np.float32)[:, None]
-        out /= self.std.astype(np.float32)[:, None]
+        out -= self._spread("mean", self.mean, out.shape[-1])
+        out /= self._spread("std", self.std, out.shape[-1])
         return out
+
+    def noise_scale(self, fraction: float, n_samples: int) -> np.ndarray:
+        """float32 (channels, n_samples) augmentation noise std: `fraction` of the
+        z-scored unit std, and none on the floored (constant) channels."""
+        live = (self.std > STD_FLOOR).astype(np.float32)
+        return self._spread(("noise", fraction), fraction * live, n_samples)
 
 
 # ---------------------------------------------------------------------------

