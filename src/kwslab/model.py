@@ -142,12 +142,6 @@ class DetectorModel:
         x = batch if isinstance(batch, nc.Tensor) else nc.Tensor(
             np.asarray(batch, dtype=self.dtype)
         )
-        if x.values.ndim != 3:
-            raise DimensionError(f"expected (B, C, T) input, got shape {x.shape}")
-        if x.shape[1] != self.config.in_channels:
-            raise DimensionError(
-                f"input has {x.shape[1]} channels, model expects {self.config.in_channels}"
-            )
         cfg = self.config
         pad_stem = (cfg.trunk_kernel - 1) // 2
         pad_res = (cfg.res_kernel - 1) // 2

@@ -12,11 +12,11 @@ from collections import Counter
 import numpy as np
 
 from . import metrics as mx
-from .corpus import SplitAssignment, build_task_spec, count_positives, select_splits
+from .corpus import SplitAssignment, build_task_spec, select_splits
 from .errors import InfeasibleSamplerError, InfeasibleTaskError, MissingKeywordError
 from .reports import file_name
 from .streams import stream
-from .training import evaluate, prepare_task, scored_set_from_rows, train
+from .training import check_jitter, evaluate, prepare_task, scored_set_from_rows, train
 
 
 # metrics every sweep cell aggregates over seeds; the keyword sweep adds more
@@ -129,8 +129,7 @@ def run_scaling_sweep(config, sessions, default_split, fractions, workdir: str) 
         sessions, config.task.keywords, config.task.beta_neg_s, config.task.beta_pos_s
     )
     split = select_splits(sessions, spec, default_split)
-    by_id = {s.session_id: s for s in sessions}
-    hours = {sid: by_id[sid].duration_s / 3600.0 for sid in split.train}
+    hours = {s.session_id: s.duration_s / 3600.0 for s in sessions if s.session_id in split.train}
 
     cells = []
     feasible_points = []
@@ -140,12 +139,6 @@ def run_scaling_sweep(config, sessions, default_split, fractions, workdir: str) 
             train=train_ids, validation=split.validation, test=split.test
         )
         axis = {"fraction": fraction}
-        n_train_positives = sum(
-            count_positives(by_id[sid], spec.keywords) for sid in train_ids
-        )
-        if n_train_positives == 0:
-            cells.append(_infeasible(axis, "no positive training examples"))
-            continue
         task = prepare_task(_sessions_for_split(sessions, sub_split), sub_split, spec)
         try:
             cell, scoreds = run_cell(
@@ -260,19 +253,23 @@ def run_offsets_sweep(config, sessions, default_split, neg_grid, pos_grid, workd
     split_spec = build_task_spec(sessions, config.task.keywords, 0.0, 0.0)
     split = select_splits(sessions, split_spec, default_split)
 
-    cells = []
-    cell_seed_auprc = {}
+    grid = []  # every cell's window is checked before the first cell trains
     for neg in neg_grid:
         for pos in pos_grid:
             spec = build_task_spec(sessions, config.task.keywords, neg, pos)
-            task = prepare_task(sessions, split, spec)
-            cell, _ = run_cell(
-                config, task, {"beta_neg_s": neg, "beta_pos_s": pos}, workdir,
-                f"offsets_n{neg:g}_p{pos:g}", _METRICS,
-            )
-            cell["aggregate"]["window_s"] = spec.window_s
-            cell_seed_auprc[(neg, pos)] = {r["seed"]: r["auprc"] for r in cell["per_seed"]}
-            cells.append(cell)
+            grid.append((neg, pos, prepare_task(sessions, split, spec)))
+            check_jitter(config.sampler, grid[-1][2].n_window_samples)
+
+    cells = []
+    cell_seed_auprc = {}
+    for neg, pos, task in grid:
+        cell, _ = run_cell(
+            config, task, {"beta_neg_s": neg, "beta_pos_s": pos}, workdir,
+            f"offsets_n{neg:g}_p{pos:g}", _METRICS,
+        )
+        cell["aggregate"]["window_s"] = task.spec.window_s
+        cell_seed_auprc[(neg, pos)] = {r["seed"]: r["auprc"] for r in cell["per_seed"]}
+        cells.append(cell)
 
     best = max(cells, key=lambda c: c["aggregate"]["auprc_mean"])
     paired = paired_offset_improvement(

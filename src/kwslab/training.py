@@ -4,6 +4,7 @@ given the config seed, plus checkpoint evaluation and the scores-file format."""
 from __future__ import annotations
 
 import csv
+import math
 import os
 import time
 import warnings
@@ -177,6 +178,14 @@ def _augmented_batch(task: TaskData, refs, config: SamplerConfig, rng) -> np.nda
     return batch
 
 
+def check_jitter(config: SamplerConfig, n_window_samples: int):
+    """A jitter of a whole window can move a window off the token that labels
+    it (and a shift past its session's edge is silently not applied)."""
+    if config.jitter_samples >= n_window_samples:
+        raise ConfigError(f"sampler.jitter_samples is {config.jitter_samples}, must be "
+                          f"below the window length of {n_window_samples} samples")
+
+
 def score_partition(model: DetectorModel, task: TaskData, partition: str,
                     batch_size: int = SCORE_BATCH_SIZE) -> np.ndarray:
     """Eval-mode probabilities in corpus order (no augmentation)."""
@@ -200,33 +209,29 @@ def train(
 ) -> TrainReport:
     """Run balanced-batch epochs, keep the checkpoint with the best
     validation AUPRC, stop early after `patience` epochs without
-    improvement > 1e-6. All randomness descends from train_config.seed
+    improvement > 1e-6. A non-finite step loss or validation score raises
+    TrainingDivergedError. All randomness descends from train_config.seed
     through independent substreams (init / data order / augmentation /
     ranking pairs)."""
     t0 = time.perf_counter()
     if model_config.in_channels != task.n_channels:
         raise ConfigError(f"model.in_channels is {model_config.in_channels}, corpus has "
                           f"{task.n_channels} channels")
-    if sampler_config.jitter_samples >= task.n_window_samples:
-        # such a shift can move a window off the token that labels it (and one
-        # past its session's edge is silently not applied)
-        raise ConfigError(f"sampler.jitter_samples is {sampler_config.jitter_samples}, must be "
-                          f"below the window length of {task.n_window_samples} samples")
+    check_jitter(sampler_config, task.n_window_samples)
     val_labels = task.labels("validation")
     if val_labels.sum() < 1:
         raise InfeasibleTaskError("validation partition has no positive examples")
-    os.makedirs(os.path.dirname(checkpoint_path) or os.curdir, exist_ok=True)
-
     seed = train_config.seed
-    model = DetectorModel.initialize(model_config, seed=seed)
-    optimizer = nc.AdamW(
-        model.params, lr=train_config.lr, weight_decay=train_config.weight_decay
-    )
-
     sampler_seed = int(np.random.SeedSequence((seed, SAMPLER)).generate_state(1)[0])
     train_refs = task.partitions["train"]
     train_labels = task.labels("train")
     sampler = BalancedBatchSampler(train_labels, sampler_config, sampler_seed)
+    os.makedirs(os.path.dirname(checkpoint_path) or os.curdir, exist_ok=True)
+
+    model = DetectorModel.initialize(model_config, seed=seed)
+    optimizer = nc.AdamW(
+        model.params, lr=train_config.lr, weight_decay=train_config.weight_decay
+    )
 
     records: list[EvalRecord] = []
     best_auprc = -np.inf
@@ -239,20 +244,9 @@ def train(
         for batch_idx in sampler.epoch():
             batch = _augmented_batch(task, [train_refs[i] for i in batch_idx], sampler_config,
                                      stream(seed, AUGMENT, global_step))
-            labels = train_labels[batch_idx]
-            try:
-                result = model.forward(batch, training=True)
-                rank_rng = stream(seed, RANK, global_step)
-                loss, parts = total_loss(
-                    result.prob, result.logit, labels, loss_config, rank_rng
-                )
-            except ValidationError as exc:
-                # inside the steady-state loop a contract violation means the
-                # forward blew up numerically (non-finite activations)
-                raise TrainingDivergedError(
-                    f"non-finite values during forward: {exc}",
-                    record={"epoch": epoch, "step": global_step, "loss_parts": None},
-                ) from exc
+            result = model.forward(batch, training=True)
+            loss, parts = total_loss(result.prob, result.logit, train_labels[batch_idx],
+                                     loss_config, stream(seed, RANK, global_step))
             if not np.isfinite(parts["total"]):
                 raise TrainingDivergedError(
                     "non-finite training loss",
@@ -264,7 +258,10 @@ def train(
             losses.append(parts["total"])
             global_step += 1
 
-        scored = mx.ScoredSet(score_partition(model, task, "validation"), val_labels)
+        val_scores = score_partition(model, task, "validation")
+        if not np.all(np.isfinite(val_scores)):
+            raise TrainingDivergedError("non-finite validation scores", record={"epoch": epoch})
+        scored = mx.ScoredSet(val_scores, val_labels)
         val_auprc = mx.auprc(scored)
         records.append(EvalRecord(float(epoch), float(np.mean(losses)), val_auprc,
                                   mx.auroc(scored)))
@@ -333,8 +330,8 @@ def write_scores_csv(rows, path: str):
 
 def read_scores_csv(path: str) -> list[ScoreRow]:
     """Parse a scores file written by write_scores_csv; a bad header, a
-    missing or malformed field, or a label outside {0, 1} raises
-    ValidationError naming the line, and a file that is not UTF-8 one naming it."""
+    missing or malformed field, a label outside {0, 1} or a non-finite score
+    raises ValidationError naming the line, and a file that is not UTF-8 one naming it."""
     rows = []
     try:  # around the whole read: the decoder raises wherever the bad byte is
         with open(path, encoding="utf-8", newline="") as fh:
@@ -355,10 +352,10 @@ def read_scores_csv(path: str) -> list[ScoreRow]:
                         f"{path}: line {reader.line_num}: expected "
                         f"{','.join(SCORES_HEADER)} fields, got {rec}"
                     ) from None
-                if not session_id or row.label not in (0, 1):
+                if not session_id or row.label not in (0, 1) or not math.isfinite(row.score):
                     raise ValidationError(
-                        f"{path}: line {reader.line_num}: needs a session id and a "
-                        f"0/1 label, got {rec}"
+                        f"{path}: line {reader.line_num}: needs a session id, a 0/1 "
+                        f"label and a finite score, got {rec}"
                     )
                 rows.append(row)
     except UnicodeDecodeError as exc:

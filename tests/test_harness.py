@@ -70,6 +70,29 @@ def corpus_dir(tmp_path_factory, micro_config_dict):
 
 
 @pytest.fixture(scope="module")
+def no_train_keyword_config(tmp_path_factory, corpus_dir, micro_config_dict):
+    """Config of a copy of the micro corpus whose train sessions, s000 and
+    s001, hold no token of the keyword: each is renamed in their events files."""
+    _, root = corpus_dir
+    copy_root = tmp_path_factory.mktemp("no_train_keyword")
+    shutil.copytree(root, copy_root / "data")
+    (keyword,) = micro_config_dict["task"]["keywords"]
+    for sid in ("s000", "s001"):
+        events = copy_root / "data" / f"{sid}_events.tsv"
+        lines = events.read_text().splitlines()
+        word = lines[0].split("\t").index("word")
+        for i, line in enumerate(lines[1:], start=1):
+            fields = line.split("\t")
+            fields[word] = "zz" if fields[word] == keyword else fields[word]
+            lines[i] = "\t".join(fields)
+        events.write_text("\n".join(lines) + "\n")
+    config = copy.deepcopy(micro_config_dict)
+    config["corpus"]["root"] = str(copy_root / "data")
+    (copy_root / "c.json").write_text(json.dumps(config))
+    return str(copy_root / "c.json")
+
+
+@pytest.fixture(scope="module")
 def trained_workdir(tmp_path_factory, corpus_dir):
     config_path, _ = corpus_dir
     workdir = str(tmp_path_factory.mktemp("work"))
@@ -728,6 +751,48 @@ class TestTrainEvaluateCommands:
             f"error: {events}: 'utf-8' codec can't decode byte 0xe9")
         assert sorted(os.listdir(tmp_path)) == ["c.json", "data"]
 
+    def test_train_without_a_train_positive_leaves_no_workdir(self, no_train_keyword_config,
+                                                              tmp_path, capsys):
+        # the sampler's check used to run after `train` had made the workdir
+        workdir = tmp_path / "w"
+        assert main(["train", "--config", no_train_keyword_config,
+                     "--workdir", str(workdir)]) == 1
+        assert capsys.readouterr().err == ("error: need both classes to balance batches; "
+                                           "got 0 positives and 285 negatives\n")
+        assert not workdir.exists()
+
+    @pytest.mark.parametrize("pooling", ["attention", "topk"])
+    def test_non_finite_validation_scores_are_a_divergence(self, corpus_dir, tmp_path, capsys,
+                                                           monkeypatch, pooling):
+        # a NaN used to exit 1 as invalid input: "softmax input must be finite",
+        # or under top-k pooling "scores must be finite"
+        config_path, _ = corpus_dir
+        real = kwslab.training.score_partition
+
+        def spoiled(model, task, partition):
+            scores = real(model, task, partition)
+            scores[0] = np.nan
+            return scores
+
+        monkeypatch.setattr(kwslab.training, "score_partition", spoiled)
+        workdir = tmp_path / "w"
+        assert main(["train", "--config", config_path, "--workdir", str(workdir),
+                     "--set", f"model.pooling=\"{pooling}\""]) == 2
+        assert capsys.readouterr().err == "runtime failure: non-finite validation scores\n"
+        assert os.listdir(workdir) == []
+
+    def test_forward_validation_error_is_invalid_input(self, corpus_dir, tmp_path, capsys,
+                                                       monkeypatch):
+        # `train` used to re-raise it as a divergence, exit 2
+        config_path, _ = corpus_dir
+
+        def forward(self, batch, training=False):
+            raise kwslab.errors.ValidationError("bad forward input")
+
+        monkeypatch.setattr(DetectorModel, "forward", forward)
+        assert main(["train", "--config", config_path, "--workdir", str(tmp_path / "w")]) == 1
+        assert capsys.readouterr().err == "error: bad forward input\n"
+
     def test_checkpoint_without_model_config_is_invalid_input(
             self, corpus_dir, trained_workdir, micro_config_dict, tmp_path, capsys):
         config_path, _ = corpus_dir
@@ -901,6 +966,20 @@ class TestScalingSweep:
         assert "fractions must lie in (0, 1]" in capsys.readouterr().err
         assert not workdir.exists()
 
+    def test_cell_without_train_positives_is_infeasible(self, no_train_keyword_config,
+                                                        tmp_path):
+        # the sweep's own count of train positives used to give this cell its note
+        workdir = tmp_path / "w"
+        assert main(["sweep-scaling", "--config", no_train_keyword_config,
+                     "--workdir", str(workdir), "--fractions", "0.5,1.0",
+                     "--set", "seeds=[0]"]) == 0
+        cells = read_json_report(str(workdir / "sweep_report.json"))["cells"]
+        assert [c["infeasible"] for c in cells] == [True, True]
+        for cell in cells:
+            assert cell["note"].startswith("need both classes to balance batches; "
+                                           "got 0 positives and ")
+        assert sorted(os.listdir(workdir)) == ["sweep.csv", "sweep_report.json"]
+
     def test_subsample_prefix_rule(self):
         hours = {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0}
         assert subsample_train_sessions(hours, hours, 0.1) == ["a"]
@@ -958,6 +1037,18 @@ class TestOffsetsSweep:
         err = capsys.readouterr().err
         assert f"{flag}: offsets must be >= 0 and finite" in err
         assert grids[flag == "--pos-grid"].split(",")[-1] in err
+        assert not workdir.exists()
+
+    def test_short_window_cell_trains_nothing(self, corpus_dir, tmp_path, capsys):
+        # the 0.2 s cell's 55-sample window takes a jitter of 40: it used to train
+        # and write its checkpoint before the (0, 0) cell's 35 samples failed
+        config_path, _ = corpus_dir
+        workdir = tmp_path / "w"
+        assert main(["sweep-offsets", "--config", config_path, "--workdir", str(workdir),
+                     "--neg-grid", "0.2,0", "--pos-grid", "0", "--set", "seeds=[0]",
+                     "--set", "sampler.jitter_samples=40"]) == 1
+        assert capsys.readouterr().err == ("error: sampler.jitter_samples is 40, must be "
+                                           "below the window length of 35 samples\n")
         assert not workdir.exists()
 
     def test_tiny_grid_and_paired_stats(self, corpus_dir, tmp_path_factory):
@@ -1176,6 +1267,22 @@ class TestOperatingPointsCommand:
         assert outputs[0] == outputs[1]
         trained = read_json_report(os.path.join(trained_workdir, "train_report.json"))
         assert json.loads(outputs[1][0])["window_s"] == trained["task"]["window_s"]
+
+    @pytest.mark.parametrize("score", ["nan", "inf"])
+    def test_non_finite_score_names_the_file_and_line(self, corpus_dir, tmp_path, capsys,
+                                                      score):
+        # used to exit 1 with "scores must be finite", naming neither the file nor the line
+        config_path, _ = corpus_dir
+        scores = tmp_path / "scores.csv"
+        scores.write_text("session_id,token_index,label,score\n"
+                          f"s000,0,1,0.5\ns000,1,0,{score}\ns000,2,0,0.25\n")
+        workdir = tmp_path / "w"
+        assert main(["operating-points", "--config", config_path, "--workdir", str(workdir),
+                     "--scores", str(scores)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {scores}: line 3: needs a session id, a 0/1 label and a finite score, "
+            f"got ['s000', '1', '0', '{score}']\n")
+        assert not workdir.exists()
 
     def test_window_flag_with_a_corpus_is_invalid_input(self, corpus_dir, evaluated_workdir,
                                                         tmp_path, capsys):

@@ -771,11 +771,11 @@ class TestNonlinearities:
         assert np.all(out.values >= 0)
         np.testing.assert_allclose(out.values.sum(axis=-1), 1.0, atol=1e-12)
 
-    def test_softmax_rejects_nonfinite(self):
-        from kwslab.errors import ValidationError
-
-        with pytest.raises(ValidationError):
-            nc.softmax_time(nc.Tensor(np.array([[np.inf, 0.0]])))
+    def test_softmax_passes_nonfinite_through(self):
+        # training detects a blow-up by its loss, so the op no longer checks its input
+        with np.errstate(invalid="ignore"):
+            out = nc.softmax_time(nc.Tensor(np.array([[np.inf, 0.0], [1.0, 0.0]])))
+        assert np.isnan(out.values[0]).all() and np.isfinite(out.values[1]).all()
 
     def test_sigmoid_zero(self):
         assert nc.sigmoid(nc.Tensor(np.array(0.0))).item() == 0.5

@@ -303,14 +303,32 @@ class TestTrain:
         with pytest.raises(InfeasibleTaskError):
             train(MICRO_MODEL, LossConfig(), MICRO_SAMPLER, MICRO_TRAIN, task, "unused")
 
-    def test_divergence_aborts_with_record(self, micro_task, tmp_path):
+    @pytest.mark.parametrize("pooling", ["attention", "topk"])
+    def test_divergence_aborts_with_record(self, micro_task, tmp_path, pooling):
         # no decay: lr * weight_decay >= 1 is invalid input, not a divergence
+        model = dataclasses.replace(MICRO_MODEL, pooling=pooling)
         config = dataclasses.replace(MICRO_TRAIN, lr=1e32, weight_decay=0.0, max_epochs=1,
                                      patience=1)
-        with pytest.raises(TrainingDivergedError) as err:
-            train(MICRO_MODEL, LossConfig(), MICRO_SAMPLER, config, micro_task,
+        with pytest.raises(TrainingDivergedError, match="^non-finite training loss$") as err:
+            train(model, LossConfig(), MICRO_SAMPLER, config, micro_task,
                   str(tmp_path / "div.ckpt"))
         assert "loss_parts" in err.value.record
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_validation_scores_diverge(self, micro_task, tmp_path, monkeypatch,
+                                                  bad):
+        # a NaN used to surface as "scores must be finite", an invalid-input error
+        def spoiled(model, task, partition):
+            scores = score_partition(model, task, partition)
+            scores[1] = bad
+            return scores
+
+        monkeypatch.setattr(training, "score_partition", spoiled)
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(TrainingDivergedError, match="^non-finite validation scores$") as err:
+            train(MICRO_MODEL, LossConfig(), MICRO_SAMPLER, MICRO_TRAIN, micro_task, str(path))
+        assert err.value.record == {"epoch": 1}
+        assert not path.exists()
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -396,6 +414,9 @@ class TestScoresCsv:
         ("session_id,token_index,label,score\n,0,1,0.5\n", 2),
         ("session_id,token_index,label,score\ns0,0,2,0.5\n", 2),
         ("session_id,token_index,label,score\ns0,0,-1,0.5\n", 2),
+        ("session_id,token_index,label,score\ns0,0,1,0.5\ns0,1,0,nan\n", 3),
+        ("session_id,token_index,label,score\ns0,0,1,inf\n", 2),
+        ("session_id,token_index,label,score\ns0,0,1,-inf\n", 2),
     ])
     def test_malformed_file_names_the_line(self, tmp_path, text, line):
         path = tmp_path / "scores.csv"
